@@ -35,14 +35,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <iostream>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -52,6 +50,7 @@
 #include "benchutil/cli.hpp"
 #include "benchutil/stats.hpp"
 #include "benchutil/table.hpp"
+#include "common/fake_engines.hpp"
 #include "core/pool_allocator.hpp"
 #include "orlib/biskup_feldmann.hpp"
 #include "rng/philox.hpp"
@@ -197,44 +196,9 @@ std::vector<std::string> SplitCsv(const std::string& list) {
 // ---------------------------------------------------------------------------
 // --smoke: deterministic assertions for the serve scale-out path.
 
-/// Gate an engine can block on: the smoke tests park the single worker on
-/// a "block" solve so every subsequent arrival is observed *queued*, which
-/// makes coalescing and shedding decisions deterministic.
-struct Gate {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool open = false;
-  std::atomic<unsigned> entered{0};
-
-  void Release() {
-    {
-      const std::scoped_lock lock(mutex);
-      open = true;
-    }
-    cv.notify_all();
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [this] { return open; });
-  }
-};
-
-/// Default registry plus a "block" engine that parks until gate->Release().
-serve::EngineRegistry BlockingRegistry(Gate* gate) {
-  serve::EngineRegistry registry = serve::EngineRegistry::Default();
-  registry.Register(
-      "block",
-      [gate](const Instance& instance, const serve::EngineOptions&) {
-        gate->entered.fetch_add(1);
-        gate->Wait();
-        serve::EngineRun run;
-        run.result.best = IdentitySequence(instance.size());
-        run.result.best_cost = 0;
-        run.result.evaluations = 1;
-        return run;
-      });
-  return registry;
-}
+// The "block" engine and its gate are the serve tests' stand-ins.
+using cdd::testing::BlockingRegistry;
+using cdd::testing::Gate;
 
 bool AwaitCounter(serve::SolverService& service, const char* name,
                   std::uint64_t at_least) {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/eval_raw.hpp"
 #include "core/eval_simd.hpp"
@@ -10,6 +13,52 @@
 #include "parallel/kernels_raw.hpp"
 
 namespace cdd::par::detail {
+
+void RequirePackableCosts(const DeviceProblem& problem, const char* engine) {
+  if (problem.cost_upper_bound() >= raw::kMaxPackableCost) {
+    throw std::invalid_argument(std::string(engine) +
+                                ": instance costs exceed the packed key "
+                                "range");
+  }
+}
+
+DeviceEngine::DeviceEngine(sim::Device& device, const LaunchConfig& config,
+                           const char* engine)
+    : device_(device), clock_at_start_(device.sim_time_s()) {
+  config.Validate(device);
+  if (config.ensemble() > (1u << raw::kThreadBits)) {
+    throw std::invalid_argument(std::string(engine) +
+                                ": ensemble exceeds packed-key thread "
+                                "capacity");
+  }
+}
+
+meta::EngineOutput DeviceEngine::Finish() {
+  GpuRunResult gpu = FinishGpu();
+  meta::EngineOutput out;
+  out.result.best = std::move(gpu.best);
+  out.result.best_cost = gpu.best_cost;
+  out.result.evaluations = gpu.evaluations;
+  out.result.wall_seconds = gpu.wall_seconds;
+  out.result.stopped = gpu.stopped;
+  out.result.trajectory = std::move(gpu.trajectory);
+  out.device_seconds = gpu.device_seconds;
+  return out;
+}
+
+void DeviceEngine::SaveBookkeeping(DeviceCheckpoint& checkpoint) const {
+  checkpoint.result = result_;
+  checkpoint.status = status_;
+  checkpoint.elapsed = elapsed_;
+  checkpoint.consumed_device = ConsumedDevice();
+}
+
+void DeviceEngine::RestoreBookkeeping(const DeviceCheckpoint& checkpoint) {
+  result_ = checkpoint.result;
+  status_ = checkpoint.status;
+  elapsed_ = checkpoint.elapsed;
+  clock_at_start_ = device_.sim_time_s() - checkpoint.consumed_device;
+}
 
 std::vector<JobId> MakeInitialSequences(std::uint32_t ensemble,
                                         std::int32_t n, std::uint64_t seed,

@@ -1,8 +1,10 @@
 #pragma once
 /// \file detail.hpp
 /// \brief Internals shared by the parallel solvers (fitness kernel,
-/// ensemble initialization, reduction helpers).  Not part of the public API.
+/// ensemble initialization, reduction helpers, device-engine
+/// bookkeeping).  Not part of the public API.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -10,10 +12,75 @@
 #include "core/sequence.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/memory.hpp"
+#include "meta/engine.hpp"
 #include "parallel/device_problem.hpp"
 #include "parallel/launch_config.hpp"
+#include "parallel/result.hpp"
 
 namespace cdd::par::detail {
+
+/// Throws std::invalid_argument when \p problem's costs can overflow the
+/// cost field of the packed reduction key.
+void RequirePackableCosts(const DeviceProblem& problem, const char* engine);
+
+/// Host snapshot of a whole device buffer.  Device "memory" is simulated
+/// host memory, so the copy charges no modeled transfer time: checkpoints
+/// are host bookkeeping, not part of the modeled run.
+template <typename T>
+void CopyOut(const sim::DeviceBuffer<T>& buffer, std::vector<T>& host) {
+  host.assign(buffer.data(), buffer.data() + buffer.size());
+}
+
+/// Inverse of CopyOut (same zero-cost rule).
+template <typename T>
+void CopyIn(const std::vector<T>& host, sim::DeviceBuffer<T>& buffer) {
+  std::copy(host.begin(), host.end(), buffer.data());
+}
+
+/// What every device-engine checkpoint carries beside its buffers.
+struct DeviceCheckpoint : meta::EngineCheckpoint {
+  GpuRunResult result;
+  meta::StepStatus status = meta::StepStatus::kRunning;
+  double elapsed = 0.0;          ///< host wall seconds spent so far
+  double consumed_device = 0.0;  ///< modeled seconds since construction
+};
+
+/// Base of the device engines (psa, pdpso, psa-sync): the run bookkeeping
+/// their Step loops update, its checkpointing, and Finish.
+class DeviceEngine : public meta::Engine {
+ public:
+  meta::EngineOutput Finish() override;
+
+  /// Full GPU result including the modeled clock (what the RunParallel*
+  /// functions return).
+  virtual GpuRunResult FinishGpu() = 0;
+
+ protected:
+  /// Marks the device clock and checks the launch before the derived
+  /// engine allocates anything: the geometry must fit \p device, and every
+  /// thread id must fit the packed (cost, thread) reduction key — ensemble
+  /// at most 2^kThreadBits, since PackCostThread masks larger ids and the
+  /// wrong thread would then broadcast its state with the winner's cost.
+  /// \p engine prefixes the error messages.
+  DeviceEngine(sim::Device& device, const LaunchConfig& config,
+               const char* engine);
+
+  /// Modeled device seconds this run has consumed.
+  double ConsumedDevice() const {
+    return device_.sim_time_s() - clock_at_start_;
+  }
+  void SaveBookkeeping(DeviceCheckpoint& checkpoint) const;
+  /// Device time consumed after the checkpoint was speculative work that
+  /// the restore discards: rebases the clock mark so FinishGpu reports the
+  /// checkpoint's consumption plus whatever runs from here on.
+  void RestoreBookkeeping(const DeviceCheckpoint& checkpoint);
+
+  sim::Device& device_;
+  double clock_at_start_;
+  GpuRunResult result_;
+  meta::StepStatus status_ = meta::StepStatus::kRunning;
+  double elapsed_ = 0.0;
+};
 
 /// Fills \p host with `ensemble` initial sequences of length n, one per
 /// thread, drawn from the thread's private init stream.  The layout is

@@ -22,7 +22,7 @@ using Clock = std::chrono::steady_clock;
 /// Host snapshot of the swarm at a generation boundary.  child/used are
 /// per-thread crossover scratch (rewritten before read) and are skipped;
 /// per-generation Philox streams are stateless in (seed, generation).
-struct ParallelDpsoCheckpoint final : meta::EngineCheckpoint {
+struct ParallelDpsoCheckpoint final : detail::DeviceCheckpoint {
   std::vector<JobId> pos;
   std::vector<JobId> pbest;
   std::vector<JobId> gbest;
@@ -30,19 +30,7 @@ struct ParallelDpsoCheckpoint final : meta::EngineCheckpoint {
   std::vector<Cost> pbest_cost;
   std::int64_t packed_best = 0;
   std::uint64_t next_generation = 1;
-  GpuRunResult result;
-  meta::StepStatus status = meta::StepStatus::kRunning;
-  double elapsed = 0.0;
-  double consumed_device = 0.0;
 };
-
-void ValidateConfig(sim::Device& device, const ParallelDpsoParams& params) {
-  params.config.Validate(device);
-  if (params.config.ensemble() > (1u << raw::kThreadBits)) {
-    throw std::invalid_argument(
-        "RunParallelDpso: ensemble exceeds packed-key thread capacity");
-  }
-}
 
 /// Swarm state: positions, particle bests, swarm best, plus per-thread
 /// "local memory" scratch for the crossovers.
@@ -70,22 +58,17 @@ struct DpsoDeviceState {
         packed_best(device, 1) {}
 };
 
-class ParallelDpsoEngine final : public meta::Engine {
+class ParallelDpsoEngine final : public detail::DeviceEngine {
  public:
   ParallelDpsoEngine(sim::Device& device, const Instance& instance,
                      const ParallelDpsoParams& params)
-      : device_(device),
-        params_(params),
-        clock_at_start_(device.sim_time_s()) {
+      : DeviceEngine(device, params.config, "RunParallelDpso"),
+        params_(params) {
     const auto t_start = Clock::now();
-    ValidateConfig(device_, params_);
     const std::uint32_t ensemble = params_.config.ensemble();
 
     state_ = std::make_unique<DpsoDeviceState>(device_, instance, ensemble);
-    if (state_->problem.cost_upper_bound() >= raw::kMaxPackableCost) {
-      throw std::invalid_argument(
-          "RunParallelDpso: instance costs exceed the packed key range");
-    }
+    detail::RequirePackableCosts(state_->problem, "RunParallelDpso");
     const std::int32_t n = state_->problem.n();
     state_->packed_best.Fill(
         raw::PackCostThread(state_->problem.cost_upper_bound(), 0));
@@ -270,17 +253,14 @@ class ParallelDpsoEngine final : public meta::Engine {
 
   std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
     auto cp = std::make_unique<ParallelDpsoCheckpoint>();
-    CopyOut(state_->pos, cp->pos);
-    CopyOut(state_->pbest, cp->pbest);
-    CopyOut(state_->gbest, cp->gbest);
-    CopyOut(state_->pos_cost, cp->pos_cost);
-    CopyOut(state_->pbest_cost, cp->pbest_cost);
+    detail::CopyOut(state_->pos, cp->pos);
+    detail::CopyOut(state_->pbest, cp->pbest);
+    detail::CopyOut(state_->gbest, cp->gbest);
+    detail::CopyOut(state_->pos_cost, cp->pos_cost);
+    detail::CopyOut(state_->pbest_cost, cp->pbest_cost);
     cp->packed_best = *state_->packed_best.data();
     cp->next_generation = g_;
-    cp->result = result_;
-    cp->status = status_;
-    cp->elapsed = elapsed_;
-    cp->consumed_device = device_.sim_time_s() - clock_at_start_;
+    SaveBookkeeping(*cp);
     return cp;
   }
 
@@ -290,36 +270,20 @@ class ParallelDpsoEngine final : public meta::Engine {
     if (cp == nullptr || cp->pos.size() != state_->pos.size()) {
       throw std::invalid_argument("ParallelDpsoEngine: foreign checkpoint");
     }
-    CopyIn(cp->pos, state_->pos);
-    CopyIn(cp->pbest, state_->pbest);
-    CopyIn(cp->gbest, state_->gbest);
-    CopyIn(cp->pos_cost, state_->pos_cost);
-    CopyIn(cp->pbest_cost, state_->pbest_cost);
+    detail::CopyIn(cp->pos, state_->pos);
+    detail::CopyIn(cp->pbest, state_->pbest);
+    detail::CopyIn(cp->gbest, state_->gbest);
+    detail::CopyIn(cp->pos_cost, state_->pos_cost);
+    detail::CopyIn(cp->pbest_cost, state_->pbest_cost);
     *state_->packed_best.data() = cp->packed_best;
     g_ = cp->next_generation;
-    result_ = cp->result;
-    status_ = cp->status;
-    elapsed_ = cp->elapsed;
-    clock_at_start_ = device_.sim_time_s() - cp->consumed_device;
+    RestoreBookkeeping(*cp);
     finish_cache_.reset();
-  }
-
-  meta::EngineOutput Finish() override {
-    const GpuRunResult gpu = FinishGpu();
-    meta::EngineOutput out;
-    out.result.best = gpu.best;
-    out.result.best_cost = gpu.best_cost;
-    out.result.evaluations = gpu.evaluations;
-    out.result.wall_seconds = gpu.wall_seconds;
-    out.result.stopped = gpu.stopped;
-    out.result.trajectory = gpu.trajectory;
-    out.device_seconds = gpu.device_seconds;
-    return out;
   }
 
   /// Memoized until the next Step/Restore so repeated Finish calls stay
   /// idempotent (a second call must not charge a second modeled D2H).
-  GpuRunResult FinishGpu() {
+  GpuRunResult FinishGpu() override {
     if (finish_cache_) return *finish_cache_;
     const auto t_start = Clock::now();
     GpuRunResult result = result_;
@@ -328,7 +292,7 @@ class ParallelDpsoEngine final : public meta::Engine {
     result.best_cost = raw::UnpackCost(packed);
     result.best = detail::DownloadRow(state_->pbest, state_->problem.n(),
                                       raw::UnpackThread(packed));
-    result.device_seconds = device_.sim_time_s() - clock_at_start_;
+    result.device_seconds = ConsumedDevice();
     result.wall_seconds =
         elapsed_ +
         std::chrono::duration<double>(Clock::now() - t_start).count();
@@ -364,25 +328,9 @@ class ParallelDpsoEngine final : public meta::Engine {
                    });
   }
 
-  template <typename T>
-  static void CopyOut(const sim::DeviceBuffer<T>& buffer,
-                      std::vector<T>& host) {
-    host.assign(buffer.data(), buffer.data() + buffer.size());
-  }
-  template <typename T>
-  static void CopyIn(const std::vector<T>& host,
-                     sim::DeviceBuffer<T>& buffer) {
-    std::copy(host.begin(), host.end(), buffer.data());
-  }
-
-  sim::Device& device_;
   ParallelDpsoParams params_;
-  double clock_at_start_;
   std::unique_ptr<DpsoDeviceState> state_;
   std::uint64_t g_ = 1;
-  GpuRunResult result_;
-  meta::StepStatus status_ = meta::StepStatus::kRunning;
-  double elapsed_ = 0.0;
   std::optional<GpuRunResult> finish_cache_;
 };
 

@@ -24,13 +24,11 @@ constexpr std::uint32_t kMaxPert = 32;
 using Clock = std::chrono::steady_clock;
 
 /// Host snapshot of the device-resident SA state at a generation boundary.
-/// Device "memory" is simulated host memory, so the snapshot is a plain
-/// copy that charges no modeled transfer time: a checkpoint is host
-/// bookkeeping, not part of the modeled run.  cand/cand_cost are
-/// per-generation scratch (fully rewritten before being read) and need no
-/// saving.  Per-generation Philox streams are derived statelessly from
-/// (seed, generation, phase, thread), so no RNG state is captured either.
-struct ParallelSaCheckpoint final : meta::EngineCheckpoint {
+/// cand/cand_cost are per-generation scratch (fully rewritten before being
+/// read) and need no saving.  Per-generation Philox streams are derived
+/// statelessly from (seed, generation, phase, thread), so no RNG state is
+/// captured either.
+struct ParallelSaCheckpoint final : detail::DeviceCheckpoint {
   std::vector<JobId> curr;
   std::vector<JobId> best_seq;
   std::vector<Cost> curr_cost;
@@ -38,25 +36,15 @@ struct ParallelSaCheckpoint final : meta::EngineCheckpoint {
   std::int64_t packed_best = 0;
   std::uint64_t next_generation = 1;
   double temperature = 0.0;
-  GpuRunResult result;
-  meta::StepStatus status = meta::StepStatus::kRunning;
-  double elapsed = 0.0;
-  double consumed_device = 0.0;
 };
 
-/// Validates the launch configuration before any device allocation and
-/// resolves the initial temperature on the host (Salamon rule, Section VI)
-/// — the same order of operations the run-to-completion path used.
-double ValidateAndResolveT0(sim::Device& device, const Instance& instance,
+/// Checks the perturbation size before any device allocation and resolves
+/// the initial temperature on the host (Salamon rule, Section VI).
+double ValidateAndResolveT0(const Instance& instance,
                             const ParallelSaParams& params) {
-  params.config.Validate(device);
   if (params.pert > kMaxPert) {
     throw std::invalid_argument(
         "RunParallelSa: pert exceeds the kernel's scratch capacity (32)");
-  }
-  if (params.config.ensemble() > (1u << raw::kThreadBits)) {
-    throw std::invalid_argument(
-        "RunParallelSa: ensemble exceeds packed-key thread capacity");
   }
   const meta::SequenceObjective objective =
       meta::SequenceObjective::ForInstance(instance);
@@ -91,25 +79,20 @@ struct SaDeviceState {
         packed_best(device, 1) {}
 };
 
-class ParallelSaEngine final : public meta::Engine {
+class ParallelSaEngine final : public detail::DeviceEngine {
  public:
   ParallelSaEngine(sim::Device& device, const Instance& instance,
                    const ParallelSaParams& params)
-      : device_(device),
+      : DeviceEngine(device, params.config, "RunParallelSa"),
         params_(params),
-        clock_at_start_(device.sim_time_s()),
-        t0_(ValidateAndResolveT0(device, instance, params)),
+        t0_(ValidateAndResolveT0(instance, params)),
         temperature_(t0_) {
     const auto t_start = Clock::now();
     const std::uint32_t ensemble = params_.config.ensemble();
 
     // --- device-side setup (the uploads of Figure 9) ----------------------
     state_ = std::make_unique<SaDeviceState>(device_, instance, ensemble);
-    if (state_->problem.cost_upper_bound() >= raw::kMaxPackableCost) {
-      throw std::invalid_argument(
-          "RunParallelSa: instance costs exceed the packed reduction key "
-          "range");
-    }
+    detail::RequirePackableCosts(state_->problem, "RunParallelSa");
     const std::int32_t n = state_->problem.n();
     state_->packed_best.Fill(
         raw::PackCostThread(state_->problem.cost_upper_bound(), 0));
@@ -292,17 +275,14 @@ class ParallelSaEngine final : public meta::Engine {
 
   std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
     auto cp = std::make_unique<ParallelSaCheckpoint>();
-    CopyOut(state_->curr, cp->curr);
-    CopyOut(state_->best_seq, cp->best_seq);
-    CopyOut(state_->curr_cost, cp->curr_cost);
-    CopyOut(state_->best_cost, cp->best_cost);
+    detail::CopyOut(state_->curr, cp->curr);
+    detail::CopyOut(state_->best_seq, cp->best_seq);
+    detail::CopyOut(state_->curr_cost, cp->curr_cost);
+    detail::CopyOut(state_->best_cost, cp->best_cost);
     cp->packed_best = *state_->packed_best.data();
     cp->next_generation = g_;
     cp->temperature = temperature_;
-    cp->result = result_;
-    cp->status = status_;
-    cp->elapsed = elapsed_;
-    cp->consumed_device = device_.sim_time_s() - clock_at_start_;
+    SaveBookkeeping(*cp);
     return cp;
   }
 
@@ -311,41 +291,21 @@ class ParallelSaEngine final : public meta::Engine {
     if (cp == nullptr || cp->curr.size() != state_->curr.size()) {
       throw std::invalid_argument("ParallelSaEngine: foreign checkpoint");
     }
-    CopyIn(cp->curr, state_->curr);
-    CopyIn(cp->best_seq, state_->best_seq);
-    CopyIn(cp->curr_cost, state_->curr_cost);
-    CopyIn(cp->best_cost, state_->best_cost);
+    detail::CopyIn(cp->curr, state_->curr);
+    detail::CopyIn(cp->best_seq, state_->best_seq);
+    detail::CopyIn(cp->curr_cost, state_->curr_cost);
+    detail::CopyIn(cp->best_cost, state_->best_cost);
     *state_->packed_best.data() = cp->packed_best;
     g_ = cp->next_generation;
     temperature_ = cp->temperature;
-    result_ = cp->result;
-    status_ = cp->status;
-    elapsed_ = cp->elapsed;
-    // Device time consumed after the checkpoint was speculative work that
-    // the restore discards; rebase the start mark so Finish reports the
-    // checkpoint's consumption plus whatever runs from here on.
-    clock_at_start_ = device_.sim_time_s() - cp->consumed_device;
+    RestoreBookkeeping(*cp);
     finish_cache_.reset();
   }
 
-  meta::EngineOutput Finish() override {
-    const GpuRunResult gpu = FinishGpu();
-    meta::EngineOutput out;
-    out.result.best = gpu.best;
-    out.result.best_cost = gpu.best_cost;
-    out.result.evaluations = gpu.evaluations;
-    out.result.wall_seconds = gpu.wall_seconds;
-    out.result.stopped = gpu.stopped;
-    out.result.trajectory = gpu.trajectory;
-    out.device_seconds = gpu.device_seconds;
-    return out;
-  }
-
-  /// Full GPU result including the modeled clock (what RunParallelSa
-  /// returns).  Downloads the winner — Figure 9's single D2H.  Memoized
-  /// until the next Step/Restore so repeated Finish calls stay idempotent
-  /// (a second call must not charge a second modeled transfer).
-  GpuRunResult FinishGpu() {
+  /// Downloads the winner — Figure 9's single D2H.  Memoized until the
+  /// next Step/Restore so repeated Finish calls stay idempotent (a second
+  /// call must not charge a second modeled transfer).
+  GpuRunResult FinishGpu() override {
     if (finish_cache_) return *finish_cache_;
     const auto t_start = Clock::now();
     GpuRunResult result = result_;
@@ -355,7 +315,7 @@ class ParallelSaEngine final : public meta::Engine {
     result.best = detail::DownloadRow(state_->best_seq,
                                       state_->problem.n(),
                                       raw::UnpackThread(packed));
-    result.device_seconds = device_.sim_time_s() - clock_at_start_;
+    result.device_seconds = ConsumedDevice();
     result.wall_seconds =
         elapsed_ +
         std::chrono::duration<double>(Clock::now() - t_start).count();
@@ -364,27 +324,11 @@ class ParallelSaEngine final : public meta::Engine {
   }
 
  private:
-  template <typename T>
-  static void CopyOut(const sim::DeviceBuffer<T>& buffer,
-                      std::vector<T>& host) {
-    host.assign(buffer.data(), buffer.data() + buffer.size());
-  }
-  template <typename T>
-  static void CopyIn(const std::vector<T>& host,
-                     sim::DeviceBuffer<T>& buffer) {
-    std::copy(host.begin(), host.end(), buffer.data());
-  }
-
-  sim::Device& device_;
   ParallelSaParams params_;
-  double clock_at_start_;
   double t0_;
   double temperature_;
   std::unique_ptr<SaDeviceState> state_;
   std::uint64_t g_ = 1;  ///< next generation to run (1-based, Figure 7)
-  GpuRunResult result_;
-  meta::StepStatus status_ = meta::StepStatus::kRunning;
-  double elapsed_ = 0.0;
   std::optional<GpuRunResult> finish_cache_;
 };
 

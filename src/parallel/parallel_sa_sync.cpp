@@ -26,20 +26,15 @@ using Clock = std::chrono::steady_clock;
 /// the host-tracked best and the AtomicMin accumulator) are the whole
 /// ensemble state; cand and the per-level buffers are scratch.  The
 /// temperature is a pure function of the level index — no accumulator.
-struct ParallelSaSyncCheckpoint final : meta::EngineCheckpoint {
+struct ParallelSaSyncCheckpoint final : detail::DeviceCheckpoint {
   std::vector<JobId> curr;
   std::vector<Cost> curr_cost;
   std::int64_t packed_best = 0;
   std::uint32_t next_level = 0;
-  GpuRunResult result;
-  meta::StepStatus status = meta::StepStatus::kRunning;
-  double elapsed = 0.0;
-  double consumed_device = 0.0;
 };
 
-double ValidateAndResolveT0(sim::Device& device, const Instance& instance,
+double ValidateAndResolveT0(const Instance& instance,
                             const ParallelSaSyncParams& params) {
-  params.config.Validate(device);
   if (params.pert > kMaxPert) {
     throw std::invalid_argument("RunParallelSaSync: pert exceeds 32");
   }
@@ -75,23 +70,19 @@ struct SaSyncDeviceState {
         distance_sum(device, 1) {}
 };
 
-class ParallelSaSyncEngine final : public meta::Engine {
+class ParallelSaSyncEngine final : public detail::DeviceEngine {
  public:
   ParallelSaSyncEngine(sim::Device& device, const Instance& instance,
                        const ParallelSaSyncParams& params)
-      : device_(device),
+      : DeviceEngine(device, params.config, "RunParallelSaSync"),
         params_(params),
-        clock_at_start_(device.sim_time_s()),
-        t0_(ValidateAndResolveT0(device, instance, params)) {
+        t0_(ValidateAndResolveT0(instance, params)) {
     const auto t_start = Clock::now();
     const std::uint32_t ensemble = params_.config.ensemble();
 
     state_ = std::make_unique<SaSyncDeviceState>(device_, instance,
                                                  ensemble);
-    if (state_->problem.cost_upper_bound() >= raw::kMaxPackableCost) {
-      throw std::invalid_argument(
-          "RunParallelSaSync: instance costs exceed the packed key range");
-    }
+    detail::RequirePackableCosts(state_->problem, "RunParallelSaSync");
     const std::int32_t n = state_->problem.n();
     state_->packed_best.Fill(
         raw::PackCostThread(state_->problem.cost_upper_bound(), 0));
@@ -306,16 +297,11 @@ class ParallelSaSyncEngine final : public meta::Engine {
 
   std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
     auto cp = std::make_unique<ParallelSaSyncCheckpoint>();
-    cp->curr.assign(state_->curr.data(),
-                    state_->curr.data() + state_->curr.size());
-    cp->curr_cost.assign(state_->curr_cost.data(),
-                         state_->curr_cost.data() + state_->curr_cost.size());
+    detail::CopyOut(state_->curr, cp->curr);
+    detail::CopyOut(state_->curr_cost, cp->curr_cost);
     cp->packed_best = *state_->packed_best.data();
     cp->next_level = level_;
-    cp->result = result_;
-    cp->status = status_;
-    cp->elapsed = elapsed_;
-    cp->consumed_device = device_.sim_time_s() - clock_at_start_;
+    SaveBookkeeping(*cp);
     return cp;
   }
 
@@ -325,47 +311,27 @@ class ParallelSaSyncEngine final : public meta::Engine {
     if (cp == nullptr || cp->curr.size() != state_->curr.size()) {
       throw std::invalid_argument("ParallelSaSyncEngine: foreign checkpoint");
     }
-    std::copy(cp->curr.begin(), cp->curr.end(), state_->curr.data());
-    std::copy(cp->curr_cost.begin(), cp->curr_cost.end(),
-              state_->curr_cost.data());
+    detail::CopyIn(cp->curr, state_->curr);
+    detail::CopyIn(cp->curr_cost, state_->curr_cost);
     *state_->packed_best.data() = cp->packed_best;
     level_ = cp->next_level;
-    result_ = cp->result;
-    status_ = cp->status;
-    elapsed_ = cp->elapsed;
-    clock_at_start_ = device_.sim_time_s() - cp->consumed_device;
+    RestoreBookkeeping(*cp);
   }
 
-  meta::EngineOutput Finish() override {
-    const GpuRunResult gpu = FinishGpu();
-    meta::EngineOutput out;
-    out.result.best = gpu.best;
-    out.result.best_cost = gpu.best_cost;
-    out.result.evaluations = gpu.evaluations;
-    out.result.wall_seconds = gpu.wall_seconds;
-    out.result.stopped = gpu.stopped;
-    out.result.trajectory = gpu.trajectory;
-    out.device_seconds = gpu.device_seconds;
-    return out;
-  }
-
-  GpuRunResult FinishGpu() {
+  /// The best broadcast state is tracked on the host, so there is nothing
+  /// to download.
+  GpuRunResult FinishGpu() override {
     GpuRunResult result = result_;
-    result.device_seconds = device_.sim_time_s() - clock_at_start_;
+    result.device_seconds = ConsumedDevice();
     result.wall_seconds = elapsed_;
     return result;
   }
 
  private:
-  sim::Device& device_;
   ParallelSaSyncParams params_;
-  double clock_at_start_;
   double t0_;
   std::unique_ptr<SaSyncDeviceState> state_;
   std::uint32_t level_ = 0;  ///< next temperature level to run
-  GpuRunResult result_;
-  meta::StepStatus status_ = meta::StepStatus::kRunning;
-  double elapsed_ = 0.0;
 };
 
 }  // namespace

@@ -23,9 +23,8 @@ namespace cdd::serve {
 namespace {
 
 /// Keeps a private simulated device alive for exactly as long as the
-/// engine running on it — the factory path's replacement for the stack
-/// device the one-shot adapters used.  Members declare the device first
-/// so it is destroyed last (the inner engine's buffers live on it).
+/// engine running on it.  Members declare the device first so it is
+/// destroyed last (the inner engine's buffers live on it).
 class OwningDeviceEngine final : public meta::Engine {
  public:
   OwningDeviceEngine(std::unique_ptr<sim::Device> device,
@@ -274,10 +273,6 @@ EngineRegistry MakeDefault() {
 
 }  // namespace
 
-bool IsDeviceEngine(std::string_view name) {
-  return name == "psa" || name == "pdpso" || name == "psa-sync";
-}
-
 bool EngineSupportsInstance(std::string_view name,
                             const Instance& instance) {
   if (instance.machines() <= 1 &&
@@ -319,9 +314,7 @@ void MaterializeRacePortfolio(EngineOptions& options) {
   }
 }
 
-std::size_t PoolCapacityHint(std::string_view name,
-                             const EngineOptions& options) {
-  (void)options;
+std::size_t PoolCapacityHint(std::string_view name) {
   // Single-chain engines perturb one candidate row in place.
   if (name == "sa" || name == "ta") return 1;
   // Population engines stage a full generation per EvaluateBatch call.
@@ -337,24 +330,9 @@ std::size_t PoolCapacityHint(std::string_view name,
   return 0;
 }
 
-void EngineRegistry::Register(std::string name, EngineFn fn) {
-  engines_[std::move(name)] = std::move(fn);
-}
-
 void EngineRegistry::RegisterFactory(std::string name,
                                      EngineFactory factory) {
-  engines_[name] = [factory](const Instance& instance,
-                             const EngineOptions& options) {
-    const std::unique_ptr<meta::Engine> engine = factory(instance, options);
-    const meta::EngineOutput out = meta::RunToCompletion(*engine);
-    return EngineRun{out.result, out.device_seconds};
-  };
   factories_[std::move(name)] = std::move(factory);
-}
-
-const EngineFn* EngineRegistry::Find(std::string_view name) const {
-  const auto it = engines_.find(name);
-  return it == engines_.end() ? nullptr : &it->second;
 }
 
 const EngineFactory* EngineRegistry::FindFactory(
@@ -365,8 +343,8 @@ const EngineFactory* EngineRegistry::FindFactory(
 
 std::vector<std::string> EngineRegistry::Names() const {
   std::vector<std::string> names;
-  names.reserve(engines_.size());
-  for (const auto& [name, fn] : engines_) names.push_back(name);
+  names.reserve(factories_.size());
+  for (const auto& [name, factory] : factories_) names.push_back(name);
   return names;  // std::map iterates sorted
 }
 

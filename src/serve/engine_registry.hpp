@@ -1,16 +1,17 @@
 #pragma once
 /// \file engine_registry.hpp
-/// \brief Name -> solver adapters over the library's ten engines
-/// (eight heuristics, the exact branch-and-bound tier and the racing
-/// portfolio).
+/// \brief Name -> resumable-engine factories over the library's ten
+/// engines (eight heuristics, the exact branch-and-bound tier and the
+/// racing portfolio).
 ///
 /// The registry is the single place where an engine name ("psa", "host",
 /// "sa", ...) maps to runnable code, so the cdd_solve CLI, the
 /// SolverService and the load generator all accept exactly the same names
-/// and reject unknown ones the same way.  Each adapter translates the
-/// uniform EngineOptions into the engine's native parameter struct, runs
-/// it, and normalizes the outcome into a meta::RunResult plus the modeled
-/// device time (zero for host-side engines).
+/// and reject unknown ones the same way.  Each factory translates the
+/// uniform EngineOptions into the engine's native parameter struct and
+/// returns a meta::Engine; callers drive it with Step (meta::RunToCompletion
+/// for one uninterrupted run) and read the meta::EngineOutput from Finish
+/// — the result plus the modeled device time (zero for host engines).
 
 #include <cstdint>
 #include <functional>
@@ -26,7 +27,6 @@
 #include "core/stop_token.hpp"
 #include "cudasim/device.hpp"
 #include "meta/engine.hpp"
-#include "meta/result.hpp"
 
 namespace cdd::serve {
 
@@ -62,10 +62,11 @@ struct EngineOptions {
   /// change results.
   std::optional<sim::exec::ExecBackend> exec_backend;
   /// Request-scoped candidate pool lent by the serve layer (zero-copy
-  /// handoff; see PoolCapacityHint).  Engines that can stage their
-  /// generations in it borrow it instead of allocating; null means every
-  /// engine allocates privately.  Like `stop` and `device`, never hashed
-  /// by CacheKey — placement does not change results.
+  /// handoff).  The serve layer lends one only to the engines with a
+  /// nonzero PoolCapacityHint, which stage their generations in it instead
+  /// of allocating; null means every engine allocates privately.  Like
+  /// `stop` and `device`, never hashed by CacheKey — placement does not
+  /// change results.
   CandidatePool* pool = nullptr;
   /// "race" only: comma-separated contender names ("sa,dpso,psa").  Empty
   /// defers to CDD_RACE_PORTFOLIO, and when that is unset too the bandit
@@ -93,11 +94,6 @@ bool RacePortfolioPinned(const EngineOptions& options);
 /// process where the variable is no longer set.
 void MaterializeRacePortfolio(EngineOptions& options);
 
-/// True for the engines that run on the simulated device ("psa", "pdpso",
-/// "psa-sync") — their generations live in device buffers, so a lent pool
-/// would sit on the wrong side of the bus.
-bool IsDeviceEngine(std::string_view name);
-
 /// True when the named engine can solve \p instance's problem variant.
 /// Single-machine total-penalty instances are supported by every engine.
 /// Parallel-machine (Instance::machines() > 1) and early-work instances
@@ -121,17 +117,7 @@ void RequireEngineSupports(std::string_view name, const Instance& instance);
 /// generation in it; 0 means the engine cannot borrow a shared pool
 /// ("host" fans out per-thread chains, device engines use device buffers)
 /// and the serve layer should not lend one.
-std::size_t PoolCapacityHint(std::string_view name,
-                             const EngineOptions& options);
-
-/// Normalized engine outcome.
-struct EngineRun {
-  meta::RunResult result;
-  double device_seconds = 0.0;  ///< modeled GPU time; 0 for host engines
-};
-
-using EngineFn =
-    std::function<EngineRun(const Instance&, const EngineOptions&)>;
+std::size_t PoolCapacityHint(std::string_view name);
 
 /// Creates a resumable engine (meta::Engine lifecycle) for one solve.
 /// The returned engine owns everything it needs — factories for the
@@ -144,19 +130,10 @@ using EngineFactory = std::function<std::unique_ptr<meta::Engine>(
 /// Immutable-after-setup name -> engine table.
 class EngineRegistry {
  public:
-  /// Registers \p fn under \p name, replacing any previous entry.
-  void Register(std::string name, EngineFn fn);
-
-  /// Registers a resumable-engine factory under \p name and derives the
-  /// one-shot EngineFn from it (construct, run to completion, finish), so
-  /// Find() and FindFactory() always agree on the run they produce.
+  /// Registers \p factory under \p name, replacing any previous entry.
   void RegisterFactory(std::string name, EngineFactory factory);
 
-  /// Looks up an engine; nullptr when the name is unknown.
-  const EngineFn* Find(std::string_view name) const;
-
-  /// Looks up a resumable-engine factory; nullptr when the name is
-  /// unknown or was registered through Register() only.
+  /// Looks up a factory; nullptr when the name is unknown.
   const EngineFactory* FindFactory(std::string_view name) const;
 
   /// All registered names, sorted (for error messages and --help).
@@ -164,12 +141,10 @@ class EngineRegistry {
 
   /// The built-in engines: psa, pdpso, psa-sync (simulated GPU), sa, dpso,
   /// ta, es (serial), host (multi-threaded CPU ensemble), bnb (exact) and
-  /// race (convergence-driven portfolio over the others).  All are
-  /// registered through RegisterFactory, so every one is resumable.
+  /// race (convergence-driven portfolio over the others).
   static const EngineRegistry& Default();
 
  private:
-  std::map<std::string, EngineFn, std::less<>> engines_;
   std::map<std::string, EngineFactory, std::less<>> factories_;
 };
 

@@ -64,15 +64,16 @@ ReplayOutcome ReplayRecord(const trace::ManifestRecord& record,
     return outcome;
   }
 
-  const EngineFn* engine = registry.Find(record.engine);
-  if (engine == nullptr) {
+  const EngineFactory* factory = registry.FindFactory(record.engine);
+  if (factory == nullptr) {
     outcome.error = "unknown engine '" + record.engine + "'";
     return outcome;
   }
 
-  EngineRun run;
+  meta::EngineOutput run;
   try {
-    run = (*engine)(record.instance, OptionsFromManifest(record.options));
+    run = meta::RunToCompletion(
+        *(*factory)(record.instance, OptionsFromManifest(record.options)));
   } catch (const std::exception& e) {
     outcome.error = std::string("engine failed: ") + e.what();
     return outcome;

@@ -157,8 +157,8 @@ std::future<SolveResponse> SolverService::Submit(SolveRequest request,
     return done.get_future();
   };
 
-  const EngineFn* engine = registry_.Find(request.engine);
-  if (engine == nullptr) {
+  const EngineFactory* factory = registry_.FindFactory(request.engine);
+  if (factory == nullptr) {
     rejected_unknown_engine_->Increment();
     response.status = SolveStatus::kRejectedUnknownEngine;
     response.error = "unknown engine '" + request.engine + "'";
@@ -230,8 +230,7 @@ std::future<SolveResponse> SolverService::Submit(SolveRequest request,
   // queue, whose consumer does.
   Job job;
   job.request = std::move(waiter.request);
-  job.engine = engine;
-  job.factory = registry_.FindFactory(job.request.engine);
+  job.factory = factory;
   job.key = key;
   job.admitted = waiter.admitted;
   job.promise = std::move(waiter.promise);
@@ -395,8 +394,7 @@ void SolverService::Process(Job&& job, unsigned slot, unsigned depth) {
   // Host-side placements hand the engine the very rows it perturbs; only
   // a placement on the far side of the modeled bus charges staging copies.
   std::optional<CandidatePool> request_pool;
-  const std::size_t pool_rows =
-      PoolCapacityHint(job.request.engine, options);
+  const std::size_t pool_rows = PoolCapacityHint(job.request.engine);
   const auto pool_machines =
       static_cast<std::size_t>(job.request.instance.machines());
   if (pool_rows > 0 && job.request.instance.size() > 0) {
@@ -445,24 +443,20 @@ void SolverService::Process(Job&& job, unsigned slot, unsigned depth) {
 
   const Clock::time_point solve_start = Clock::now();
   try {
-    EngineRun run = [&] {
+    meta::EngineOutput run = [&] {
       CDD_TRACE_SPAN("serve.engine");
-      if (config_.preempt_slice == 0 || job.factory == nullptr) {
-        // One-shot path: no preemption configured (or a legacy EngineFn
-        // registration with no resumable construction seam).
-        return (*job.engine)(job.request.instance, options);
-      }
-      // Sliced path: run the engine preempt_slice native units at a time.
-      // Between slices the engine sits at a checkpoint boundary, so a
-      // higher-priority arrival can be solved *now* on this worker — the
-      // paused engine's state just stays live on this stack frame — and
-      // the original solve resumes bit-identically afterwards (the
-      // split-run guarantee of the resumable-engine contract).
+      // Without preemption the whole budget is one Step.  With it, the
+      // engine runs preempt_slice native units at a time; between slices
+      // it sits at a checkpoint boundary, so a higher-priority arrival can
+      // be solved *now* on this worker — the paused engine's state just
+      // stays live on this stack frame — and the original solve resumes
+      // bit-identically afterwards (the split-run guarantee of the
+      // resumable-engine contract).
+      const std::uint64_t slice = config_.preempt_slice == 0
+                                      ? meta::kStepAll
+                                      : config_.preempt_slice;
       auto engine = (*job.factory)(job.request.instance, options);
-      meta::StepStatus status = engine->Step(0);
-      while (status == meta::StepStatus::kRunning) {
-        status = engine->Step(config_.preempt_slice);
-        if (status != meta::StepStatus::kRunning) break;
+      while (engine->Step(slice) == meta::StepStatus::kRunning) {
         if (queue_.MaxPriority() <= job.request.priority) continue;
         if (depth >= config_.max_preempt_depth) {
           // Higher-priority work is waiting but this worker's stack is at
@@ -487,8 +481,7 @@ void SolverService::Process(Job&& job, unsigned slot, unsigned depth) {
           if (aborting_.load()) stop.RequestStop();
         }
       }
-      meta::EngineOutput out = engine->Finish();
-      return EngineRun{std::move(out.result), out.device_seconds};
+      return engine->Finish();
     }();
     response.solve_ms = MsSince(solve_start, Clock::now());
     solve_ms_->Record(response.solve_ms);
@@ -599,7 +592,6 @@ void SolverService::ResolveInflightFailure(std::uint64_t key) {
   while (auto waiter = inflight_.ReElect(key)) {
     Job job;
     job.request = std::move(waiter->request);
-    job.engine = registry_.Find(job.request.engine);
     job.factory = registry_.FindFactory(job.request.engine);
     job.key = key;
     job.admitted = waiter->admitted;  // its own deadline clock, not the

@@ -88,8 +88,8 @@ struct ServiceConfig {
   core::PoolAllocator* pool_allocator = nullptr;
   /// Engine-native Step units (SA iterations, DPSO generations, BnB
   /// nodes, race rounds) a worker runs between preemption checks.  Zero
-  /// (the default) keeps the one-shot path: every solve runs to
-  /// completion uninterrupted.  When set, a worker pauses at each slice
+  /// (the default) runs each solve in one Step, to completion
+  /// uninterrupted.  When set, a worker pauses at each slice
   /// boundary and, if a strictly higher-priority request is queued,
   /// solves it first (nested, bounded depth) before resuming — the paused
   /// engine's state simply stays live on the worker's stack, which is
@@ -177,10 +177,6 @@ class SolverService {
  private:
   struct Job {
     SolveRequest request;
-    const EngineFn* engine = nullptr;
-    /// Resumable construction path; null only for engines registered
-    /// through the legacy Register(EngineFn) seam, which then run
-    /// one-shot even under a preempt_slice.
     const EngineFactory* factory = nullptr;
     std::uint64_t key = 0;
     std::chrono::steady_clock::time_point admitted;

@@ -7,6 +7,8 @@
 ///   * Checkpoint/Restore: speculative Steps after a Checkpoint() leave no
 ///     trace once Restore() rewinds them.
 ///   * Foreign checkpoints are rejected with std::invalid_argument.
+///   * The device engines refuse an ensemble whose thread ids overflow the
+///     packed reduction key, before touching the device.
 ///
 /// These are the guarantees the serve preemption loop and the racing
 /// portfolio lean on when they pause engines at Step boundaries.
@@ -19,7 +21,11 @@
 #include <vector>
 
 #include "common/test_instances.hpp"
+#include "cudasim/device.hpp"
 #include "meta/engine.hpp"
+#include "parallel/parallel_dpso.hpp"
+#include "parallel/parallel_sa.hpp"
+#include "parallel/parallel_sa_sync.hpp"
 #include "serve/engine_registry.hpp"
 
 namespace cdd::serve {
@@ -135,6 +141,37 @@ TEST(EngineLifecycle, ForeignCheckpointIsRejected) {
   sa->Step(3);
   const auto checkpoint = sa->Checkpoint();
   EXPECT_THROW(ta->Restore(*checkpoint), std::invalid_argument);
+}
+
+TEST(EngineLifecycle, DeviceEnginesRejectEnsemblesPastPackedKeyCapacity) {
+  // 1025 blocks x 1024 threads is a legal GT 560M grid, but thread ids at
+  // or above 2^20 do not fit the packed (cost, thread) reduction key.
+  const par::LaunchConfig config =
+      par::LaunchConfig::ForEnsemble((1u << 20) + 1024, 1024);
+  const Instance instance = cdd::testing::RandomCdd(8, 0.6, 3);
+  sim::Device gpu;
+  ASSERT_NO_THROW(config.Validate(gpu));
+
+  par::ParallelSaParams sa;
+  sa.config = config;
+  sa.generations = 0;
+  EXPECT_THROW(par::MakeParallelSaEngine(gpu, instance, sa),
+               std::invalid_argument);
+  par::ParallelDpsoParams dpso;
+  dpso.config = config;
+  dpso.generations = 0;
+  EXPECT_THROW(par::MakeParallelDpsoEngine(gpu, instance, dpso),
+               std::invalid_argument);
+  par::ParallelSaSyncParams sync;
+  sync.config = config;
+  sync.temperature_levels = 0;
+  EXPECT_THROW(par::MakeParallelSaSyncEngine(gpu, instance, sync),
+               std::invalid_argument);
+
+  // Rejected before any device allocation: nothing uploaded, no modeled
+  // time spent.
+  EXPECT_EQ(gpu.profiler().h2d().count, 0u);
+  EXPECT_EQ(gpu.sim_time_s(), 0.0);
 }
 
 }  // namespace

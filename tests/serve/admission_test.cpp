@@ -9,61 +9,22 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/fake_engines.hpp"
 #include "common/test_instances.hpp"
-#include "meta/engine.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 
 namespace cdd::serve {
 namespace {
 
-/// Parks the "block" engine until Release(): with one worker busy on it,
-/// every subsequent submit is observed *queued*, making shed decisions
-/// deterministic.  Reset() re-arms the gate for a second parked solve.
-struct Gate {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool open = false;
-  std::atomic<unsigned> entered{0};
-
-  void Release() {
-    {
-      const std::scoped_lock lock(mutex);
-      open = true;
-    }
-    cv.notify_all();
-  }
-  void Reset() {
-    const std::scoped_lock lock(mutex);
-    open = false;
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [this] { return open; });
-  }
-};
-
-EngineRegistry BlockingRegistry(Gate* gate) {
-  EngineRegistry registry = EngineRegistry::Default();
-  registry.Register("block",
-                    [gate](const Instance& instance, const EngineOptions&) {
-                      gate->entered.fetch_add(1);
-                      gate->Wait();
-                      EngineRun run;
-                      run.result.best = IdentitySequence(instance.size());
-                      run.result.best_cost = 0;
-                      run.result.evaluations = 1;
-                      return run;
-                    });
-  return registry;
-}
+using cdd::testing::BlockingRegistry;
+using cdd::testing::Gate;
+using cdd::testing::PacedEngine;
 
 std::future<SolveResponse> ParkWorker(SolverService& service, Gate& gate,
                                       unsigned nth = 1) {
@@ -219,46 +180,6 @@ TEST(ServiceAdmission, DeadlineInfeasibleRejectedAtAdmission) {
   EXPECT_EQ(filler.get().status, SolveStatus::kOk);
   service.Shutdown();
 }
-
-/// Deterministic stand-in engine: each Step unit burns ~1ms of wall time
-/// (same device as preempt_test.cpp), so preemption-check boundaries are
-/// hit many times while a higher-priority request waits.
-class PacedEngine final : public meta::Engine {
- public:
-  PacedEngine(std::uint64_t budget, std::atomic<bool>* started)
-      : budget_(budget), started_(started) {}
-
-  meta::StepStatus Step(std::uint64_t units) override {
-    if (started_ != nullptr) started_->store(true);
-    while (units > 0 && consumed_ < budget_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++consumed_;
-      --units;
-    }
-    return consumed_ < budget_ ? meta::StepStatus::kRunning
-                               : meta::StepStatus::kDone;
-  }
-
-  std::uint64_t Remaining() const override { return budget_ - consumed_; }
-  Cost BestCost() const override { return 0; }
-
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
-    return std::make_unique<meta::EngineCheckpoint>();
-  }
-  void Restore(const meta::EngineCheckpoint&) override {}
-
-  meta::EngineOutput Finish() override {
-    meta::EngineOutput out;
-    out.result.best_cost = 0;
-    out.result.evaluations = consumed_;
-    return out;
-  }
-
- private:
-  std::uint64_t budget_;
-  std::uint64_t consumed_ = 0;
-  std::atomic<bool>* started_;
-};
 
 TEST(ServiceAdmission, PreemptDepthCapIsCountedNotSilent) {
   std::atomic<bool> slow_started{false};

@@ -5,13 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
-#include <mutex>
+#include <memory>
 #include <thread>
 
+#include "common/fake_engines.hpp"
 #include "common/test_instances.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
@@ -19,42 +18,8 @@
 namespace cdd::serve {
 namespace {
 
-/// Parks the "block" engine until Release(): with one worker busy on it,
-/// every subsequent submit is observed *queued*, making join/re-election
-/// decisions deterministic.
-struct Gate {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool open = false;
-  std::atomic<unsigned> entered{0};
-
-  void Release() {
-    {
-      const std::scoped_lock lock(mutex);
-      open = true;
-    }
-    cv.notify_all();
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [this] { return open; });
-  }
-};
-
-EngineRegistry BlockingRegistry(Gate* gate) {
-  EngineRegistry registry = EngineRegistry::Default();
-  registry.Register("block",
-                    [gate](const Instance& instance, const EngineOptions&) {
-                      gate->entered.fetch_add(1);
-                      gate->Wait();
-                      EngineRun run;
-                      run.result.best = IdentitySequence(instance.size());
-                      run.result.best_cost = 0;
-                      run.result.evaluations = 1;
-                      return run;
-                    });
-  return registry;
-}
+using cdd::testing::BlockingRegistry;
+using cdd::testing::Gate;
 
 std::future<SolveResponse> ParkWorker(SolverService& service, Gate& gate) {
   SolveRequest blocker;

@@ -1,16 +1,29 @@
-/// EngineRegistry: one name per engine, uniform adapters, stop tokens.
+/// EngineRegistry: one factory per engine name, uniform options, stop
+/// tokens.
 
 #include "serve/engine_registry.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/fake_engines.hpp"
 #include "common/test_instances.hpp"
 #include "core/sequence.hpp"
 
 namespace cdd::serve {
 namespace {
+
+/// One uninterrupted run of a built-in engine.
+meta::EngineOutput Solve(const std::string& name, const Instance& instance,
+                         const EngineOptions& options) {
+  const EngineFactory* factory = EngineRegistry::Default().FindFactory(name);
+  if (factory == nullptr) throw std::invalid_argument("no engine " + name);
+  return meta::RunToCompletion(*(*factory)(instance, options));
+}
 
 TEST(EngineRegistry, DefaultHasAllTenEngines) {
   const std::vector<std::string> names =
@@ -18,33 +31,40 @@ TEST(EngineRegistry, DefaultHasAllTenEngines) {
   const std::vector<std::string> expected = {
       "bnb",      "dpso", "es", "host", "pdpso",
       "psa", "psa-sync", "race", "sa",  "ta"};
-  EXPECT_EQ(names, expected);  // Names() is sorted
+  EXPECT_EQ(names, expected);  // exactly the ten, sorted
 }
 
 TEST(EngineRegistry, UnknownNameReturnsNull) {
   const EngineRegistry& registry = EngineRegistry::Default();
-  EXPECT_EQ(registry.Find("SA"), nullptr);  // names are case-sensitive
-  EXPECT_EQ(registry.Find("gpu"), nullptr);
-  EXPECT_EQ(registry.Find(""), nullptr);
+  EXPECT_EQ(registry.FindFactory("SA"), nullptr);  // case-sensitive names
+  EXPECT_EQ(registry.FindFactory("gpu"), nullptr);
+  EXPECT_EQ(registry.FindFactory(""), nullptr);
 }
 
 TEST(EngineRegistry, RegisterReplacesAndFinds) {
   EngineRegistry registry;
-  int calls = 0;
-  registry.Register("x", [&calls](const Instance&, const EngineOptions&) {
-    ++calls;
-    return EngineRun{};
-  });
-  const EngineFn* fn = registry.Find("x");
-  ASSERT_NE(fn, nullptr);
-  (*fn)(cdd::testing::PaperExampleCdd(), EngineOptions{});
-  EXPECT_EQ(calls, 1);
+  int first_calls = 0;
+  registry.RegisterFactory(
+      "x", [&first_calls](const Instance&, const EngineOptions&) {
+        ++first_calls;
+        return std::make_unique<cdd::testing::PacedEngine>(0, nullptr);
+      });
+  const EngineFactory* factory = registry.FindFactory("x");
+  ASSERT_NE(factory, nullptr);
+  (*factory)(cdd::testing::PaperExampleCdd(), EngineOptions{});
+  EXPECT_EQ(first_calls, 1);
 
-  registry.Register("x", [](const Instance&, const EngineOptions&) {
-    return EngineRun{};
-  });
-  (*registry.Find("x"))(cdd::testing::PaperExampleCdd(), EngineOptions{});
-  EXPECT_EQ(calls, 1);  // replaced, old adapter not called again
+  int second_calls = 0;
+  registry.RegisterFactory(
+      "x", [&second_calls](const Instance&, const EngineOptions&) {
+        ++second_calls;
+        return std::make_unique<cdd::testing::PacedEngine>(0, nullptr);
+      });
+  (*registry.FindFactory("x"))(cdd::testing::PaperExampleCdd(),
+                               EngineOptions{});
+  EXPECT_EQ(first_calls, 1);  // replaced, old factory not called again
+  EXPECT_EQ(second_calls, 1);
+  EXPECT_EQ(registry.Names(), std::vector<std::string>{"x"});
 }
 
 TEST(EngineRegistry, EveryEngineSolvesASmallInstance) {
@@ -60,9 +80,7 @@ TEST(EngineRegistry, EveryEngineSolvesASmallInstance) {
   options.threads = 1;
 
   for (const std::string& name : registry.Names()) {
-    const EngineFn* engine = registry.Find(name);
-    ASSERT_NE(engine, nullptr) << name;
-    const EngineRun run = (*engine)(instance, options);
+    const meta::EngineOutput run = Solve(name, instance, options);
     EXPECT_NO_THROW(ValidateSequence(run.result.best, 10)) << name;
     EXPECT_GE(run.result.best_cost, 0) << name;
     EXPECT_GT(run.result.evaluations, 0u) << name;
@@ -80,13 +98,11 @@ TEST(EngineRegistry, EveryEngineSolvesASmallInstance) {
 
 TEST(EngineRegistry, AdapterIsDeterministicPerSeed) {
   const Instance instance = cdd::testing::RandomCdd(12, 0.4, 23);
-  const EngineFn* sa = EngineRegistry::Default().Find("sa");
-  ASSERT_NE(sa, nullptr);
   EngineOptions options;
   options.generations = 200;
   options.seed = 9;
-  const EngineRun a = (*sa)(instance, options);
-  const EngineRun b = (*sa)(instance, options);
+  const meta::EngineOutput a = Solve("sa", instance, options);
+  const meta::EngineOutput b = Solve("sa", instance, options);
   EXPECT_EQ(a.result.best, b.result.best);
   EXPECT_EQ(a.result.best_cost, b.result.best_cost);
 }
@@ -104,9 +120,7 @@ TEST(EngineRegistry, StopTokenTruncatesARun) {
 
   for (const std::string& name : {std::string("sa"), std::string("ta"),
                                   std::string("dpso"), std::string("es")}) {
-    const EngineFn* engine = EngineRegistry::Default().Find(name);
-    ASSERT_NE(engine, nullptr) << name;
-    const EngineRun run = (*engine)(instance, options);
+    const meta::EngineOutput run = Solve(name, instance, options);
     EXPECT_TRUE(run.result.stopped) << name;
     EXPECT_NO_THROW(ValidateSequence(run.result.best, 30)) << name;
     EXPECT_LT(run.result.evaluations, options.generations) << name;

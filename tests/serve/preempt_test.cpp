@@ -2,16 +2,20 @@
 /// preempt_slice configured, a higher-priority arrival pauses the running
 /// lower-priority solve at its next Step boundary, runs to completion on
 /// the same worker, and the paused solve then resumes and still finishes.
+/// Without one, every solve is a single Step(kStepAll).
 /// Also pins the cache-key contract for the new race options.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
+#include <vector>
 
+#include "common/fake_engines.hpp"
 #include "common/test_instances.hpp"
 #include "meta/engine.hpp"
 #include "serve/request.hpp"
@@ -20,21 +24,19 @@
 namespace cdd::serve {
 namespace {
 
-/// Deterministic stand-in engine: each Step unit burns ~1ms of wall time,
-/// so a solve is "long" in a way the test can reason about.  The started
-/// flag lets the test wait until the engine is actually on a worker.
-class PacedEngine final : public meta::Engine {
+using cdd::testing::PacedEngine;
+
+/// Free Step units: records every Step budget and every Finish call, so a
+/// test can see exactly how the service drove the engine.
+class CountingEngine final : public cdd::testing::StatelessEngine {
  public:
-  PacedEngine(std::uint64_t budget, std::atomic<bool>* started)
-      : budget_(budget), started_(started) {}
+  CountingEngine(std::uint64_t budget, std::vector<std::uint64_t>* steps,
+                 int* finishes)
+      : budget_(budget), steps_(steps), finishes_(finishes) {}
 
   meta::StepStatus Step(std::uint64_t units) override {
-    if (started_ != nullptr) started_->store(true);
-    while (units > 0 && consumed_ < budget_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++consumed_;
-      --units;
-    }
+    steps_->push_back(units);
+    consumed_ += std::min(units, budget_ - consumed_);
     return consumed_ < budget_ ? meta::StepStatus::kRunning
                                : meta::StepStatus::kDone;
   }
@@ -42,12 +44,8 @@ class PacedEngine final : public meta::Engine {
   std::uint64_t Remaining() const override { return budget_ - consumed_; }
   Cost BestCost() const override { return 0; }
 
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
-    return std::make_unique<meta::EngineCheckpoint>();
-  }
-  void Restore(const meta::EngineCheckpoint&) override {}
-
   meta::EngineOutput Finish() override {
+    ++*finishes_;
     meta::EngineOutput out;
     out.result.best_cost = 0;
     out.result.evaluations = consumed_;
@@ -57,8 +55,35 @@ class PacedEngine final : public meta::Engine {
  private:
   std::uint64_t budget_;
   std::uint64_t consumed_ = 0;
-  std::atomic<bool>* started_;
+  std::vector<std::uint64_t>* steps_;
+  int* finishes_;
 };
+
+/// Solves one request on a "count" engine with \p budget units under
+/// \p preempt_slice; returns the Step budgets the service used.
+std::vector<std::uint64_t> CountedSteps(std::uint64_t preempt_slice,
+                                        std::uint64_t budget) {
+  std::vector<std::uint64_t> steps;
+  int finishes = 0;
+  EngineRegistry registry;
+  registry.RegisterFactory(
+      "count", [&](const Instance&, const EngineOptions&) {
+        return std::make_unique<CountingEngine>(budget, &steps, &finishes);
+      });
+  ServiceConfig config;
+  config.workers = 1;
+  config.preempt_slice = preempt_slice;
+  SolverService service(config, registry);
+
+  SolveRequest request;
+  request.instance = cdd::testing::PaperExampleCdd();
+  request.engine = "count";
+  const SolveResponse response = service.Submit(std::move(request)).get();
+  EXPECT_EQ(response.status, SolveStatus::kOk);
+  EXPECT_EQ(response.result.evaluations, budget);
+  EXPECT_EQ(finishes, 1);
+  return steps;
+}
 
 TEST(ServicePreemption, HigherPriorityArrivalRunsAtSliceBoundary) {
   std::atomic<bool> slow_started{false};
@@ -113,23 +138,17 @@ TEST(ServicePreemption, HigherPriorityArrivalRunsAtSliceBoundary) {
   EXPECT_EQ(low_response.result.evaluations, 300u);  // resumed, not lost
 }
 
-TEST(ServicePreemption, ZeroSliceKeepsTheOneShotPath) {
-  EngineRegistry registry;
-  registry.RegisterFactory(
-      "fast", [](const Instance&, const EngineOptions&) {
-        return std::make_unique<PacedEngine>(1, nullptr);
-      });
-  ServiceConfig config;
-  config.workers = 1;
-  config.preempt_slice = 0;  // default: no preemption machinery
-  SolverService service(config, registry);
+TEST(ServicePreemption, ZeroSliceRunsOneStepAll) {
+  // No preemption: the whole budget in one Step(kStepAll), then Finish.
+  const std::vector<std::uint64_t> expected = {meta::kStepAll};
+  EXPECT_EQ(CountedSteps(/*preempt_slice=*/0, /*budget=*/10), expected);
+}
 
-  SolveRequest request;
-  request.instance = cdd::testing::PaperExampleCdd();
-  request.engine = "fast";
-  EXPECT_EQ(service.Submit(std::move(request)).get().status,
-            SolveStatus::kOk);
-  EXPECT_EQ(service.metrics().counter("preemptions").value(), 0u);
+TEST(ServicePreemption, NonzeroSliceStepsInSliceSizedUnits) {
+  // preempt_slice = 3 over a budget of 10: four 3-unit Steps (the last
+  // one saturates at the budget), then Finish.
+  const std::vector<std::uint64_t> expected = {3, 3, 3, 3};
+  EXPECT_EQ(CountedSteps(/*preempt_slice=*/3, /*budget=*/10), expected);
 }
 
 TEST(CacheKey, RaceOptionsAreHashedPriorityIsNot) {

@@ -23,9 +23,10 @@ namespace {
 trace::ManifestRecord RecordOneRun(const std::string& engine,
                                    const EngineOptions& options,
                                    const Instance& instance) {
-  const EngineFn* fn = EngineRegistry::Default().Find(engine);
-  EXPECT_NE(fn, nullptr) << engine;
-  const EngineRun run = (*fn)(instance, options);
+  const EngineFactory* factory = EngineRegistry::Default().FindFactory(engine);
+  EXPECT_NE(factory, nullptr) << engine;
+  const meta::EngineOutput run =
+      meta::RunToCompletion(*(*factory)(instance, options));
   EXPECT_FALSE(run.result.stopped);
   return MakeManifestRecord(instance, engine, options, run.result);
 }

@@ -8,9 +8,11 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/fake_engines.hpp"
 #include "common/test_instances.hpp"
 #include "core/sequence.hpp"
 #include "orlib/biskup_feldmann.hpp"
@@ -18,6 +20,7 @@
 namespace cdd::serve {
 namespace {
 
+using cdd::testing::StopPollingEngine;
 using std::chrono::milliseconds;
 
 SolveRequest SmallRequest(std::uint64_t id, std::uint32_t index = 0) {
@@ -237,21 +240,15 @@ TEST(SolverService, DeadlineExpiredWhileQueuedSkipsTheSolve) {
   // ever running its engine.
   std::atomic<bool> release{false};
   EngineRegistry registry;
-  registry.Register("slow", [&release](const Instance&,
-                                       const EngineOptions& options) {
-    while (!release.load() && !options.stop.stop_requested()) {
-      std::this_thread::sleep_for(milliseconds(1));
-    }
-    EngineRun run;
-    run.result.best = {0};
-    run.result.stopped = options.stop.stop_requested();
-    return run;
-  });
-  registry.Register("never-runs", [](const Instance&,
-                                     const EngineOptions&) {
-    ADD_FAILURE() << "expired-in-queue request must not reach its engine";
-    return EngineRun{};
-  });
+  registry.RegisterFactory(
+      "slow", [&release](const Instance&, const EngineOptions& options) {
+        return std::make_unique<StopPollingEngine>(options.stop, &release);
+      });
+  registry.RegisterFactory(
+      "never-runs", [](const Instance&, const EngineOptions& options) {
+        ADD_FAILURE() << "expired-in-queue request must not reach its engine";
+        return std::make_unique<StopPollingEngine>(options.stop);
+      });
 
   SolverService service(
       ServiceConfig{.workers = 1, .cache_capacity = 0}, registry);
@@ -282,15 +279,10 @@ TEST(SolverService, DeadlineExpiredWhileQueuedSkipsTheSolve) {
 TEST(SolverService, FullQueueRejectsSynchronously) {
   std::atomic<bool> release{false};
   EngineRegistry registry;
-  registry.Register("slow", [&release](const Instance&,
-                                       const EngineOptions& options) {
-    while (!release.load() && !options.stop.stop_requested()) {
-      std::this_thread::sleep_for(milliseconds(1));
-    }
-    EngineRun run;
-    run.result.best = {0};
-    return run;
-  });
+  registry.RegisterFactory(
+      "slow", [&release](const Instance&, const EngineOptions& options) {
+        return std::make_unique<StopPollingEngine>(options.stop, &release);
+      });
 
   SolverService service(
       ServiceConfig{.workers = 1, .queue_capacity = 2, .cache_capacity = 0},
@@ -359,18 +351,12 @@ TEST(SolverService, CancelAllStopsBusyWorkersAndAnswersEveryFuture) {
   // everything still queued with kShutdown — no future may hang.
   EngineRegistry registry;
   std::atomic<int> started{0};
-  registry.Register("hang-until-stopped",
-                    [&started](const Instance&,
-                               const EngineOptions& options) {
-                      started.fetch_add(1);
-                      while (!options.stop.stop_requested()) {
-                        std::this_thread::sleep_for(milliseconds(1));
-                      }
-                      EngineRun run;
-                      run.result.best = {0};
-                      run.result.stopped = true;
-                      return run;
-                    });
+  registry.RegisterFactory(
+      "hang-until-stopped",
+      [&started](const Instance&, const EngineOptions& options) {
+        return std::make_unique<StopPollingEngine>(options.stop, nullptr,
+                                                   &started);
+      });
 
   SolverService service(
       ServiceConfig{.workers = 2, .cache_capacity = 0}, registry);

@@ -51,15 +51,24 @@ TEST(EventRingStress, ConcurrentProducersKeepIndependentDropCounts) {
   }
 
   // Reader side: counters must be monotonic while producers are live.
+  // dropped() reloads the write count, so the producer may advance between
+  // a written() read and it; bracketing it by two written() reads bounds
+  // it from both sides without racing.
+  const auto expected_dropped = [](std::uint64_t w) {
+    return w > kCapacity ? w - kCapacity : std::uint64_t{0};
+  };
   std::vector<std::uint64_t> last_written(kThreads, 0);
   while (running.load(std::memory_order_relaxed) != 0) {
     for (unsigned i = 0; i < kThreads; ++i) {
-      const std::uint64_t w = rings[i]->written();
-      EXPECT_GE(w, last_written[i]);
-      EXPECT_LE(w, kEvents);
-      last_written[i] = w;
+      const std::uint64_t w1 = rings[i]->written();
       const std::uint64_t d = rings[i]->dropped();
-      EXPECT_EQ(d, w > kCapacity ? w - kCapacity : 0);
+      const std::uint64_t w2 = rings[i]->written();
+      EXPECT_GE(w1, last_written[i]);
+      EXPECT_GE(w2, w1);
+      EXPECT_LE(w2, kEvents);
+      last_written[i] = w2;
+      EXPECT_GE(d, expected_dropped(w1));
+      EXPECT_LE(d, expected_dropped(w2));
     }
   }
   for (std::thread& t : workers) t.join();

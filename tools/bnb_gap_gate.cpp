@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
     }
 
     for (const std::string& name : engines) {
-      const serve::EngineFn* engine = registry.Find(name);
+      const serve::EngineFactory& factory = *registry.FindFactory(name);
       serve::EngineOptions options;
       options.generations = generations;
       options.seed = seed;
@@ -218,9 +218,9 @@ int main(int argc, char** argv) {
       options.block = 64;
       options.chains = 16;
       options.threads = 1;
-      serve::EngineRun run;
+      meta::EngineOutput run;
       try {
-        run = (*engine)(instance, options);
+        run = meta::RunToCompletion(*factory(instance, options));
       } catch (const std::exception& e) {
         table.AddRow({record.key, name, std::to_string(record.optimum),
                       "-", "-", "-", std::string("ERROR: ") + e.what()});

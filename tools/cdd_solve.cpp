@@ -102,8 +102,8 @@ int main(int argc, char** argv) {
     // --- resolve the engine first: fail fast on a typo'd name -------------
     const serve::EngineRegistry& registry = serve::EngineRegistry::Default();
     const std::string algo = args.GetString("algo", "psa");
-    const serve::EngineFn* engine = registry.Find(algo);
-    if (engine == nullptr) {
+    const serve::EngineFactory* factory = registry.FindFactory(algo);
+    if (factory == nullptr) {
       std::cerr << "error: unknown --algo '" << algo << "' (expected one of "
                 << JoinNames(registry.Names()) << ")\n";
       return 1;
@@ -208,7 +208,8 @@ int main(int argc, char** argv) {
     const std::string trace_file = args.GetString("trace", "");
     if (!trace_file.empty()) trace::SetEnabled(true);
 
-    const serve::EngineRun run = (*engine)(instance, options);
+    const meta::EngineOutput run =
+        meta::RunToCompletion(*(*factory)(instance, options));
 
     if (!trajectory_file.empty()) {
       std::ofstream out(trajectory_file);
