@@ -38,6 +38,32 @@ void BM_CooperativeBarrierKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_CooperativeBarrierKernel)->Arg(1)->Arg(4)->Arg(16);
 
+void BM_FitnessShapedLaunch(benchmark::State& state) {
+  // The shape of the paper's fitness launch (Section VI-A): 4 blocks x 192
+  // threads stage a vector in shared memory behind one barrier, so every
+  // simulated thread is a fiber that is armed, yields once and finishes.
+  // The argument is the block-execution worker cap (1 = serial).
+  Device gpu;
+  gpu.set_worker_threads(static_cast<unsigned>(state.range(0)));
+  LaunchOptions opts;
+  opts.cooperative = true;
+  opts.shared_bytes = 192 * sizeof(std::int64_t);
+  std::int64_t checksum = 0;
+  for (auto _ : state) {
+    gpu.Launch({4}, {192}, opts, [&checksum](ThreadCtx& t) {
+      auto* staged = t.shared_as<std::int64_t>();
+      const std::uint32_t lane = t.linear_thread();
+      staged[lane] = static_cast<std::int64_t>(t.global_thread());
+      t.syncthreads();
+      const std::int64_t neighbour = staged[(lane + 1) % 192];
+      if (lane == 0 && t.linear_block() == 0) checksum += neighbour;
+    });
+    benchmark::DoNotOptimize(checksum);
+  }
+  state.SetItemsProcessed(state.iterations() * 4 * 192);
+}
+BENCHMARK(BM_FitnessShapedLaunch)->Arg(1)->Arg(4)->UseRealTime();
+
 void BM_AtomicMinReduction(benchmark::State& state) {
   Device gpu;
   std::int64_t best = 1 << 30;

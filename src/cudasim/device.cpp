@@ -1,6 +1,7 @@
 #include "cudasim/device.hpp"
 
 #include "cudasim/exec/host_pool.hpp"
+#include "cudasim/fiber.hpp"
 #include "cudasim/stream.hpp"
 #include "trace/tracer.hpp"
 
@@ -142,11 +143,12 @@ BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
   return res;
 }
 
-/// The calling thread's persistent block-execution scratch.  Pool workers
-/// are process-lifetime threads, so keeping WorkerState (and one FiberPool
-/// per requested stack size) thread-local makes the steady state of a
-/// host-parallel engine allocation-free: fibers, contexts and shared
-/// memory are all reused across launches and across devices.
+/// The calling thread's persistent block-execution scratch, used by the
+/// sequential and the host-parallel paths alike.  Pool workers are
+/// process-lifetime threads, so keeping WorkerState (and one FiberPool per
+/// requested stack size) thread-local makes the steady state of every
+/// launch allocation-free: fibers, contexts and shared memory are all
+/// reused across launches and across devices, for any stack size.
 WorkerState& ThreadWorkerState(const DeviceProperties& props,
                                std::size_t fiber_stack_bytes) {
   struct TlsState {
@@ -165,6 +167,21 @@ WorkerState& ThreadWorkerState(const DeviceProperties& props,
   tls.ws.pool = &it->second;
   tls.ws.props = &props;
   return tls.ws;
+}
+
+/// Executes one block on the calling thread's scratch.
+BlockResult RunBlockHere(Dim3 grid, Dim3 block, std::size_t linear_block,
+                         const LaunchOptions& opts, const KernelFn& kernel,
+                         const DeviceProperties& props) {
+  WorkerState& ws = ThreadWorkerState(props, opts.fiber_stack_bytes);
+  try {
+    return RunOneBlock(grid, block, linear_block, opts, kernel, ws);
+  } catch (...) {
+    // Sibling fibers of the failing block remain suspended; drop them so
+    // this thread's pool stays usable for future launches.
+    ws.pool->Clear();
+    throw;
+  }
 }
 
 }  // namespace
@@ -272,24 +289,10 @@ void Device::RunBlocksSequential(Dim3 grid, Dim3 block,
                                  const KernelFn& kernel,
                                  std::uint64_t& total_work,
                                  std::uint64_t& max_work) {
-  WorkerState ws;
-  FiberPool local_pool(opts.fiber_stack_bytes);
-  ws.props = &props_;
-  ws.pool = &pool_;
-  // A custom stack size forces a dedicated pool (the shared one has fixed
-  // stacks).
-  if (opts.fiber_stack_bytes != 64 * 1024) ws.pool = &local_pool;
-  try {
-    for (std::size_t b = 0; b < grid.count(); ++b) {
-      const BlockResult r = RunOneBlock(grid, block, b, opts, kernel, ws);
-      total_work += r.total_work;
-      max_work = std::max(max_work, r.max_work);
-    }
-  } catch (...) {
-    // Sibling fibers of a failing block remain suspended; drop them so the
-    // shared pool stays usable for future launches.
-    ws.pool->Clear();
-    throw;
+  for (std::size_t b = 0; b < grid.count(); ++b) {
+    const BlockResult r = RunBlockHere(grid, block, b, opts, kernel, props_);
+    total_work += r.total_work;
+    max_work = std::max(max_work, r.max_work);
   }
 }
 
@@ -306,16 +309,7 @@ void Device::RunBlocksParallel(Dim3 grid, Dim3 block,
   std::vector<BlockResult> results(grid.count());
   exec::HostThreadPool::Instance().ParallelFor(
       grid.count(), cap, [&](std::size_t b) {
-        WorkerState& ws =
-            ThreadWorkerState(props_, opts.fiber_stack_bytes);
-        try {
-          results[b] = RunOneBlock(grid, block, b, opts, kernel, ws);
-        } catch (...) {
-          // Sibling fibers of the failing block remain suspended; drop
-          // them so this worker's pool stays usable for future launches.
-          ws.pool->Clear();
-          throw;
-        }
+        results[b] = RunBlockHere(grid, block, b, opts, kernel, props_);
       });
   for (const BlockResult& r : results) {
     total_work += r.total_work;

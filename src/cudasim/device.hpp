@@ -30,13 +30,13 @@
 #include "cudasim/dim3.hpp"
 #include "cudasim/error.hpp"
 #include "cudasim/exec/backend.hpp"
-#include "cudasim/fiber.hpp"
 #include "cudasim/profiler.hpp"
 #include "cudasim/timing_model.hpp"
 
 namespace cdd::sim {
 
 class Device;
+class Fiber;
 class Stream;
 
 /// Per-simulated-thread view handed to the kernel body.
@@ -230,7 +230,6 @@ class Device {
   unsigned workers_ = 0;  ///< 0 = derive the cap from exec_backend_
   std::size_t allocated_ = 0;
   std::size_t constant_allocated_ = 0;
-  FiberPool pool_;  // reused by sequential launches
   std::vector<Stream*> streams_;  // live streams (non-owning)
 };
 

@@ -5,9 +5,21 @@
 /// A thread block with `__syncthreads()` needs every one of its threads to
 /// be suspendable at the barrier.  OS threads would be far too heavy (the
 /// paper's configuration alone is 4 blocks x 192 threads); instead each
-/// simulated thread is a ucontext fiber that the BlockRunner schedules
+/// simulated thread is a fiber that the BlockRunner schedules
 /// cooperatively on one host thread.  Fibers are pooled and reused across
 /// blocks, so steady-state execution performs no allocation.
+///
+/// On x86-64 a switch is a few instructions of assembly: it pushes the
+/// callee-saved registers (rbx, rbp, r12-r15), saves MXCSR and the x87
+/// control word, swaps stack pointers and pops the other side's copies.
+/// Resume, Yield and arming a fiber never touch the signal mask, so none of
+/// them makes a system call.  The FP control state (rounding mode) is per
+/// fiber, as with ucontext.  Builds under ASan or TSan announce every
+/// switch to the sanitizer.  A switch is called on one stack and continues
+/// on another through an indirect jump, never the `ret` its call expects,
+/// so it cannot run with CET hardware shadow stacks (SHSTK) or indirect
+/// branch tracking enabled.  Other ISAs use glibc ucontext
+/// (getcontext/makecontext/swapcontext).
 
 #include <cstddef>
 #include <functional>
@@ -51,7 +63,7 @@ class Fiber {
   /// Rethrows an exception that escaped the fiber body, if any.
   void RethrowIfFailed();
 
-  struct Impl;  // public so the ucontext trampoline can reach it
+  struct Impl;  // public so the fiber entry function can reach it
 
  private:
   std::unique_ptr<Impl> impl_;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -133,6 +134,54 @@ TEST(Device, KernelExceptionPropagatesAndDeviceStaysUsable) {
     t.syncthreads();
   }));
   EXPECT_EQ(std::accumulate(ok.begin(), ok.end(), 0), 8);
+}
+
+TEST(Device, CustomFiberStackSizeOnTheSerialPath) {
+  // A body that needs more than the default 64 KiB of stack runs with a
+  // larger fiber_stack_bytes, launch after launch, interleaved with
+  // default-size launches and a failing one.
+  Device gpu;
+  gpu.set_worker_threads(1);
+  LaunchOptions big;
+  big.cooperative = true;
+  big.fiber_stack_bytes = 256 * 1024;
+  LaunchOptions small;
+  small.cooperative = true;
+  constexpr std::uint32_t kThreads = 8;
+  std::vector<long long> sums(kThreads, 0);
+  long long* out = sums.data();
+  const auto deep = [out](ThreadCtx& t) {
+    volatile unsigned char buffer[96 * 1024];
+    for (std::size_t i = 0; i < sizeof buffer; ++i) {
+      buffer[i] = static_cast<unsigned char>(i + t.linear_thread());
+    }
+    t.syncthreads();
+    long long sum = 0;
+    for (std::size_t i = 0; i < sizeof buffer; i += 4096) sum += buffer[i];
+    out[t.linear_thread()] = sum;
+  };
+  for (int round = 0; round < 3; ++round) {
+    gpu.Launch({2}, {kThreads}, big, deep);
+    gpu.Launch({2}, {kThreads}, small,
+               [](ThreadCtx& t) { t.syncthreads(); });
+  }
+  EXPECT_THROW(gpu.Launch({1}, {kThreads}, big,
+                          [](ThreadCtx& t) {
+                            t.syncthreads();
+                            if (t.linear_thread() == 2) {
+                              throw std::runtime_error("boom");
+                            }
+                          }),
+               std::runtime_error);
+  std::fill(sums.begin(), sums.end(), 0);
+  gpu.Launch({1}, {kThreads}, big, deep);
+  for (std::uint32_t i = 0; i < kThreads; ++i) {
+    long long expected = 0;
+    for (std::size_t j = 0; j < 96 * 1024; j += 4096) {
+      expected += static_cast<unsigned char>(j + i);
+    }
+    EXPECT_EQ(sums[i], expected) << "thread " << i;
+  }
 }
 
 TEST(Device, AtomicsAreCorrectUnderContention) {
