@@ -188,27 +188,13 @@ void LeaveFiber(Fiber::Impl& f, [[maybe_unused]] bool exiting) {
   __builtin_trap();  // a finished fiber is never resumed
 }
 
-}  // namespace
-
-Fiber::Fiber(std::size_t stack_bytes) : impl_(std::make_unique<Impl>()) {
-  impl_->stack_bytes = std::max<std::size_t>(stack_bytes, 16 * 1024);
-  impl_->stack = std::make_unique_for_overwrite<char[]>(impl_->stack_bytes);
-}
-
-void Fiber::Reset(std::function<void()> body) {
-  if (!done_) {
-    throw std::logic_error("Fiber::Reset while fiber is still running");
-  }
-  impl_->body = std::move(body);
-  impl_->error = nullptr;
-  impl_->finished = false;
-  done_ = false;
-
+/// Writes the fiber's first frame onto its stack.
+void ArmFiber(Fiber::Impl& f) {
 #if defined(CDD_FIBER_ASAN)
   // The previous body's entry frame never returned, so its redzones are
   // still poisoned where the new frames will go.
-  ASAN_UNPOISON_MEMORY_REGION(impl_->stack.get(), impl_->stack_bytes);
-  impl_->fake_stack = nullptr;
+  ASAN_UNPOISON_MEMORY_REGION(f.stack.get(), f.stack_bytes);
+  f.fake_stack = nullptr;
 #endif
 
   // The fiber starts with the resetting thread's FP control state, as a
@@ -219,33 +205,24 @@ void Fiber::Reset(std::function<void()> body) {
 
   const std::uint64_t frame[8] = {
       mxcsr | (std::uint64_t{fpu_control} << 32),
-      0,                                                // r15
-      0,                                                // r14
-      reinterpret_cast<std::uint64_t>(&FiberMain),      // r13
-      reinterpret_cast<std::uint64_t>(impl_.get()),     // r12
-      0,                                                // rbx
-      0,                                                // rbp: end of chain
+      0,                                            // r15
+      0,                                            // r14
+      reinterpret_cast<std::uint64_t>(&FiberMain),  // r13
+      reinterpret_cast<std::uint64_t>(&f),          // r12
+      0,                                            // rbx
+      0,                                            // rbp: end of chain
       reinterpret_cast<std::uint64_t>(&cdd_sim_fiber_entry)};
   // The entry stub starts with rsp at the 16-byte-aligned top of the stack,
   // so its call leaves FiberMain the ABI's entry alignment.
-  const auto top = (reinterpret_cast<std::uintptr_t>(impl_->stack.get()) +
-                    impl_->stack_bytes) &
+  const auto top = (reinterpret_cast<std::uintptr_t>(f.stack.get()) +
+                    f.stack_bytes) &
                    ~std::uintptr_t{15};
   char* sp = reinterpret_cast<char*>(top) - sizeof frame;
   std::memcpy(sp, frame, sizeof frame);
-  impl_->sp = sp;
+  f.sp = sp;
 }
 
-bool Fiber::Resume() {
-  if (done_) {
-    throw std::logic_error("Fiber::Resume on a finished fiber");
-  }
-  EnterFiber(*impl_);
-  done_ = impl_->finished;
-  return !done_;
-}
-
-void Fiber::Yield() { LeaveFiber(*impl_, /*exiting=*/false); }
+}  // namespace
 
 #else  // !defined(__x86_64__): glibc ucontext
 
@@ -275,12 +252,44 @@ void Trampoline(unsigned hi, unsigned lo) {
   // Returning transfers to ctx.uc_link == &impl->caller.
 }
 
+void ArmFiber(Fiber::Impl& f) {
+  if (getcontext(&f.ctx) != 0) {
+    throw std::runtime_error("Fiber: getcontext failed");
+  }
+  f.ctx.uc_stack.ss_sp = f.stack.get();
+  f.ctx.uc_stack.ss_size = f.stack_bytes;
+  f.ctx.uc_link = &f.caller;
+  const auto bits = reinterpret_cast<std::uintptr_t>(&f);
+  makecontext(&f.ctx, reinterpret_cast<void (*)()>(&Trampoline), 2,
+              static_cast<unsigned>(bits >> 32),
+              static_cast<unsigned>(bits & 0xffffffffu));
+}
+
+void EnterFiber(Fiber::Impl& f) {
+  if (swapcontext(&f.caller, &f.ctx) != 0) {
+    throw std::runtime_error("Fiber: swapcontext failed");
+  }
+}
+
+/// A finished body leaves through uc_link, so only yields come here.
+void LeaveFiber(Fiber::Impl& f, bool /*exiting*/) {
+  if (swapcontext(&f.ctx, &f.caller) != 0) {
+    throw std::runtime_error("Fiber: swapcontext failed (yield)");
+  }
+}
+
 }  // namespace
+
+#endif  // defined(__x86_64__)
 
 Fiber::Fiber(std::size_t stack_bytes) : impl_(std::make_unique<Impl>()) {
   impl_->stack_bytes = std::max<std::size_t>(stack_bytes, 16 * 1024);
   impl_->stack = std::make_unique_for_overwrite<char[]>(impl_->stack_bytes);
 }
+
+Fiber::~Fiber() = default;
+Fiber::Fiber(Fiber&&) noexcept = default;
+Fiber& Fiber::operator=(Fiber&&) noexcept = default;
 
 void Fiber::Reset(std::function<void()> body) {
   if (!done_) {
@@ -290,41 +299,19 @@ void Fiber::Reset(std::function<void()> body) {
   impl_->error = nullptr;
   impl_->finished = false;
   done_ = false;
-
-  if (getcontext(&impl_->ctx) != 0) {
-    throw std::runtime_error("Fiber: getcontext failed");
-  }
-  impl_->ctx.uc_stack.ss_sp = impl_->stack.get();
-  impl_->ctx.uc_stack.ss_size = impl_->stack_bytes;
-  impl_->ctx.uc_link = &impl_->caller;
-  const auto bits = reinterpret_cast<std::uintptr_t>(impl_.get());
-  makecontext(&impl_->ctx, reinterpret_cast<void (*)()>(&Trampoline), 2,
-              static_cast<unsigned>(bits >> 32),
-              static_cast<unsigned>(bits & 0xffffffffu));
+  ArmFiber(*impl_);
 }
 
 bool Fiber::Resume() {
   if (done_) {
     throw std::logic_error("Fiber::Resume on a finished fiber");
   }
-  if (swapcontext(&impl_->caller, &impl_->ctx) != 0) {
-    throw std::runtime_error("Fiber: swapcontext failed");
-  }
+  EnterFiber(*impl_);
   done_ = impl_->finished;
   return !done_;
 }
 
-void Fiber::Yield() {
-  if (swapcontext(&impl_->ctx, &impl_->caller) != 0) {
-    throw std::runtime_error("Fiber: swapcontext failed (yield)");
-  }
-}
-
-#endif  // defined(__x86_64__)
-
-Fiber::~Fiber() = default;
-Fiber::Fiber(Fiber&&) noexcept = default;
-Fiber& Fiber::operator=(Fiber&&) noexcept = default;
+void Fiber::Yield() { LeaveFiber(*impl_, /*exiting=*/false); }
 
 void Fiber::RethrowIfFailed() {
   if (impl_->error) {
