@@ -148,7 +148,9 @@ BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
 /// process-lifetime threads, so keeping WorkerState (and one FiberPool per
 /// requested stack size) thread-local makes the steady state of every
 /// launch allocation-free: fibers, contexts and shared memory are all
-/// reused across launches and across devices, for any stack size.
+/// reused across launches and across devices, for any stack size.  The
+/// scratch is busy for a whole block, so a kernel body must not itself
+/// launch (the simulator models no dynamic parallelism).
 WorkerState& ThreadWorkerState(const DeviceProperties& props,
                                std::size_t fiber_stack_bytes) {
   struct TlsState {
