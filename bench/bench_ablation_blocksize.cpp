@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
   for (const std::uint32_t block : blocks) {
     par::ParallelSaParams params;
     params.config = par::LaunchConfig::ForEnsemble(ensemble, block);
-    params.generations = gens;
+    params.budget.iterations = gens;
     params.temp_samples = 200;
-    params.seed = seed;
+    params.budget.seed = seed;
     sim::Device gpu(sim::GeForceGT560M());
     const par::GpuRunResult result =
         par::RunParallelSa(gpu, instance, params);

@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
     meta::HostEnsembleParams host;
     host.chains = chains;
     host.threads = threads;
-    host.chain.iterations = gens;
-    host.chain.seed = seed;
+    host.chain.budget.iterations = gens;
+    host.chain.budget.seed = seed;
     host.chain.temp_samples = 1000;
     const meta::RunResult host_result =
         meta::RunHostEnsembleSa(objective, host);
@@ -65,9 +65,9 @@ int main(int argc, char** argv) {
     par::ParallelSaParams gpu_params;
     gpu_params.config =
         par::LaunchConfig::ForEnsemble(chains, std::min(chains, 64u));
-    gpu_params.generations = gens;
+    gpu_params.budget.iterations = gens;
     gpu_params.temp_samples = 1000;
-    gpu_params.seed = seed;
+    gpu_params.budget.seed = seed;
     const par::GpuRunResult gpu_result =
         par::RunParallelSa(gpu, instance, gpu_params);
 

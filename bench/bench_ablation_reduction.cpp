@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
       sim::Device gpu(sim::GeForceGT560M());
       par::ParallelSaParams params;
       params.config = par::LaunchConfig::ForEnsemble(ensemble, block);
-      params.generations = gens;
+      params.budget.iterations = gens;
       params.temp_samples = 200;
-      params.seed = seed;
+      params.budget.seed = seed;
       params.reduction = kinds[k];
       const par::GpuRunResult result =
           par::RunParallelSa(gpu, instance, params);

@@ -41,11 +41,11 @@ int main(int argc, char** argv) {
           benchrun::MakeSweepInstance(Problem::kCdd, sweep, n, k);
       par::ParallelSaParams params;
       params.config = par::LaunchConfig::ForEnsemble(ensemble, block);
-      params.generations = gens;
+      params.budget.iterations = gens;
       params.mu = mu;
       params.pert = pert;
       params.temp_samples = 500;
-      params.seed = seed;
+      params.budget.seed = seed;
       sim::Device gpu;
       costs.Add(static_cast<double>(
           par::RunParallelSa(gpu, instance, params).best_cost));

@@ -50,18 +50,18 @@ int main(int argc, char** argv) {
 
     par::ParallelSaParams ap;
     ap.config = par::LaunchConfig::ForEnsemble(ensemble, block);
-    ap.generations = gens;
+    ap.budget.iterations = gens;
     ap.temp_samples = 500;
-    ap.seed = seed;
+    ap.budget.seed = seed;
     sim::Device da;
     const par::GpuRunResult ra = par::RunParallelSa(da, instance, ap);
 
     par::ParallelSaSyncParams sp;
     sp.config = ap.config;
-    sp.temperature_levels = static_cast<std::uint32_t>(gens / chain);
+    sp.budget.iterations = gens / chain;
     sp.chain_length = chain;
     sp.temp_samples = 500;
-    sp.seed = seed;
+    sp.budget.seed = seed;
     sp.record_diversity = true;
     sim::Device ds;
     const par::GpuRunResult rs = par::RunParallelSaSync(ds, instance, sp);

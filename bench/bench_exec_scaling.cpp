@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
     gpu.set_worker_threads(workers[i]);
     par::ParallelSaParams params;
     params.config = par::LaunchConfig::ForEnsemble(ensemble, block);
-    params.generations = gens;
-    params.seed = seed;
+    params.budget.iterations = gens;
+    params.budget.seed = seed;
     const par::GpuRunResult run = par::RunParallelSa(gpu, instance, params);
     bool identical = true;
     if (i == 0) {

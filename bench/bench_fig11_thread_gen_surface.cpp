@@ -52,13 +52,13 @@ int main(int argc, char** argv) {
     par::ParallelSaParams params;
     params.config = par::LaunchConfig::ForEnsemble(threads, block);
     params.temp_samples = 200;
-    params.seed = seed;
+    params.budget.seed = seed;
 
-    params.generations = 4;
+    params.budget.iterations = 4;
     sim::Device d_short;
     const double t4 =
         par::RunParallelSa(d_short, instance, params).device_seconds;
-    params.generations = 12;
+    params.budget.iterations = 12;
     sim::Device d_long;
     const double t12 =
         par::RunParallelSa(d_long, instance, params).device_seconds;

@@ -18,9 +18,9 @@ par::ParallelSaParams SaParamsFor(const benchutil::Sweep& sweep,
   par::ParallelSaParams p;
   p.config = par::LaunchConfig::ForEnsemble(sweep.ensemble,
                                             sweep.block_size);
-  p.generations = generations;
+  p.budget.iterations = generations;
   p.temp_samples = 1000;
-  p.seed = seed;
+  p.budget.seed = seed;
   // The quality sweeps seed the ensembles with the V-shape constructive
   // heuristic: the paper leaves the initial configurations open
   // (Section V-A) and this choice brings the short-budget deviations into
@@ -35,8 +35,8 @@ par::ParallelDpsoParams DpsoParamsFor(const benchutil::Sweep& sweep,
   par::ParallelDpsoParams p;
   p.config = par::LaunchConfig::ForEnsemble(sweep.ensemble,
                                             sweep.block_size);
-  p.generations = generations;
-  p.seed = seed;
+  p.budget.iterations = generations;
+  p.budget.seed = seed;
   p.vshape_init = true;  // same initialization policy as the SA sweep
   return p;
 }

@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
   sim::Device gpu;
   par::ParallelSaParams params;
   params.config = par::LaunchConfig::ForEnsemble(128, 64);
-  params.generations = gens;
+  params.budget.iterations = gens;
   params.vshape_init = true;
-  params.seed = seed;
+  params.budget.seed = seed;
 
   const Instance rigid = shop.as_cdd().with_due_date(shop.due_date());
   const par::GpuRunResult rigid_result =

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   std::cout << "instance: " << instance.Summary() << "\n\n";
 
   par::ParallelSaParams params;  // the paper's 4 x 192 per device
-  params.generations = gens;
-  params.seed = seed;
+  params.budget.iterations = gens;
+  params.budget.seed = seed;
   params.vshape_init = true;
 
   benchutil::TextTable table({"devices", "best cost", "fleet time [s]",

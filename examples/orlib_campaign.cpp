@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     sim::Device gpu;
     par::ParallelSaParams params;
     params.config = par::LaunchConfig::ForEnsemble(128, 64);
-    params.generations = gens;
+    params.budget.iterations = gens;
     params.vshape_init = true;
     const par::GpuRunResult result =
         par::RunParallelSa(gpu, instance, params);

@@ -37,8 +37,8 @@ int main() {
 
   // ---- 3. Layer (i): search over sequences with GPU-parallel SA ---------
   sim::Device gpu(sim::GeForceGT560M());
-  par::ParallelSaParams params;            // 4 blocks x 192 threads,
-  params.generations = 200;                // mu = 0.88, Pert = 4
+  par::ParallelSaParams params;      // 4 blocks x 192 threads,
+  params.budget.iterations = 200;    // mu = 0.88, Pert = 4
   const par::GpuRunResult result =
       par::RunParallelSa(gpu, cdd_instance, params);
   std::cout << "Parallel SA best cost: " << result.best_cost << "  ("

@@ -89,8 +89,8 @@ Cost ComputeReferenceCost(const Instance& instance, const Sweep& sweep,
   // constructive heuristic, the rest start random.
   for (std::uint32_t r = 0; r < sweep.ref_restarts; ++r) {
     meta::SaParams params;
-    params.iterations = sweep.ref_iterations;
-    params.seed = sweep.seed * 1000003 + salt * 131 + r;
+    params.budget.iterations = sweep.ref_iterations;
+    params.budget.seed = sweep.seed * 1000003 + salt * 131 + r;
     std::optional<Sequence> init;
     if (r == 0) init = VShapeSeed(instance);
     const meta::RunResult result =
@@ -100,8 +100,8 @@ Cost ComputeReferenceCost(const Instance& instance, const Sweep& sweep,
 
   // [18]-style threshold accepting pass.
   meta::TaParams ta;
-  ta.iterations = sweep.ref_iterations;
-  ta.seed = sweep.seed * 7000003 + salt;
+  ta.budget.iterations = sweep.ref_iterations;
+  ta.budget.seed = sweep.seed * 7000003 + salt;
   best = std::min(best,
                   meta::RunThresholdAccepting(objective, ta).best_cost);
   return best;
@@ -110,8 +110,8 @@ Cost ComputeReferenceCost(const Instance& instance, const Sweep& sweep,
 double MeasureSecondsPerEval(const meta::SequenceObjective& objective,
                              std::uint64_t calib_evals, std::uint64_t seed) {
   meta::SaParams params;
-  params.iterations = std::max<std::uint64_t>(calib_evals, 100);
-  params.seed = seed;
+  params.budget.iterations = std::max<std::uint64_t>(calib_evals, 100);
+  params.budget.seed = seed;
   // Fixed temperature: the Salamon sampling would otherwise run uncounted
   // evaluations inside the timed region and skew the per-eval estimate.
   params.initial_temperature = 1.0;

@@ -625,10 +625,9 @@ class BnbEngine final : public meta::Engine {
         params.warm_start ? *params.warm_start : EnvWarmStartIterations();
     if (warm > 0 && !params.stop.stop_requested()) {
       meta::SaParams sa;
-      sa.iterations = warm;
-      sa.seed = params.seed;
+      sa.budget = {
+          .iterations = warm, .seed = params.seed, .stop = params.stop};
       sa.initial_temperature = 1.0;  // polish, not a cold-start search
-      sa.stop = params.stop;
       const meta::RunResult polished = meta::RunSerialSa(objective, sa,
                                                          seed_seq_);
       if (polished.best_cost < seed_cost_) {

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/stop_token.hpp"
 #include "meta/engine.hpp"
 #include "meta/objective.hpp"
 #include "meta/result.hpp"
@@ -21,15 +20,13 @@ namespace cdd::meta {
 
 /// Parameters of a serial DPSO run.
 struct DpsoParams {
-  std::uint64_t iterations = 1000;  ///< generations
+  /// Generations, seed, trajectory stride and StopToken (polled every
+  /// generation: one generation evaluates the whole swarm).
+  SearchBudget budget{};
   std::uint32_t swarm = 64;         ///< particle count
   double w = 0.8;   ///< probability of the swap "velocity" operator F1
   double c1 = 0.8;  ///< probability of the cognition crossover F2
   double c2 = 0.8;  ///< probability of the social crossover F3
-  std::uint64_t seed = 1;
-  std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, polled between generations.
-  StopToken stop{};
   /// Optional lent candidate pool (see SaParams::pool); needs `swarm` rows.
   CandidatePool* pool = nullptr;
 };

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/stop_token.hpp"
 #include "meta/result.hpp"
 
 namespace cdd::meta {
@@ -56,6 +57,23 @@ enum class StepStatus {
 struct EngineOutput {
   RunResult result;
   double device_seconds = 0.0;
+};
+
+/// The budget of one iterative search — the part of every iterative
+/// engine's parameters that the Step loop consumes.
+struct SearchBudget {
+  /// Native Step units of the whole run: iterations (sa, ta),
+  /// generations (dpso, es, psa, pdpso) or temperature levels (psa-sync).
+  std::uint64_t iterations = 1000;
+  std::uint64_t seed = 1;
+  /// When > 0, the result's trajectory records the best-so-far cost after
+  /// every iteration i with i % trajectory_stride == 0.
+  std::uint32_t trajectory_stride = 0;
+  /// Cooperative cancellation, polled before an iteration (every
+  /// iteration or every kStopCheckStride-th, per engine).  A stopped run
+  /// returns its best-so-far with `stopped` set; a run that completes is
+  /// bit-identical to one without a token.
+  StopToken stop{};
 };
 
 /// Step budget meaning "run to completion".

@@ -1,188 +1,113 @@
 #include "meta/evostrategy.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <stdexcept>
 #include <utility>
 
 #include "core/candidate_pool.hpp"
-#include "rng/philox.hpp"
+#include "meta/search_loop.hpp"
 
 namespace cdd::meta {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 struct Individual {
   Sequence genome;
   Cost cost = 0;
 };
 
-/// Whole-population state at a generation boundary.  The returned best is
+/// The checkpointed state is the whole population.  The returned best is
 /// derived from the population at Finish (as the original run did), so
-/// the checkpoint carries the population rather than a best snapshot.
-struct EsCheckpoint final : EngineCheckpoint {
-  rng::Philox4x32 rng;
-  std::vector<Individual> population;
-  std::uint64_t generation;
-  RunResult result;
-  StepStatus status;
-  double elapsed;
-
-  EsCheckpoint(const rng::Philox4x32& rng_in,
-               std::vector<Individual> population_in,
-               std::uint64_t generation_in, RunResult result_in,
-               StepStatus status_in, double elapsed_in)
-      : rng(rng_in),
-        population(std::move(population_in)),
-        generation(generation_in),
-        result(std::move(result_in)),
-        status(status_in),
-        elapsed(elapsed_in) {}
-};
-
-class EsEngine final : public Engine {
+/// the loop's result carries no best snapshot.
+class EsEngine final
+    : public SerialEngine<EsEngine, std::vector<Individual>> {
  public:
   EsEngine(const SequenceObjective& objective, const EsParams& params)
-      : objective_(objective),
+      : SerialEngine(params.budget, /*stream=*/0xe5ULL),
+        objective_(objective),
         params_(params),
-        rng_(params.seed, /*stream=*/0xe5ULL),
         lease_(params.pool, objective.size(),
                std::max<std::uint32_t>(
                    std::max(params.lambda, params.mu), 1)),
         positions_(params.pert),
         values_(params.pert) {
-    const auto t_start = Clock::now();
+    const ElapsedTimer timer(loop_.elapsed);
     const std::size_t n = objective_.size();
 
     // Offspring are bred directly inside the pool: each child row is a
     // copy of its parent perturbed in place, and the whole brood is costed
     // with one EvaluateBatch call per generation.
     CandidatePool& pool = *lease_;
-    population_.reserve(params_.mu + params_.lambda);
+    state_.reserve(params_.mu + params_.lambda);
     for (std::uint32_t i = 0; i < params_.mu; ++i) {
       Individual ind;
       ind.genome = RandomSequence(n, rng_);
       pool.Append(ind.genome);
-      population_.push_back(std::move(ind));
+      state_.push_back(std::move(ind));
     }
     objective_.EvaluateBatch(pool);
     for (std::uint32_t i = 0; i < params_.mu; ++i) {
-      population_[i].cost = pool.costs()[i];
-      ++result_.evaluations;
+      state_[i].cost = pool.costs()[i];
+      ++loop_.result.evaluations;
     }
-    if (params_.generations == 0) status_ = StepStatus::kDone;
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
   }
 
-  StepStatus Step(std::uint64_t units) override {
-    if (status_ != StepStatus::kRunning || units == 0) return status_;
-    const auto t_start = Clock::now();
-    CandidatePool& pool = *lease_;
-    const std::uint64_t end =
-        generation_ +
-        std::min<std::uint64_t>(units, params_.generations - generation_);
-    for (; generation_ < end; ++generation_) {
-      const std::uint64_t g = generation_;
-      // A generation evaluates lambda offspring; poll once per generation.
-      if (params_.stop.stop_requested()) {
-        result_.stopped = true;
-        status_ = StepStatus::kStopped;
-        break;
-      }
-      const std::size_t parents = population_.size();
-      pool.Clear();
-      for (std::uint32_t k = 0; k < params_.lambda; ++k) {
-        const std::uint32_t pick =
-            UniformBelow(rng_, static_cast<std::uint32_t>(parents));
-        const std::span<JobId> child =
-            pool.row(pool.Append(population_[pick].genome));
-        PartialFisherYates(child, params_.pert, rng_,
-                           std::span<std::uint32_t>(positions_),
-                           std::span<JobId>(values_));
-      }
-      objective_.EvaluateBatch(pool);
-      for (std::uint32_t k = 0; k < params_.lambda; ++k) {
-        const std::span<const JobId> genome = pool.row(k);
-        Individual child;
-        child.genome.assign(genome.begin(), genome.end());
-        child.cost = pool.costs()[k];
-        ++result_.evaluations;
-        population_.push_back(std::move(child));
-      }
-      // Plus-selection: keep the best mu individuals (stable for
-      // determinism).
-      std::stable_sort(population_.begin(), population_.end(),
-                       [](const Individual& a, const Individual& b) {
-                         return a.cost < b.cost;
-                       });
-      population_.resize(params_.mu);
-      if (params_.trajectory_stride > 0 &&
-          g % params_.trajectory_stride == 0) {
-        result_.trajectory.push_back(population_.front().cost);
-      }
-    }
-    if (status_ == StepStatus::kRunning &&
-        generation_ == params_.generations) {
-      status_ = StepStatus::kDone;
-    }
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
-    return status_;
+  auto BeginSlice() {
+    return [this](std::uint64_t /*generation*/) { Generation(); };
   }
 
-  std::uint64_t Remaining() const override {
-    return status_ == StepStatus::kRunning
-               ? params_.generations - generation_
-               : 0;
-  }
+  Cost TrajectorySample() const { return state_.front().cost; }
 
   Cost BestCost() const override {
     // Before the first selection the population is unsorted, so scan it
     // (mu is small); afterwards front() is the minimum anyway.
     Cost best = kInfiniteCost;
-    for (const Individual& ind : population_) best = std::min(best, ind.cost);
+    for (const Individual& ind : state_) best = std::min(best, ind.cost);
     return best;
   }
 
-  std::unique_ptr<EngineCheckpoint> Checkpoint() const override {
-    return std::make_unique<EsCheckpoint>(rng_, population_, generation_,
-                                          result_, status_, elapsed_);
-  }
-
-  void Restore(const EngineCheckpoint& checkpoint) override {
-    const auto* cp = dynamic_cast<const EsCheckpoint*>(&checkpoint);
-    if (cp == nullptr) {
-      throw std::invalid_argument("EsEngine: foreign checkpoint");
-    }
-    rng_ = cp->rng;
-    population_ = cp->population;
-    generation_ = cp->generation;
-    result_ = cp->result;
-    status_ = cp->status;
-    elapsed_ = cp->elapsed;
-  }
-
   EngineOutput Finish() override {
-    EngineOutput out;
-    out.result = result_;
-    out.result.best = population_.front().genome;
-    out.result.best_cost = population_.front().cost;
-    out.result.wall_seconds = elapsed_;
+    EngineOutput out = SerialEngine::Finish();
+    out.result.best = state_.front().genome;
+    out.result.best_cost = state_.front().cost;
     return out;
   }
 
  private:
+  void Generation() {
+    CandidatePool& pool = *lease_;
+    const std::size_t parents = state_.size();
+    pool.Clear();
+    for (std::uint32_t k = 0; k < params_.lambda; ++k) {
+      const std::uint32_t pick =
+          UniformBelow(rng_, static_cast<std::uint32_t>(parents));
+      const std::span<JobId> child =
+          pool.row(pool.Append(state_[pick].genome));
+      PartialFisherYates(child, params_.pert, rng_,
+                         std::span<std::uint32_t>(positions_),
+                         std::span<JobId>(values_));
+    }
+    objective_.EvaluateBatch(pool);
+    for (std::uint32_t k = 0; k < params_.lambda; ++k) {
+      const std::span<const JobId> genome = pool.row(k);
+      Individual child;
+      child.genome.assign(genome.begin(), genome.end());
+      child.cost = pool.costs()[k];
+      ++loop_.result.evaluations;
+      state_.push_back(std::move(child));
+    }
+    // Plus-selection: keep the best mu individuals (stable for
+    // determinism).
+    std::stable_sort(state_.begin(), state_.end(),
+                     [](const Individual& a, const Individual& b) {
+                       return a.cost < b.cost;
+                     });
+    state_.resize(params_.mu);
+  }
+
   SequenceObjective objective_;
   EsParams params_;
-  rng::Philox4x32 rng_;
   PoolLease lease_;
   std::vector<std::uint32_t> positions_;
   std::vector<JobId> values_;
-  std::vector<Individual> population_;
-  std::uint64_t generation_ = 0;
-  RunResult result_;
-  StepStatus status_ = StepStatus::kRunning;
-  double elapsed_ = 0.0;
 };
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/stop_token.hpp"
 #include "meta/engine.hpp"
 #include "meta/objective.hpp"
 #include "meta/result.hpp"
@@ -19,14 +18,12 @@ namespace cdd::meta {
 
 /// Parameters of a (mu + lambda)-ES run.
 struct EsParams {
-  std::uint64_t generations = 200;
+  /// Generations, seed, trajectory stride and StopToken (polled every
+  /// generation).
+  SearchBudget budget{.iterations = 200};
   std::uint32_t mu = 10;      ///< parents kept per generation
   std::uint32_t lambda = 40;  ///< offspring per generation
   std::uint32_t pert = 4;     ///< mutation strength (shuffled positions)
-  std::uint64_t seed = 1;
-  std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, polled between generations.
-  StopToken stop{};
   /// Optional lent candidate pool (see SaParams::pool); needs
   /// max(mu, lambda) rows.
   CandidatePool* pool = nullptr;

@@ -35,7 +35,8 @@ class HostEnsembleEngine final : public Engine {
     SaParams chain = params_.chain;
     if (chain.initial_temperature <= 0.0) {
       chain.initial_temperature =
-          InitialTemperature(objective_, chain.temp_samples, chain.seed);
+          InitialTemperature(objective_, chain.temp_samples,
+                             chain.budget.seed);
     }
     // Chains run concurrently, so they must not share one lent pool; each
     // allocates its private single row (results are placement-invariant).
@@ -44,7 +45,8 @@ class HostEnsembleEngine final : public Engine {
     engines_.reserve(params_.chains);
     for (std::uint32_t c = 0; c < params_.chains; ++c) {
       SaParams mine = chain;
-      mine.seed = chain.seed + c;  // chain-id keyed: thread-count invariant
+      // Chain-id keyed seeds: thread-count invariant.
+      mine.budget.seed = chain.budget.seed + c;
       engines_.push_back(MakeSaEngine(objective_, mine));
     }
     if (engines_.empty()) status_ = StepStatus::kDone;

@@ -28,14 +28,15 @@ struct HostEnsembleParams {
 
 /// Runs `chains` independent SA chains over a host thread pool and returns
 /// the best result.  Deterministic in (seed, chains) — independent of the
-/// thread count — because chain c uses seed chain.seed + c.  The serve
-/// WorkerPool relies on this contract to clamp `threads` freely without
-/// changing results (tests/meta/host_ensemble_test.cpp pins it).
+/// thread count — because chain c uses seed chain.budget.seed + c.  The
+/// serve WorkerPool relies on this contract to clamp `threads` freely
+/// without changing results (tests/meta/host_ensemble_test.cpp pins it).
 ///
-/// Cancellation: `params.chain.stop` is honored both inside each chain and
-/// between chains; a stopped run sets RunResult::stopped.  The thread-count
-/// invariance contract applies only to runs that finish unstopped — where a
-/// wall-clock stop lands depends on scheduling by construction.
+/// Cancellation: `params.chain.budget.stop` is honored both inside each
+/// chain and between chains; a stopped run sets RunResult::stopped.  The
+/// thread-count invariance contract applies only to runs that finish
+/// unstopped — where a wall-clock stop lands depends on scheduling by
+/// construction.
 RunResult RunHostEnsembleSa(const SequenceObjective& objective,
                             const HostEnsembleParams& params);
 

@@ -1,225 +1,61 @@
 #include "meta/sa.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <stdexcept>
-#include <utility>
 
-#include "core/candidate_pool.hpp"
-#include "meta/splits.hpp"
-#include "meta/temperature.hpp"
-#include "rng/philox.hpp"
+#include "meta/chain.hpp"
 #include "trace/tracer.hpp"
 
 namespace cdd::meta {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// Probability of proposing a machine-reassignment (split-shift) move
-/// instead of a sequence move on multi-machine instances.  The selection
-/// uniform is drawn only when machines > 1, so single-machine runs keep
-/// their exact RNG schedule.
-constexpr float kReassignProb = 0.25f;
-
-/// Full SA chain state at a Step boundary: the Philox value copy carries
-/// the exact stream position, so resuming replays the same random draws.
-struct SaCheckpoint final : EngineCheckpoint {
-  rng::Philox4x32 rng;
-  Sequence current;
-  std::vector<std::int32_t> splits;
-  Cost energy;
-  std::uint64_t iteration;
-  RunResult result;
-  StepStatus status;
-  double elapsed;
-
-  SaCheckpoint(const rng::Philox4x32& rng_in, Sequence current_in,
-               std::vector<std::int32_t> splits_in, Cost energy_in,
-               std::uint64_t iteration_in, RunResult result_in,
-               StepStatus status_in, double elapsed_in)
-      : rng(rng_in),
-        current(std::move(current_in)),
-        splits(std::move(splits_in)),
-        energy(energy_in),
-        iteration(iteration_in),
-        result(std::move(result_in)),
-        status(status_in),
-        elapsed(elapsed_in) {}
-};
-
-class SaEngine final : public Engine {
+class SaEngine final : public ChainEngine<SaEngine> {
  public:
+  static constexpr const char* kTraceSpan = "meta.sa";
+
   SaEngine(const SequenceObjective& objective, const SaParams& params,
            const std::optional<Sequence>& initial)
-      : objective_(objective),
+      : ChainEngine(objective, params.budget,
+                    {.stream = 0x5a5a5a5aULL,
+                     .pert = params.pert,
+                     .pool = params.pool,
+                     .level = params.initial_temperature,
+                     .level_samples = params.temp_samples,
+                     .level_scale = 1.0},
+                    initial),
         params_(params),
-        machines_(objective.machines()),
-        rng_(params.seed, /*stream=*/0x5a5a5a5aULL),
-        lease_(params.pool, objective.size(), /*capacity=*/1,
-               static_cast<std::size_t>(objective.machines())),
-        positions_(params.pert),
-        values_(params.pert) {
-    const auto t_start = Clock::now();
-    const std::size_t n = objective_.size();
-    current_ = initial.has_value() ? *initial : RandomSequence(n, rng_);
-    if (machines_ > 1) {
-      // Deterministic even initial assignment — no RNG draws consumed.
-      current_splits_.resize(static_cast<std::size_t>(machines_ - 1));
-      EvenSplits(current_splits_, n);
-      energy_ = objective_.Evaluate(current_, current_splits_);
+        schedule_(params.cooling, initial_level_, params.mu,
+                  params.budget.iterations),
+        period_(std::max(params.shuffle_period, 1u)) {}
+
+  void Perturb(std::span<JobId> candidate, std::uint64_t i) {
+    if (params_.neighborhood == NeighborhoodMode::kShuffleEveryIteration ||
+        i % period_ == 0) {
+      Shuffle(candidate);
     } else {
-      energy_ = objective_(current_);
+      RandomSwap(candidate, rng_);
     }
-    result_.evaluations = 1;
-    result_.best = current_;
-    result_.best_cost = energy_;
-    result_.best_splits = current_splits_;
-    t0_ = params_.initial_temperature > 0.0
-              ? params_.initial_temperature
-              : InitialTemperature(objective_, params_.temp_samples,
-                                   params_.seed);
-    (*lease_).AppendUninitialized();
-    if (params_.iterations == 0) status_ = StepStatus::kDone;
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
   }
 
-  StepStatus Step(std::uint64_t units) override {
-    if (status_ != StepStatus::kRunning || units == 0) return status_;
-    CDD_TRACE_SPAN("meta.sa");
-    const auto t_start = Clock::now();
-    const CoolingSchedule schedule(params_.cooling, t0_, params_.mu,
-                                   params_.iterations);
-    CandidatePool& pool = *lease_;
-    const std::span<JobId> candidate = pool.row(0);
-    const std::uint32_t period = std::max(params_.shuffle_period, 1u);
-    const std::uint64_t end =
-        iteration_ +
-        std::min<std::uint64_t>(units, params_.iterations - iteration_);
-    for (; iteration_ < end; ++iteration_) {
-      const std::uint64_t i = iteration_;
-      if (i % kStopCheckStride == 0 && params_.stop.stop_requested()) {
-        result_.stopped = true;
-        status_ = StepStatus::kStopped;
-        break;
-      }
-      const double temperature = schedule(i);
-      std::copy(current_.begin(), current_.end(), candidate.begin());
-      bool sequence_move = true;
-      if (machines_ > 1) {
-        std::copy(current_splits_.begin(), current_splits_.end(),
-                  pool.splits_row(0).begin());
-        // Move-family selection draws happen only on the m > 1 path, so
-        // single-machine runs replay their historical RNG schedule.
-        if (rng_.NextUniform() <= kReassignProb) {
-          sequence_move = false;
-          SplitShift(pool.splits_row(0),
-                     static_cast<std::int32_t>(current_.size()), rng_);
-        }
-      }
-      if (sequence_move) {
-        if (params_.neighborhood ==
-                NeighborhoodMode::kShuffleEveryIteration ||
-            i % period == 0) {
-          PartialFisherYates(candidate, params_.pert, rng_,
-                             std::span<std::uint32_t>(positions_),
-                             std::span<JobId>(values_));
-        } else {
-          RandomSwap(candidate, rng_);
-        }
-      }
-      objective_.EvaluateBatch(pool);
-      const Cost new_energy = pool.costs()[0];
-      ++result_.evaluations;
-
-      // Metropolis: always accept improvements; accept uphill moves with
-      // probability exp((E - E_new)/T)  (Algorithm 1, line 7).
-      const double u = rng_.NextUniform();
-      const double accept =
-          std::exp(static_cast<double>(energy_ - new_energy) /
-                   std::max(temperature, 1e-300));
-      if (accept >= u) {
-        current_.assign(candidate.begin(), candidate.end());
-        if (machines_ > 1) {
-          const auto splits = pool.splits_row(0);
-          current_splits_.assign(splits.begin(), splits.end());
-        }
-        energy_ = new_energy;
-        if (energy_ < result_.best_cost) {
-          result_.best_cost = energy_;
-          result_.best = current_;
-          result_.best_splits = current_splits_;
-        }
-      }
-      if (params_.trajectory_stride > 0 &&
-          i % params_.trajectory_stride == 0) {
-        result_.trajectory.push_back(result_.best_cost);
-        // Convergence telemetry rides the existing sampling points, so the
-        // trace adds no work on unsampled iterations and never touches rng.
-        CDD_TRACE_COUNTER("sa.best_cost", result_.best_cost);
-      }
-    }
-    if (status_ == StepStatus::kRunning &&
-        iteration_ == params_.iterations) {
-      status_ = StepStatus::kDone;
-    }
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
-    return status_;
+  /// Metropolis: always accept improvements; accept uphill moves with
+  /// probability exp((E - E_new)/T)  (Algorithm 1, line 7).
+  bool Accept(Cost candidate_energy, std::uint64_t i) {
+    const double u = rng_.NextUniform();
+    return std::exp(static_cast<double>(state_.energy - candidate_energy) /
+                    std::max(schedule_(i), 1e-300)) >= u;
   }
 
-  std::uint64_t Remaining() const override {
-    return status_ == StepStatus::kRunning
-               ? params_.iterations - iteration_
-               : 0;
-  }
-
-  Cost BestCost() const override { return result_.best_cost; }
-
-  std::unique_ptr<EngineCheckpoint> Checkpoint() const override {
-    return std::make_unique<SaCheckpoint>(rng_, current_, current_splits_,
-                                          energy_, iteration_, result_,
-                                          status_, elapsed_);
-  }
-
-  void Restore(const EngineCheckpoint& checkpoint) override {
-    const auto* cp = dynamic_cast<const SaCheckpoint*>(&checkpoint);
-    if (cp == nullptr) {
-      throw std::invalid_argument("SaEngine: foreign checkpoint");
-    }
-    rng_ = cp->rng;
-    current_ = cp->current;
-    current_splits_ = cp->splits;
-    energy_ = cp->energy;
-    iteration_ = cp->iteration;
-    result_ = cp->result;
-    status_ = cp->status;
-    elapsed_ = cp->elapsed;
-  }
-
-  EngineOutput Finish() override {
-    EngineOutput out;
-    out.result = result_;
-    out.result.wall_seconds = elapsed_;
-    return out;
+  Cost TrajectorySample() const {
+    // Convergence telemetry rides the existing sampling points, so the
+    // trace adds no work on unsampled iterations and never touches rng.
+    CDD_TRACE_COUNTER("sa.best_cost", loop_.result.best_cost);
+    return loop_.result.best_cost;
   }
 
  private:
-  SequenceObjective objective_;
   SaParams params_;
-  std::int32_t machines_ = 1;
-  rng::Philox4x32 rng_;
-  PoolLease lease_;
-  std::vector<std::uint32_t> positions_;
-  std::vector<JobId> values_;
-  Sequence current_;
-  std::vector<std::int32_t> current_splits_;
-  Cost energy_ = 0;
-  double t0_ = 0.0;
-  std::uint64_t iteration_ = 0;
-  RunResult result_;
-  StepStatus status_ = StepStatus::kRunning;
-  double elapsed_ = 0.0;
+  CoolingSchedule schedule_;
+  std::uint32_t period_;
 };
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 
-#include "core/stop_token.hpp"
 #include "meta/cooling.hpp"
 #include "meta/engine.hpp"
 #include "meta/objective.hpp"
@@ -35,7 +34,9 @@ enum class NeighborhoodMode {
 
 /// Parameters of one SA chain (defaults are the paper's settings).
 struct SaParams {
-  std::uint64_t iterations = 1000;  ///< #Iterations of Algorithm 1
+  /// #Iterations of Algorithm 1, seed, trajectory stride and StopToken
+  /// (polled every kStopCheckStride iterations).
+  SearchBudget budget{};
   double mu = 0.88;                 ///< exponential cooling rate
   std::uint32_t pert = 4;           ///< perturbation size (Section VI-B)
   NeighborhoodMode neighborhood =
@@ -45,16 +46,8 @@ struct SaParams {
   /// of `temp_samples` random sequences' fitness).
   double initial_temperature = 0.0;
   std::uint64_t temp_samples = 5000;
-  std::uint64_t seed = 1;
-  /// When > 0, RunResult::trajectory records the best-so-far cost every
-  /// `trajectory_stride` iterations.
-  std::uint32_t trajectory_stride = 0;
   /// Cooling schedule family (the paper's is exponential).
   CoolingKind cooling = CoolingKind::kExponential;
-  /// Cooperative cancellation, polled every kStopCheckStride iterations.
-  /// A stopped run returns its best-so-far with RunResult::stopped set;
-  /// a run that completes is bit-identical to one without a token.
-  StopToken stop{};
   /// Optional lent candidate pool (the serve layer's zero-copy handoff).
   /// Borrowed only when it matches the objective's n with enough capacity
   /// (one row); otherwise the chain allocates privately.  Contents are

@@ -1,206 +1,49 @@
 #include "meta/threshold.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <stdexcept>
-#include <utility>
-
-#include "core/candidate_pool.hpp"
-#include "meta/splits.hpp"
-#include "meta/temperature.hpp"
-#include "rng/philox.hpp"
+#include "meta/chain.hpp"
 
 namespace cdd::meta {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// Probability of proposing a machine-reassignment (split-shift) move on
-/// multi-machine instances; the selection uniform is drawn only when
-/// machines > 1 so single-machine runs keep their exact RNG schedule.
-constexpr float kReassignProb = 0.25f;
-
-/// TA chain state at a Step boundary.  The decayed threshold is a host
-/// accumulator (threshold *= decay each iteration), so it is part of the
-/// checkpoint alongside the RNG position.
-struct TaCheckpoint final : EngineCheckpoint {
-  rng::Philox4x32 rng;
-  Sequence current;
-  std::vector<std::int32_t> splits;
-  Cost energy;
-  double threshold;
-  std::uint64_t iteration;
-  RunResult result;
-  StepStatus status;
-  double elapsed;
-
-  TaCheckpoint(const rng::Philox4x32& rng_in, Sequence current_in,
-               std::vector<std::int32_t> splits_in, Cost energy_in,
-               double threshold_in, std::uint64_t iteration_in,
-               RunResult result_in, StepStatus status_in, double elapsed_in)
-      : rng(rng_in),
-        current(std::move(current_in)),
-        splits(std::move(splits_in)),
-        energy(energy_in),
-        threshold(threshold_in),
-        iteration(iteration_in),
-        result(std::move(result_in)),
-        status(status_in),
-        elapsed(elapsed_in) {}
+/// The decayed threshold is a host accumulator (threshold *= decay each
+/// iteration), so it is part of the checkpointed chain state.
+struct TaState : ChainState {
+  double threshold = 0.0;
 };
 
-class TaEngine final : public Engine {
+class TaEngine final : public ChainEngine<TaEngine, TaState> {
  public:
   TaEngine(const SequenceObjective& objective, const TaParams& params,
            const std::optional<Sequence>& initial)
-      : objective_(objective),
-        params_(params),
-        machines_(objective.machines()),
-        rng_(params.seed, /*stream=*/0x7aULL),
-        lease_(params.pool, objective.size(), /*capacity=*/1,
-               static_cast<std::size_t>(objective.machines())),
-        positions_(params.pert),
-        values_(params.pert) {
-    const auto t_start = Clock::now();
-    const std::size_t n = objective_.size();
-    current_ = initial.has_value() ? *initial : RandomSequence(n, rng_);
-    if (machines_ > 1) {
-      current_splits_.resize(static_cast<std::size_t>(machines_ - 1));
-      EvenSplits(current_splits_, n);
-      energy_ = objective_.Evaluate(current_, current_splits_);
-    } else {
-      energy_ = objective_(current_);
-    }
-    result_.evaluations = 1;
-    result_.best = current_;
-    result_.best_cost = energy_;
-    result_.best_splits = current_splits_;
-    threshold_ =
-        params_.initial_threshold > 0.0
-            ? params_.initial_threshold
-            : 0.5 * InitialTemperature(objective_, params_.temp_samples,
-                                       params_.seed);
-    (*lease_).AppendUninitialized();
-    if (params_.iterations == 0) status_ = StepStatus::kDone;
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
+      : ChainEngine(objective, params.budget,
+                    {.stream = 0x7aULL,
+                     .pert = params.pert,
+                     .pool = params.pool,
+                     .level = params.initial_threshold,
+                     .level_samples = params.temp_samples,
+                     .level_scale = 0.5},
+                    initial),
+        decay_(params.decay) {
+    state_.threshold = initial_level_;
   }
 
-  StepStatus Step(std::uint64_t units) override {
-    if (status_ != StepStatus::kRunning || units == 0) return status_;
-    const auto t_start = Clock::now();
-    CandidatePool& pool = *lease_;
-    const std::span<JobId> candidate = pool.row(0);
-    const std::uint64_t end =
-        iteration_ +
-        std::min<std::uint64_t>(units, params_.iterations - iteration_);
-    for (; iteration_ < end; ++iteration_) {
-      const std::uint64_t i = iteration_;
-      if (i % kStopCheckStride == 0 && params_.stop.stop_requested()) {
-        result_.stopped = true;
-        status_ = StepStatus::kStopped;
-        break;
-      }
-      std::copy(current_.begin(), current_.end(), candidate.begin());
-      bool sequence_move = true;
-      if (machines_ > 1) {
-        std::copy(current_splits_.begin(), current_splits_.end(),
-                  pool.splits_row(0).begin());
-        // Extra draws are gated on m > 1: single-machine runs replay their
-        // historical RNG schedule bit for bit.
-        if (rng_.NextUniform() <= kReassignProb) {
-          sequence_move = false;
-          SplitShift(pool.splits_row(0),
-                     static_cast<std::int32_t>(current_.size()), rng_);
-        }
-      }
-      if (sequence_move) {
-        PartialFisherYates(candidate, params_.pert, rng_,
-                           std::span<std::uint32_t>(positions_),
-                           std::span<JobId>(values_));
-      }
-      objective_.EvaluateBatch(pool);
-      const Cost new_energy = pool.costs()[0];
-      ++result_.evaluations;
-      if (static_cast<double>(new_energy - energy_) <= threshold_) {
-        current_.assign(candidate.begin(), candidate.end());
-        if (machines_ > 1) {
-          const auto splits = pool.splits_row(0);
-          current_splits_.assign(splits.begin(), splits.end());
-        }
-        energy_ = new_energy;
-        if (energy_ < result_.best_cost) {
-          result_.best_cost = energy_;
-          result_.best = current_;
-          result_.best_splits = current_splits_;
-        }
-      }
-      threshold_ *= params_.decay;
-      if (params_.trajectory_stride > 0 &&
-          i % params_.trajectory_stride == 0) {
-        result_.trajectory.push_back(result_.best_cost);
-      }
-    }
-    if (status_ == StepStatus::kRunning &&
-        iteration_ == params_.iterations) {
-      status_ = StepStatus::kDone;
-    }
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
-    return status_;
+  void Perturb(std::span<JobId> candidate, std::uint64_t /*i*/) {
+    Shuffle(candidate);
   }
 
-  std::uint64_t Remaining() const override {
-    return status_ == StepStatus::kRunning
-               ? params_.iterations - iteration_
-               : 0;
+  /// Accept iff E_new - E <= threshold; the threshold then decays.
+  bool Accept(Cost candidate_energy, std::uint64_t /*i*/) {
+    const bool accept =
+        static_cast<double>(candidate_energy - state_.energy) <=
+        state_.threshold;
+    state_.threshold *= decay_;
+    return accept;
   }
 
-  Cost BestCost() const override { return result_.best_cost; }
-
-  std::unique_ptr<EngineCheckpoint> Checkpoint() const override {
-    return std::make_unique<TaCheckpoint>(rng_, current_, current_splits_,
-                                          energy_, threshold_, iteration_,
-                                          result_, status_, elapsed_);
-  }
-
-  void Restore(const EngineCheckpoint& checkpoint) override {
-    const auto* cp = dynamic_cast<const TaCheckpoint*>(&checkpoint);
-    if (cp == nullptr) {
-      throw std::invalid_argument("TaEngine: foreign checkpoint");
-    }
-    rng_ = cp->rng;
-    current_ = cp->current;
-    current_splits_ = cp->splits;
-    energy_ = cp->energy;
-    threshold_ = cp->threshold;
-    iteration_ = cp->iteration;
-    result_ = cp->result;
-    status_ = cp->status;
-    elapsed_ = cp->elapsed;
-  }
-
-  EngineOutput Finish() override {
-    EngineOutput out;
-    out.result = result_;
-    out.result.wall_seconds = elapsed_;
-    return out;
-  }
+  Cost TrajectorySample() const { return loop_.result.best_cost; }
 
  private:
-  SequenceObjective objective_;
-  TaParams params_;
-  std::int32_t machines_ = 1;
-  rng::Philox4x32 rng_;
-  PoolLease lease_;
-  std::vector<std::uint32_t> positions_;
-  std::vector<JobId> values_;
-  Sequence current_;
-  std::vector<std::int32_t> current_splits_;
-  Cost energy_ = 0;
-  double threshold_ = 0.0;
-  std::uint64_t iteration_ = 0;
-  RunResult result_;
-  StepStatus status_ = StepStatus::kRunning;
-  double elapsed_ = 0.0;
+  double decay_;
 };
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <memory>
 #include <optional>
 
-#include "core/stop_token.hpp"
 #include "meta/engine.hpp"
 #include "meta/objective.hpp"
 #include "meta/result.hpp"
@@ -22,17 +21,15 @@ namespace cdd::meta {
 
 /// Parameters of a Threshold Accepting run.
 struct TaParams {
-  std::uint64_t iterations = 1000;
+  /// Iterations, seed, trajectory stride and StopToken (polled every
+  /// kStopCheckStride iterations).
+  SearchBudget budget{};
   /// Initial acceptance threshold; <= 0 derives it from the fitness spread
   /// of `temp_samples` random sequences (half a standard deviation).
   double initial_threshold = 0.0;
   double decay = 0.88;  ///< geometric threshold decay per iteration
   std::uint32_t pert = 4;
   std::uint64_t temp_samples = 2000;
-  std::uint64_t seed = 1;
-  std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, polled every kStopCheckStride iterations.
-  StopToken stop{};
   /// Optional lent candidate pool (see SaParams::pool); needs one row.
   CandidatePool* pool = nullptr;
 };

@@ -22,9 +22,8 @@ void RequirePackableCosts(const DeviceProblem& problem, const char* engine) {
   }
 }
 
-DeviceEngine::DeviceEngine(sim::Device& device, const LaunchConfig& config,
-                           const char* engine)
-    : device_(device), clock_at_start_(device.sim_time_s()) {
+void ValidateLaunch(const sim::Device& device, const LaunchConfig& config,
+                    const char* engine) {
   config.Validate(device);
   if (config.ensemble() > (1u << raw::kThreadBits)) {
     throw std::invalid_argument(std::string(engine) +
@@ -33,8 +32,7 @@ DeviceEngine::DeviceEngine(sim::Device& device, const LaunchConfig& config,
   }
 }
 
-meta::EngineOutput DeviceEngine::Finish() {
-  GpuRunResult gpu = FinishGpu();
+meta::EngineOutput ToEngineOutput(GpuRunResult gpu) {
   meta::EngineOutput out;
   out.result.best = std::move(gpu.best);
   out.result.best_cost = gpu.best_cost;
@@ -44,20 +42,6 @@ meta::EngineOutput DeviceEngine::Finish() {
   out.result.trajectory = std::move(gpu.trajectory);
   out.device_seconds = gpu.device_seconds;
   return out;
-}
-
-void DeviceEngine::SaveBookkeeping(DeviceCheckpoint& checkpoint) const {
-  checkpoint.result = result_;
-  checkpoint.status = status_;
-  checkpoint.elapsed = elapsed_;
-  checkpoint.consumed_device = ConsumedDevice();
-}
-
-void DeviceEngine::RestoreBookkeeping(const DeviceCheckpoint& checkpoint) {
-  result_ = checkpoint.result;
-  status_ = checkpoint.status;
-  elapsed_ = checkpoint.elapsed;
-  clock_at_start_ = device_.sim_time_s() - checkpoint.consumed_device;
 }
 
 std::vector<JobId> MakeInitialSequences(std::uint32_t ensemble,
@@ -277,6 +261,12 @@ void LaunchReduction(sim::Device& device, const LaunchConfig& config,
           t.charge(2);
         }
       });
+}
+
+std::int64_t DownloadPacked(const sim::DeviceBuffer<std::int64_t>& packed) {
+  std::int64_t value = 0;
+  packed.CopyToHost(std::span<std::int64_t>(&value, 1));
+  return value;
 }
 
 Sequence DownloadRow(const sim::DeviceBuffer<JobId>& seqs, std::int32_t n,

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/candidate_pool.hpp"
@@ -13,6 +15,7 @@
 #include "cudasim/device.hpp"
 #include "cudasim/memory.hpp"
 #include "meta/engine.hpp"
+#include "meta/search_loop.hpp"
 #include "parallel/device_problem.hpp"
 #include "parallel/launch_config.hpp"
 #include "parallel/result.hpp"
@@ -31,55 +34,109 @@ void CopyOut(const sim::DeviceBuffer<T>& buffer, std::vector<T>& host) {
   host.assign(buffer.data(), buffer.data() + buffer.size());
 }
 
-/// Inverse of CopyOut (same zero-cost rule).
+/// Inverse of CopyOut (same zero-cost rule).  Throws std::invalid_argument
+/// when the snapshot does not fit the buffer (a checkpoint of another
+/// launch geometry or instance).
 template <typename T>
 void CopyIn(const std::vector<T>& host, sim::DeviceBuffer<T>& buffer) {
+  if (host.size() != buffer.size()) {
+    throw std::invalid_argument("Restore: foreign checkpoint");
+  }
   std::copy(host.begin(), host.end(), buffer.data());
 }
 
-/// What every device-engine checkpoint carries beside its buffers.
-struct DeviceCheckpoint : meta::EngineCheckpoint {
-  GpuRunResult result;
-  meta::StepStatus status = meta::StepStatus::kRunning;
-  double elapsed = 0.0;          ///< host wall seconds spent so far
-  double consumed_device = 0.0;  ///< modeled seconds since construction
+/// Checks a launch before a device engine allocates anything: the geometry
+/// must fit \p device, and every thread id must fit the packed (cost,
+/// thread) reduction key — ensemble at most 2^kThreadBits, since
+/// PackCostThread masks larger ids and the wrong thread would then
+/// broadcast its state with the winner's cost.  \p engine prefixes the
+/// error messages.
+void ValidateLaunch(const sim::Device& device, const LaunchConfig& config,
+                    const char* engine);
+
+/// The host-side record of a finished device run.
+meta::EngineOutput ToEngineOutput(GpuRunResult gpu);
+
+/// A device engine's checkpointed state: its buffer snapshot plus the
+/// modeled device time consumed up to the checkpoint.
+template <class Buffers>
+struct DeviceSnapshot {
+  Buffers buffers;
+  double consumed_device = 0.0;
 };
 
-/// Base of the device engines (psa, pdpso, psa-sync): the run bookkeeping
-/// their Step loops update, its checkpointing, and Finish.
-class DeviceEngine : public meta::Engine {
+/// meta::SearchLoop for the device engines (psa, pdpso, psa-sync), adding
+/// only the device clock.  Beyond the loop hooks (BeginSlice is
+/// `BeginDeviceSlice` here), \p Derived supplies
+///
+///   * `SaveBuffers(Buffers&) const` / `LoadBuffers(const Buffers&)` —
+///     host snapshots of its device buffers (CopyOut / CopyIn);
+///   * `ReadBest(GpuRunResult&)` — fills best/best_cost at Finish, charging
+///     whatever D2H a real device would pay.
+template <class Derived, class Buffers>
+class DeviceEngine
+    : public meta::SearchLoop<Derived, GpuRunResult,
+                              DeviceSnapshot<Buffers>> {
  public:
-  meta::EngineOutput Finish() override;
+  meta::EngineOutput Finish() override { return ToEngineOutput(FinishGpu()); }
 
   /// Full GPU result including the modeled clock (what the RunParallel*
-  /// functions return).
-  virtual GpuRunResult FinishGpu() = 0;
+  /// functions return).  Memoized until the next Step/Restore, so repeated
+  /// Finish calls stay idempotent: a second call must not charge a second
+  /// modeled transfer.
+  GpuRunResult FinishGpu() {
+    if (finish_cache_) return *finish_cache_;
+    GpuRunResult result = this->loop_.result;
+    {
+      const meta::ElapsedTimer timer(result.wall_seconds);
+      static_cast<Derived&>(*this).ReadBest(result);
+    }
+    result.wall_seconds += this->loop_.elapsed;
+    result.device_seconds = ConsumedDevice();
+    finish_cache_ = result;
+    return result;
+  }
+
+  auto BeginSlice() {
+    finish_cache_.reset();
+    return static_cast<Derived&>(*this).BeginDeviceSlice();
+  }
+
+  void Save(DeviceSnapshot<Buffers>& snapshot) const {
+    static_cast<const Derived&>(*this).SaveBuffers(snapshot.buffers);
+    snapshot.consumed_device = ConsumedDevice();
+  }
+
+  /// Device time consumed after the checkpoint was speculative work that
+  /// the restore discards: rebases the clock mark so FinishGpu reports the
+  /// checkpoint's consumption plus whatever runs from here on.
+  void Load(const DeviceSnapshot<Buffers>& snapshot) {
+    static_cast<Derived&>(*this).LoadBuffers(snapshot.buffers);
+    clock_at_start_ = device_.sim_time_s() - snapshot.consumed_device;
+    finish_cache_.reset();
+  }
 
  protected:
-  /// Marks the device clock and checks the launch before the derived
-  /// engine allocates anything: the geometry must fit \p device, and every
-  /// thread id must fit the packed (cost, thread) reduction key — ensemble
-  /// at most 2^kThreadBits, since PackCostThread masks larger ids and the
-  /// wrong thread would then broadcast its state with the winner's cost.
-  /// \p engine prefixes the error messages.
+  /// Marks the device clock and validates the launch (ValidateLaunch).
   DeviceEngine(sim::Device& device, const LaunchConfig& config,
-               const char* engine);
+               const meta::SearchBudget& budget, const char* engine)
+      : meta::SearchLoop<Derived, GpuRunResult, DeviceSnapshot<Buffers>>(
+            budget),
+        device_(device),
+        clock_at_start_(device.sim_time_s()) {
+    ValidateLaunch(device, config, engine);
+  }
 
   /// Modeled device seconds this run has consumed.
   double ConsumedDevice() const {
     return device_.sim_time_s() - clock_at_start_;
   }
-  void SaveBookkeeping(DeviceCheckpoint& checkpoint) const;
-  /// Device time consumed after the checkpoint was speculative work that
-  /// the restore discards: rebases the clock mark so FinishGpu reports the
-  /// checkpoint's consumption plus whatever runs from here on.
-  void RestoreBookkeeping(const DeviceCheckpoint& checkpoint);
 
   sim::Device& device_;
+
+ private:
   double clock_at_start_;
-  GpuRunResult result_;
-  meta::StepStatus status_ = meta::StepStatus::kRunning;
-  double elapsed_ = 0.0;
+  std::optional<GpuRunResult> finish_cache_;
 };
 
 /// Fills \p host with `ensemble` initial sequences of length n, one per
@@ -149,6 +206,9 @@ void LaunchReduction(sim::Device& device, const LaunchConfig& config,
                      const Cost* costs, std::int64_t* packed_best,
                      const char* kernel_name,
                      ReductionKind kind = ReductionKind::kAtomic);
+
+/// Downloads the packed (cost, thread) ensemble best (one modeled D2H).
+std::int64_t DownloadPacked(const sim::DeviceBuffer<std::int64_t>& packed);
 
 /// Downloads the winning thread's row from a row-major sequence buffer.
 Sequence DownloadRow(const sim::DeviceBuffer<JobId>& seqs, std::int32_t n,

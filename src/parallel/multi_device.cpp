@@ -34,7 +34,7 @@ MultiDeviceResult RunParallelSaMultiDevice(
   std::vector<GpuRunResult> runs(devices.size());
   const auto run_one = [&](std::size_t i) {
     ParallelSaParams mine = params;
-    mine.seed = params.seed + i * kDeviceSeedStride;
+    mine.budget.seed = params.budget.seed + i * kDeviceSeedStride;
     runs[i] = RunParallelSa(*devices[i], instance, mine);
   };
   if (sim::exec::ActiveExecBackend() ==

@@ -26,8 +26,8 @@ struct MultiDeviceResult {
 
 /// Runs the asynchronous parallel SA on every device in \p devices with
 /// the same per-device configuration.  Device i uses seed
-/// params.seed + i * kDeviceSeedStride, so adding devices never perturbs
-/// the existing ones' results (fleet quality is monotone in fleet size).
+/// params.budget.seed + i * kDeviceSeedStride, so adding devices never
+/// perturbs the existing ones' results (fleet quality is monotone in fleet size).
 MultiDeviceResult RunParallelSaMultiDevice(
     std::span<sim::Device* const> devices, const Instance& instance,
     const ParallelSaParams& params);

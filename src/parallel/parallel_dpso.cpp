@@ -1,10 +1,6 @@
 #include "parallel/parallel_dpso.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <optional>
-#include <stdexcept>
-#include <utility>
 
 #include "cudasim/atomics.hpp"
 #include "core/vshape.hpp"
@@ -17,19 +13,16 @@
 namespace cdd::par {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// Host snapshot of the swarm at a generation boundary.  child/used are
 /// per-thread crossover scratch (rewritten before read) and are skipped;
 /// per-generation Philox streams are stateless in (seed, generation).
-struct ParallelDpsoCheckpoint final : detail::DeviceCheckpoint {
+struct DpsoBuffers {
   std::vector<JobId> pos;
   std::vector<JobId> pbest;
   std::vector<JobId> gbest;
   std::vector<Cost> pos_cost;
   std::vector<Cost> pbest_cost;
   std::int64_t packed_best = 0;
-  std::uint64_t next_generation = 1;
 };
 
 /// Swarm state: positions, particle bests, swarm best, plus per-thread
@@ -58,13 +51,16 @@ struct DpsoDeviceState {
         packed_best(device, 1) {}
 };
 
-class ParallelDpsoEngine final : public detail::DeviceEngine {
+class ParallelDpsoEngine final
+    : public detail::DeviceEngine<ParallelDpsoEngine, DpsoBuffers> {
  public:
+  static constexpr const char* kTraceSpan = "par.dpso";
+
   ParallelDpsoEngine(sim::Device& device, const Instance& instance,
                      const ParallelDpsoParams& params)
-      : DeviceEngine(device, params.config, "RunParallelDpso"),
+      : DeviceEngine(device, params.config, params.budget, "RunParallelDpso"),
         params_(params) {
-    const auto t_start = Clock::now();
+    const meta::ElapsedTimer timer(loop_.elapsed);
     const std::uint32_t ensemble = params_.config.ensemble();
 
     state_ = std::make_unique<DpsoDeviceState>(device_, instance, ensemble);
@@ -77,7 +73,7 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
       Sequence vseed;
       if (params_.vshape_init) vseed = VShapeSeed(instance);
       const std::vector<JobId> init = detail::MakeInitialSequences(
-          ensemble, n, params_.seed, params_.vshape_init ? &vseed : nullptr);
+          ensemble, n, budget_.seed, params_.vshape_init ? &vseed : nullptr);
       state_->pos.CopyFromHost(init);
       state_->pbest.CopyFromHost(init);
     }
@@ -92,7 +88,7 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
     // Initial fitness, particle bests and swarm best.
     detail::LaunchFitness(device_, state_->problem, params_.config,
                           pos_pool, "dpso_fitness");
-    result_.evaluations += ensemble;
+    loop_.result.evaluations += ensemble;
     {
       sim::LaunchOptions opts;
       opts.name = "dpso_pbest_update";
@@ -108,19 +104,13 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
                             state_->packed_best.data(), "dpso_reduction");
     PublishGbest();
     device_.Synchronize();
-
-    if (params_.generations == 0) status_ = meta::StepStatus::kDone;
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
   }
 
-  meta::StepStatus Step(std::uint64_t units) override {
-    if (status_ != meta::StepStatus::kRunning || units == 0) return status_;
-    finish_cache_.reset();
-    CDD_TRACE_SPAN("par.dpso");
-    const auto t_start = Clock::now();
+  /// One generation per iteration i: generation g = i + 1.
+  auto BeginDeviceSlice() {
     const std::uint32_t ensemble = params_.config.ensemble();
     const std::int32_t n = state_->problem.n();
-    const std::uint64_t seed = params_.seed;
+    const std::uint64_t seed = budget_.seed;
     const double w = params_.w;
     const double c1 = params_.c1;
     const double c2 = params_.c2;
@@ -134,16 +124,8 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
     const CandidatePoolView pos_pool =
         detail::DeviceView(d_pos, d_pos_cost, n, ensemble);
 
-    const std::uint64_t last =
-        g_ - 1 +
-        std::min<std::uint64_t>(units, params_.generations - (g_ - 1));
-    for (; g_ <= last; ++g_) {
-      const std::uint64_t g = g_;
-      if (params_.stop.stop_requested()) {
-        result_.stopped = true;
-        status_ = meta::StepStatus::kStopped;
-        break;
-      }
+    return [=, this](std::uint64_t i) {
+      const std::uint64_t g = i + 1;
       // --- position update: Eq. (3) --------------------------------------
       {
         sim::LaunchOptions opts;
@@ -170,7 +152,7 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
                     rng, static_cast<std::uint32_t>(n) + 1);
                 raw::OnePointCrossoverRaw(n, mine, d_pbest + tid * n, cut,
                                           scratch, marks);
-                for (std::int32_t i = 0; i < n; ++i) mine[i] = scratch[i];
+                for (std::int32_t k = 0; k < n; ++k) mine[k] = scratch[k];
                 t.charge(3 * static_cast<std::uint64_t>(n));
               }
               // c2 (+) F3: two-point crossover with the swarm best.
@@ -186,7 +168,7 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
                 }
                 raw::TwoPointCrossoverRaw(n, mine, d_gbest, a, b, scratch,
                                           marks);
-                for (std::int32_t i = 0; i < n; ++i) mine[i] = scratch[i];
+                for (std::int32_t k = 0; k < n; ++k) mine[k] = scratch[k];
                 t.charge(3 * static_cast<std::uint64_t>(n));
               }
               t.charge(4);
@@ -196,27 +178,27 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
       // --- fitness --------------------------------------------------------
       detail::LaunchFitness(device_, state_->problem, params_.config,
                             pos_pool, "dpso_fitness");
-      result_.evaluations += ensemble;
+      loop_.result.evaluations += ensemble;
 
       // --- particle bests -------------------------------------------------
       {
         sim::LaunchOptions opts;
         opts.name = "dpso_pbest_update";
         device_.Launch(params_.config.grid(), params_.config.block(), opts,
-                      [=](sim::ThreadCtx& t) {
-                        const std::uint64_t tid = t.global_thread();
-                        if (tid >= ensemble) return;
-                        if (d_pos_cost[tid] < d_pbest_cost[tid]) {
-                          d_pbest_cost[tid] = d_pos_cost[tid];
-                          const JobId* src = d_pos + tid * n;
-                          JobId* dst = d_pbest + tid * n;
-                          for (std::int32_t i = 0; i < n; ++i) {
-                            dst[i] = src[i];
-                          }
-                          t.charge(static_cast<std::uint64_t>(n));
-                        }
-                        t.charge(2);
-                      });
+                       [=](sim::ThreadCtx& t) {
+                         const std::uint64_t tid = t.global_thread();
+                         if (tid >= ensemble) return;
+                         if (d_pos_cost[tid] < d_pbest_cost[tid]) {
+                           d_pbest_cost[tid] = d_pos_cost[tid];
+                           const JobId* src = d_pos + tid * n;
+                           JobId* dst = d_pbest + tid * n;
+                           for (std::int32_t k = 0; k < n; ++k) {
+                             dst[k] = src[k];
+                           }
+                           t.charge(static_cast<std::uint64_t>(n));
+                         }
+                         t.charge(2);
+                       });
       }
 
       // --- swarm best (reduction + publish) -------------------------------
@@ -224,80 +206,43 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
                               state_->packed_best.data(), "dpso_reduction");
       PublishGbest();
       device_.Synchronize();
-
-      if (params_.trajectory_stride > 0 &&
-          (g - 1) % params_.trajectory_stride == 0) {
-        std::int64_t packed = 0;
-        state_->packed_best.CopyToHost(std::span<std::int64_t>(&packed, 1));
-        result_.trajectory.push_back(raw::UnpackCost(packed));
-        CDD_TRACE_COUNTER("pdpso.best_cost", result_.trajectory.back());
-      }
-    }
-    if (status_ == meta::StepStatus::kRunning &&
-        g_ > params_.generations) {
-      status_ = meta::StepStatus::kDone;
-    }
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
-    return status_;
+    };
   }
 
-  std::uint64_t Remaining() const override {
-    return status_ == meta::StepStatus::kRunning
-               ? params_.generations - (g_ - 1)
-               : 0;
+  Cost TrajectorySample() {
+    const Cost best =
+        raw::UnpackCost(detail::DownloadPacked(state_->packed_best));
+    CDD_TRACE_COUNTER("pdpso.best_cost", best);
+    return best;
   }
 
   Cost BestCost() const override {
     return raw::UnpackCost(*state_->packed_best.data());
   }
 
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
-    auto cp = std::make_unique<ParallelDpsoCheckpoint>();
-    detail::CopyOut(state_->pos, cp->pos);
-    detail::CopyOut(state_->pbest, cp->pbest);
-    detail::CopyOut(state_->gbest, cp->gbest);
-    detail::CopyOut(state_->pos_cost, cp->pos_cost);
-    detail::CopyOut(state_->pbest_cost, cp->pbest_cost);
-    cp->packed_best = *state_->packed_best.data();
-    cp->next_generation = g_;
-    SaveBookkeeping(*cp);
-    return cp;
+  void SaveBuffers(DpsoBuffers& b) const {
+    detail::CopyOut(state_->pos, b.pos);
+    detail::CopyOut(state_->pbest, b.pbest);
+    detail::CopyOut(state_->gbest, b.gbest);
+    detail::CopyOut(state_->pos_cost, b.pos_cost);
+    detail::CopyOut(state_->pbest_cost, b.pbest_cost);
+    b.packed_best = *state_->packed_best.data();
   }
 
-  void Restore(const meta::EngineCheckpoint& checkpoint) override {
-    const auto* cp =
-        dynamic_cast<const ParallelDpsoCheckpoint*>(&checkpoint);
-    if (cp == nullptr || cp->pos.size() != state_->pos.size()) {
-      throw std::invalid_argument("ParallelDpsoEngine: foreign checkpoint");
-    }
-    detail::CopyIn(cp->pos, state_->pos);
-    detail::CopyIn(cp->pbest, state_->pbest);
-    detail::CopyIn(cp->gbest, state_->gbest);
-    detail::CopyIn(cp->pos_cost, state_->pos_cost);
-    detail::CopyIn(cp->pbest_cost, state_->pbest_cost);
-    *state_->packed_best.data() = cp->packed_best;
-    g_ = cp->next_generation;
-    RestoreBookkeeping(*cp);
-    finish_cache_.reset();
+  void LoadBuffers(const DpsoBuffers& b) {
+    detail::CopyIn(b.pos, state_->pos);
+    detail::CopyIn(b.pbest, state_->pbest);
+    detail::CopyIn(b.gbest, state_->gbest);
+    detail::CopyIn(b.pos_cost, state_->pos_cost);
+    detail::CopyIn(b.pbest_cost, state_->pbest_cost);
+    *state_->packed_best.data() = b.packed_best;
   }
 
-  /// Memoized until the next Step/Restore so repeated Finish calls stay
-  /// idempotent (a second call must not charge a second modeled D2H).
-  GpuRunResult FinishGpu() override {
-    if (finish_cache_) return *finish_cache_;
-    const auto t_start = Clock::now();
-    GpuRunResult result = result_;
-    std::int64_t packed = 0;
-    state_->packed_best.CopyToHost(std::span<std::int64_t>(&packed, 1));
+  void ReadBest(GpuRunResult& result) {
+    const std::int64_t packed = detail::DownloadPacked(state_->packed_best);
     result.best_cost = raw::UnpackCost(packed);
     result.best = detail::DownloadRow(state_->pbest, state_->problem.n(),
                                       raw::UnpackThread(packed));
-    result.device_seconds = ConsumedDevice();
-    result.wall_seconds =
-        elapsed_ +
-        std::chrono::duration<double>(Clock::now() - t_start).count();
-    finish_cache_ = result;
-    return result;
   }
 
  private:
@@ -330,8 +275,6 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
 
   ParallelDpsoParams params_;
   std::unique_ptr<DpsoDeviceState> state_;
-  std::uint64_t g_ = 1;
-  std::optional<GpuRunResult> finish_cache_;
 };
 
 }  // namespace

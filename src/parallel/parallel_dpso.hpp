@@ -14,7 +14,6 @@
 #include <memory>
 
 #include "core/instance.hpp"
-#include "core/stop_token.hpp"
 #include "cudasim/device.hpp"
 #include "meta/engine.hpp"
 #include "parallel/launch_config.hpp"
@@ -26,17 +25,15 @@ namespace cdd::par {
 /// same geometry and generation counts as SA).
 struct ParallelDpsoParams {
   LaunchConfig config{};
-  std::uint64_t generations = 1000;
+  /// Generations, seed, trajectory stride and StopToken (polled between
+  /// generations).
+  meta::SearchBudget budget{};
   double w = 0.8;   ///< probability of the swap operator F1
   double c1 = 0.8;  ///< probability of the one-point crossover F2
   double c2 = 0.8;  ///< probability of the two-point crossover F3
   /// Seed the ensemble from the V-shape constructive heuristic instead of
   /// uniform random permutations (thread 0 exact, others diversified).
   bool vshape_init = false;
-  std::uint64_t seed = 1;
-  std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, polled between generations.
-  StopToken stop{};
 };
 
 /// Runs the asynchronous parallel DPSO for \p instance on \p device.

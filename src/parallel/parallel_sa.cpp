@@ -1,11 +1,8 @@
 #include "parallel/parallel_sa.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
-#include <utility>
 
 #include "core/vshape.hpp"
 #include "cudasim/memory.hpp"
@@ -21,20 +18,17 @@ namespace cdd::par {
 namespace {
 constexpr std::uint32_t kMaxPert = 32;
 
-using Clock = std::chrono::steady_clock;
-
 /// Host snapshot of the device-resident SA state at a generation boundary.
 /// cand/cand_cost are per-generation scratch (fully rewritten before being
 /// read) and need no saving.  Per-generation Philox streams are derived
 /// statelessly from (seed, generation, phase, thread), so no RNG state is
 /// captured either.
-struct ParallelSaCheckpoint final : detail::DeviceCheckpoint {
+struct SaBuffers {
   std::vector<JobId> curr;
   std::vector<JobId> best_seq;
   std::vector<Cost> curr_cost;
   std::vector<Cost> best_cost;
   std::int64_t packed_best = 0;
-  std::uint64_t next_generation = 1;
   double temperature = 0.0;
 };
 
@@ -51,7 +45,7 @@ double ValidateAndResolveT0(const Instance& instance,
   return params.initial_temperature > 0.0
              ? params.initial_temperature
              : meta::InitialTemperature(objective, params.temp_samples,
-                                        params.seed);
+                                        params.budget.seed);
 }
 
 /// Device-resident run state: the uploads of Figure 9 plus the ensemble
@@ -79,15 +73,17 @@ struct SaDeviceState {
         packed_best(device, 1) {}
 };
 
-class ParallelSaEngine final : public detail::DeviceEngine {
+class ParallelSaEngine final
+    : public detail::DeviceEngine<ParallelSaEngine, SaBuffers> {
  public:
+  static constexpr const char* kTraceSpan = "par.sa";
+
   ParallelSaEngine(sim::Device& device, const Instance& instance,
                    const ParallelSaParams& params)
-      : DeviceEngine(device, params.config, "RunParallelSa"),
+      : DeviceEngine(device, params.config, params.budget, "RunParallelSa"),
         params_(params),
-        t0_(ValidateAndResolveT0(instance, params)),
-        temperature_(t0_) {
-    const auto t_start = Clock::now();
+        temperature_(ValidateAndResolveT0(instance, params)) {
+    const meta::ElapsedTimer timer(loop_.elapsed);
     const std::uint32_t ensemble = params_.config.ensemble();
 
     // --- device-side setup (the uploads of Figure 9) ----------------------
@@ -101,7 +97,7 @@ class ParallelSaEngine final : public detail::DeviceEngine {
       Sequence vseed;
       if (params_.vshape_init) vseed = VShapeSeed(instance);
       const std::vector<JobId> init = detail::MakeInitialSequences(
-          ensemble, n, params_.seed, params_.vshape_init ? &vseed : nullptr);
+          ensemble, n, budget_.seed, params_.vshape_init ? &vseed : nullptr);
       state_->curr.CopyFromHost(init);
       state_->best_seq.CopyFromHost(init);
     }
@@ -115,7 +111,7 @@ class ParallelSaEngine final : public detail::DeviceEngine {
     // Initial fitness of the uploaded ensemble.
     detail::LaunchFitness(device_, state_->problem, params_.config,
                           curr_pool, "sa_fitness", params_.penalty_memory);
-    result_.evaluations += ensemble;
+    loop_.result.evaluations += ensemble;
     {
       // Seed the per-thread bests from the initial states.
       Cost* d_curr_cost = state_->curr_cost.data();
@@ -130,18 +126,13 @@ class ParallelSaEngine final : public detail::DeviceEngine {
                        t.charge(1);
                      });
     }
-    if (params_.generations == 0) status_ = meta::StepStatus::kDone;
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
   }
 
-  meta::StepStatus Step(std::uint64_t units) override {
-    if (status_ != meta::StepStatus::kRunning || units == 0) return status_;
-    finish_cache_.reset();
-    CDD_TRACE_SPAN("par.sa");
-    const auto t_start = Clock::now();
+  /// One generation (Figure 7) per iteration i: generation g = i + 1.
+  auto BeginDeviceSlice() {
     const std::uint32_t ensemble = params_.config.ensemble();
     const std::int32_t n = state_->problem.n();
-    const std::uint64_t seed = params_.seed;
+    const std::uint64_t seed = budget_.seed;
     const std::uint32_t pert = params_.pert;
     JobId* d_curr = state_->curr.data();
     JobId* d_cand = state_->cand.data();
@@ -152,23 +143,15 @@ class ParallelSaEngine final : public detail::DeviceEngine {
     const CandidatePoolView cand_pool =
         detail::DeviceView(d_cand, d_cand_cost, n, ensemble);
 
-    const std::uint64_t last =
-        g_ - 1 +
-        std::min<std::uint64_t>(units, params_.generations - (g_ - 1));
-    for (; g_ <= last; ++g_) {
-      const std::uint64_t g = g_;
-      if (params_.stop.stop_requested()) {
-        result_.stopped = true;
-        status_ = meta::StepStatus::kStopped;
-        break;
-      }
+    return [=, this](std::uint64_t i) {
+      const std::uint64_t g = i + 1;
       // --- kernel 1: perturbation (Section VI-B) -------------------------
       // A cheap swap most generations; the Pert-sized Fisher-Yates shuffle
       // "after every 10 SA iterations" (configurable; see NeighborhoodMode).
       const bool shuffle_now =
           params_.neighborhood ==
               meta::NeighborhoodMode::kShuffleEveryIteration ||
-          (g - 1) % std::max(params_.shuffle_period, 1u) == 0;
+          i % std::max(params_.shuffle_period, 1u) == 0;
       {
         sim::LaunchOptions opts;
         opts.name = "sa_perturbation";
@@ -179,7 +162,7 @@ class ParallelSaEngine final : public detail::DeviceEngine {
               if (tid >= ensemble) return;
               const JobId* src = d_curr + tid * n;
               JobId* dst = d_cand + tid * n;
-              for (std::int32_t i = 0; i < n; ++i) dst[i] = src[i];
+              for (std::int32_t k = 0; k < n; ++k) dst[k] = src[k];
               rng::Philox4x32 rng =
                   raw::MakeStream(seed, g, raw::RngPhase::kPerturb,
                                   static_cast<std::uint32_t>(tid));
@@ -197,9 +180,8 @@ class ParallelSaEngine final : public detail::DeviceEngine {
 
       // --- kernel 2: fitness (Section VI-A) ------------------------------
       detail::LaunchFitness(device_, state_->problem, params_.config,
-                            cand_pool, "sa_fitness",
-                            params_.penalty_memory);
-      result_.evaluations += ensemble;
+                            cand_pool, "sa_fitness", params_.penalty_memory);
+      loop_.result.evaluations += ensemble;
 
       // --- kernel 3: acceptance (Section VI-C) ---------------------------
       {
@@ -221,12 +203,12 @@ class ParallelSaEngine final : public detail::DeviceEngine {
               if (accept >= static_cast<double>(rng.NextUniform())) {
                 JobId* cur = d_curr + tid * n;
                 const JobId* cnd = d_cand + tid * n;
-                for (std::int32_t i = 0; i < n; ++i) cur[i] = cnd[i];
+                for (std::int32_t k = 0; k < n; ++k) cur[k] = cnd[k];
                 d_curr_cost[tid] = e_new;
                 if (e_new < d_best_cost[tid]) {
                   d_best_cost[tid] = e_new;
                   JobId* bst = d_best + tid * n;
-                  for (std::int32_t i = 0; i < n; ++i) bst[i] = cnd[i];
+                  for (std::int32_t k = 0; k < n; ++k) bst[k] = cnd[k];
                   t.charge(static_cast<std::uint64_t>(n));
                 }
                 t.charge(static_cast<std::uint64_t>(n));
@@ -244,27 +226,14 @@ class ParallelSaEngine final : public detail::DeviceEngine {
       device_.Synchronize();
 
       temperature_ *= params_.mu;
-
-      if (params_.trajectory_stride > 0 &&
-          (g - 1) % params_.trajectory_stride == 0) {
-        std::int64_t packed = 0;
-        state_->packed_best.CopyToHost(std::span<std::int64_t>(&packed, 1));
-        result_.trajectory.push_back(raw::UnpackCost(packed));
-        CDD_TRACE_COUNTER("psa.best_cost", result_.trajectory.back());
-      }
-    }
-    if (status_ == meta::StepStatus::kRunning &&
-        g_ > params_.generations) {
-      status_ = meta::StepStatus::kDone;
-    }
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
-    return status_;
+    };
   }
 
-  std::uint64_t Remaining() const override {
-    return status_ == meta::StepStatus::kRunning
-               ? params_.generations - (g_ - 1)
-               : 0;
+  Cost TrajectorySample() {
+    const Cost best =
+        raw::UnpackCost(detail::DownloadPacked(state_->packed_best));
+    CDD_TRACE_COUNTER("psa.best_cost", best);
+    return best;
   }
 
   Cost BestCost() const override {
@@ -273,63 +242,36 @@ class ParallelSaEngine final : public detail::DeviceEngine {
     return raw::UnpackCost(*state_->packed_best.data());
   }
 
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
-    auto cp = std::make_unique<ParallelSaCheckpoint>();
-    detail::CopyOut(state_->curr, cp->curr);
-    detail::CopyOut(state_->best_seq, cp->best_seq);
-    detail::CopyOut(state_->curr_cost, cp->curr_cost);
-    detail::CopyOut(state_->best_cost, cp->best_cost);
-    cp->packed_best = *state_->packed_best.data();
-    cp->next_generation = g_;
-    cp->temperature = temperature_;
-    SaveBookkeeping(*cp);
-    return cp;
+  void SaveBuffers(SaBuffers& b) const {
+    detail::CopyOut(state_->curr, b.curr);
+    detail::CopyOut(state_->best_seq, b.best_seq);
+    detail::CopyOut(state_->curr_cost, b.curr_cost);
+    detail::CopyOut(state_->best_cost, b.best_cost);
+    b.packed_best = *state_->packed_best.data();
+    b.temperature = temperature_;
   }
 
-  void Restore(const meta::EngineCheckpoint& checkpoint) override {
-    const auto* cp = dynamic_cast<const ParallelSaCheckpoint*>(&checkpoint);
-    if (cp == nullptr || cp->curr.size() != state_->curr.size()) {
-      throw std::invalid_argument("ParallelSaEngine: foreign checkpoint");
-    }
-    detail::CopyIn(cp->curr, state_->curr);
-    detail::CopyIn(cp->best_seq, state_->best_seq);
-    detail::CopyIn(cp->curr_cost, state_->curr_cost);
-    detail::CopyIn(cp->best_cost, state_->best_cost);
-    *state_->packed_best.data() = cp->packed_best;
-    g_ = cp->next_generation;
-    temperature_ = cp->temperature;
-    RestoreBookkeeping(*cp);
-    finish_cache_.reset();
+  void LoadBuffers(const SaBuffers& b) {
+    detail::CopyIn(b.curr, state_->curr);
+    detail::CopyIn(b.best_seq, state_->best_seq);
+    detail::CopyIn(b.curr_cost, state_->curr_cost);
+    detail::CopyIn(b.best_cost, state_->best_cost);
+    *state_->packed_best.data() = b.packed_best;
+    temperature_ = b.temperature;
   }
 
-  /// Downloads the winner — Figure 9's single D2H.  Memoized until the
-  /// next Step/Restore so repeated Finish calls stay idempotent (a second
-  /// call must not charge a second modeled transfer).
-  GpuRunResult FinishGpu() override {
-    if (finish_cache_) return *finish_cache_;
-    const auto t_start = Clock::now();
-    GpuRunResult result = result_;
-    std::int64_t packed = 0;
-    state_->packed_best.CopyToHost(std::span<std::int64_t>(&packed, 1));
+  /// Downloads the winner — Figure 9's single D2H.
+  void ReadBest(GpuRunResult& result) {
+    const std::int64_t packed = detail::DownloadPacked(state_->packed_best);
     result.best_cost = raw::UnpackCost(packed);
-    result.best = detail::DownloadRow(state_->best_seq,
-                                      state_->problem.n(),
+    result.best = detail::DownloadRow(state_->best_seq, state_->problem.n(),
                                       raw::UnpackThread(packed));
-    result.device_seconds = ConsumedDevice();
-    result.wall_seconds =
-        elapsed_ +
-        std::chrono::duration<double>(Clock::now() - t_start).count();
-    finish_cache_ = result;
-    return result;
   }
 
  private:
   ParallelSaParams params_;
-  double t0_;
   double temperature_;
   std::unique_ptr<SaDeviceState> state_;
-  std::uint64_t g_ = 1;  ///< next generation to run (1-based, Figure 7)
-  std::optional<GpuRunResult> finish_cache_;
 };
 
 }  // namespace

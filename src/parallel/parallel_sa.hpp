@@ -32,7 +32,10 @@ namespace cdd::par {
 /// Parameters of the asynchronous parallel SA (defaults = the paper's).
 struct ParallelSaParams {
   LaunchConfig config{};            ///< 4 blocks x 192 threads
-  std::uint64_t generations = 1000; ///< SA_1000 / SA_5000 of Section VIII
+  /// Generations (SA_1000 / SA_5000 of Section VIII), seed, trajectory
+  /// stride and StopToken (polled between generations: each is a full
+  /// 4-kernel ensemble launch, so the poll is negligible).
+  meta::SearchBudget budget{};
   double mu = 0.88;                 ///< exponential cooling rate
   std::uint32_t pert = 4;           ///< perturbation size
   meta::NeighborhoodMode neighborhood =
@@ -50,11 +53,6 @@ struct ParallelSaParams {
   detail::PenaltyMemory penalty_memory = detail::PenaltyMemory::kShared;
   /// Reduction implementation (Section VI-D default: atomicMin).
   detail::ReductionKind reduction = detail::ReductionKind::kAtomic;
-  std::uint64_t seed = 1;
-  std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, polled between generations (each generation
-  /// is a full 4-kernel ensemble launch, so the poll is negligible).
-  StopToken stop{};
 };
 
 /// Runs the asynchronous parallel SA for \p instance on \p device.

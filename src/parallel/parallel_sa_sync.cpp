@@ -1,7 +1,6 @@
 #include "parallel/parallel_sa_sync.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -19,18 +18,15 @@ namespace cdd::par {
 namespace {
 constexpr std::uint32_t kMaxPert = 32;
 
-using Clock = std::chrono::steady_clock;
-
 /// State at a temperature-level boundary.  Every level ends with the
 /// broadcast that overwrites all current states, so curr/curr_cost (plus
 /// the host-tracked best and the AtomicMin accumulator) are the whole
 /// ensemble state; cand and the per-level buffers are scratch.  The
 /// temperature is a pure function of the level index — no accumulator.
-struct ParallelSaSyncCheckpoint final : detail::DeviceCheckpoint {
+struct SyncBuffers {
   std::vector<JobId> curr;
   std::vector<Cost> curr_cost;
   std::int64_t packed_best = 0;
-  std::uint32_t next_level = 0;
 };
 
 double ValidateAndResolveT0(const Instance& instance,
@@ -43,7 +39,7 @@ double ValidateAndResolveT0(const Instance& instance,
   return params.initial_temperature > 0.0
              ? params.initial_temperature
              : meta::InitialTemperature(objective, params.temp_samples,
-                                        params.seed);
+                                        params.budget.seed);
 }
 
 struct SaSyncDeviceState {
@@ -70,14 +66,16 @@ struct SaSyncDeviceState {
         distance_sum(device, 1) {}
 };
 
-class ParallelSaSyncEngine final : public detail::DeviceEngine {
+class ParallelSaSyncEngine final
+    : public detail::DeviceEngine<ParallelSaSyncEngine, SyncBuffers> {
  public:
   ParallelSaSyncEngine(sim::Device& device, const Instance& instance,
                        const ParallelSaSyncParams& params)
-      : DeviceEngine(device, params.config, "RunParallelSaSync"),
+      : DeviceEngine(device, params.config, params.budget,
+                     "RunParallelSaSync"),
         params_(params),
         t0_(ValidateAndResolveT0(instance, params)) {
-    const auto t_start = Clock::now();
+    const meta::ElapsedTimer timer(loop_.elapsed);
     const std::uint32_t ensemble = params_.config.ensemble();
 
     state_ = std::make_unique<SaSyncDeviceState>(device_, instance,
@@ -89,7 +87,7 @@ class ParallelSaSyncEngine final : public detail::DeviceEngine {
 
     {
       const std::vector<JobId> init =
-          detail::MakeInitialSequences(ensemble, n, params_.seed);
+          detail::MakeInitialSequences(ensemble, n, budget_.seed);
       state_->curr.CopyFromHost(init);
     }
 
@@ -97,18 +95,14 @@ class ParallelSaSyncEngine final : public detail::DeviceEngine {
         state_->curr.data(), state_->curr_cost.data(), n, ensemble);
     detail::LaunchFitness(device_, state_->problem, params_.config,
                           curr_pool, "sync_fitness");
-    result_.evaluations += ensemble;
-
-    if (params_.temperature_levels == 0) status_ = meta::StepStatus::kDone;
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
+    loop_.result.evaluations += ensemble;
   }
 
-  meta::StepStatus Step(std::uint64_t units) override {
-    if (status_ != meta::StepStatus::kRunning || units == 0) return status_;
-    const auto t_start = Clock::now();
+  /// One temperature level per iteration.
+  auto BeginDeviceSlice() {
     const std::uint32_t ensemble = params_.config.ensemble();
     const std::int32_t n = state_->problem.n();
-    const std::uint64_t seed = params_.seed;
+    const std::uint64_t seed = budget_.seed;
     const std::uint32_t pert = params_.pert;
     JobId* d_curr = state_->curr.data();
     JobId* d_cand = state_->cand.data();
@@ -122,23 +116,13 @@ class ParallelSaSyncEngine final : public detail::DeviceEngine {
     const CandidatePoolView cand_pool =
         detail::DeviceView(d_cand, d_cand_cost, n, ensemble);
 
-    const std::uint32_t last =
-        level_ + static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                     units, params_.temperature_levels - level_));
-    for (; level_ < last; ++level_) {
-      const std::uint32_t level = level_;
-      if (params_.stop.stop_requested()) {
-        result_.stopped = true;
-        status_ = meta::StepStatus::kStopped;
-        break;
-      }
+    return [=, this](std::uint64_t level) {
       const double temp = std::max(
           t0_ * std::pow(params_.mu, static_cast<double>(level)), 1e-300);
 
       // --- constant-temperature Markov chain of length M ------------------
       for (std::uint32_t m = 0; m < params_.chain_length; ++m) {
-        const std::uint64_t g =
-            static_cast<std::uint64_t>(level) * params_.chain_length + m + 1;
+        const std::uint64_t g = level * params_.chain_length + m + 1;
         const bool shuffle_now =
             params_.neighborhood ==
                 meta::NeighborhoodMode::kShuffleEveryIteration ||
@@ -170,7 +154,7 @@ class ParallelSaSyncEngine final : public detail::DeviceEngine {
         }
         detail::LaunchFitness(device_, state_->problem, params_.config,
                               cand_pool, "sync_fitness");
-        result_.evaluations += ensemble;
+        loop_.result.evaluations += ensemble;
         {
           sim::LaunchOptions opts;
           opts.name = "sync_acceptance";
@@ -241,8 +225,8 @@ class ParallelSaSyncEngine final : public detail::DeviceEngine {
                        });
         std::int64_t total = 0;
         state_->distance_sum.CopyToHost(std::span<std::int64_t>(&total, 1));
-        result_.diversity.push_back(static_cast<double>(total) /
-                                    static_cast<double>(ensemble));
+        loop_.result.diversity.push_back(static_cast<double>(total) /
+                                         static_cast<double>(ensemble));
       }
 
       // --- broadcast s_min to every thread (Fig 8's state exchange) -------
@@ -272,66 +256,57 @@ class ParallelSaSyncEngine final : public detail::DeviceEngine {
       state_->packed_level.CopyToHost(
           std::span<std::int64_t>(&level_packed, 1));
       const Cost level_cost = raw::UnpackCost(level_packed);
-      if (level_cost < result_.best_cost) {
-        result_.best_cost = level_cost;
+      if (level_cost < loop_.result.best_cost) {
+        loop_.result.best_cost = level_cost;
         Sequence state(static_cast<std::size_t>(n));
         state_->broadcast.CopyToHost(std::span<JobId>(state));
-        result_.best = std::move(state);
+        loop_.result.best = std::move(state);
       }
-    }
-    if (status_ == meta::StepStatus::kRunning &&
-        level_ == params_.temperature_levels) {
-      status_ = meta::StepStatus::kDone;
-    }
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
-    return status_;
+    };
   }
 
-  std::uint64_t Remaining() const override {
-    return status_ == meta::StepStatus::kRunning
-               ? params_.temperature_levels - level_
-               : 0;
+  /// The best broadcast state so far (tracked on the host: no transfer).
+  Cost TrajectorySample() const { return loop_.result.best_cost; }
+
+  Cost BestCost() const override {
+    if (!loop_.result.best.empty()) return loop_.result.best_cost;
+    // No level has run yet: the ensemble's best initial state (a host
+    // read of device memory, like the checkpoint snapshots).
+    const Cost* costs = state_->curr_cost.data();
+    return *std::min_element(costs, costs + params_.config.ensemble());
   }
 
-  Cost BestCost() const override { return result_.best_cost; }
-
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
-    auto cp = std::make_unique<ParallelSaSyncCheckpoint>();
-    detail::CopyOut(state_->curr, cp->curr);
-    detail::CopyOut(state_->curr_cost, cp->curr_cost);
-    cp->packed_best = *state_->packed_best.data();
-    cp->next_level = level_;
-    SaveBookkeeping(*cp);
-    return cp;
+  void SaveBuffers(SyncBuffers& b) const {
+    detail::CopyOut(state_->curr, b.curr);
+    detail::CopyOut(state_->curr_cost, b.curr_cost);
+    b.packed_best = *state_->packed_best.data();
   }
 
-  void Restore(const meta::EngineCheckpoint& checkpoint) override {
-    const auto* cp =
-        dynamic_cast<const ParallelSaSyncCheckpoint*>(&checkpoint);
-    if (cp == nullptr || cp->curr.size() != state_->curr.size()) {
-      throw std::invalid_argument("ParallelSaSyncEngine: foreign checkpoint");
-    }
-    detail::CopyIn(cp->curr, state_->curr);
-    detail::CopyIn(cp->curr_cost, state_->curr_cost);
-    *state_->packed_best.data() = cp->packed_best;
-    level_ = cp->next_level;
-    RestoreBookkeeping(*cp);
+  void LoadBuffers(const SyncBuffers& b) {
+    detail::CopyIn(b.curr, state_->curr);
+    detail::CopyIn(b.curr_cost, state_->curr_cost);
+    *state_->packed_best.data() = b.packed_best;
   }
 
-  /// The best broadcast state is tracked on the host, so there is nothing
-  /// to download.
-  GpuRunResult FinishGpu() override {
-    GpuRunResult result = result_;
-    result.device_seconds = ConsumedDevice();
-    result.wall_seconds = elapsed_;
-    return result;
+  /// The best broadcast state is tracked on the host, so a run with at
+  /// least one level downloads nothing.  A run stopped before its first
+  /// level reports the best initial state, downloaded like a real device
+  /// would (the costs, then the winning row).
+  void ReadBest(GpuRunResult& result) {
+    if (!result.best.empty()) return;
+    std::vector<Cost> costs(params_.config.ensemble());
+    state_->curr_cost.CopyToHost(std::span<Cost>(costs));
+    const auto winner = static_cast<std::uint32_t>(
+        std::min_element(costs.begin(), costs.end()) - costs.begin());
+    result.best_cost = costs[winner];
+    result.best =
+        detail::DownloadRow(state_->curr, state_->problem.n(), winner);
   }
 
  private:
   ParallelSaSyncParams params_;
   double t0_;
   std::unique_ptr<SaSyncDeviceState> state_;
-  std::uint32_t level_ = 0;  ///< next temperature level to run
 };
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <memory>
 
 #include "core/instance.hpp"
-#include "core/stop_token.hpp"
 #include "cudasim/device.hpp"
 #include "meta/engine.hpp"
 #include "meta/sa.hpp"  // NeighborhoodMode
@@ -26,8 +25,11 @@ namespace cdd::par {
 /// Parameters of the synchronous parallel SA.
 struct ParallelSaSyncParams {
   LaunchConfig config{};
-  std::uint32_t temperature_levels = 100;  ///< outer iterations t (Fig 8)
-  std::uint32_t chain_length = 10;         ///< Markov chain length M
+  /// Temperature levels (the outer iterations t of Fig 8), seed, trajectory
+  /// stride (sampling the best broadcast state) and StopToken (polled
+  /// between levels).
+  meta::SearchBudget budget{.iterations = 100};
+  std::uint32_t chain_length = 10;  ///< Markov chain length M
   double mu = 0.88;
   std::uint32_t pert = 4;
   meta::NeighborhoodMode neighborhood =
@@ -35,12 +37,9 @@ struct ParallelSaSyncParams {
   std::uint32_t shuffle_period = 10;
   double initial_temperature = 0.0;  ///< <= 0: Salamon rule
   std::uint64_t temp_samples = 5000;
-  std::uint64_t seed = 1;
   /// Record the ensemble's mean Hamming distance to the broadcast state at
   /// every temperature level into GpuRunResult::diversity.
   bool record_diversity = false;
-  /// Cooperative cancellation, polled between temperature levels.
-  StopToken stop{};
 };
 
 /// Runs the synchronous parallel SA.

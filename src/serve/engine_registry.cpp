@@ -1,6 +1,7 @@
 #include "serve/engine_registry.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -66,16 +67,34 @@ std::unique_ptr<meta::Engine> MakeEngineByName(std::string_view name,
                                                const Instance& instance,
                                                const EngineOptions& options);
 
+/// The search budget of an iterative engine whose Step unit is one
+/// iteration or generation of the request's budget.
+meta::SearchBudget Budget(const EngineOptions& options) {
+  return {.iterations = options.generations,
+          .seed = options.seed,
+          .trajectory_stride = options.trajectory_stride,
+          .stop = options.stop};
+}
+
+/// Step units per race round when neither the options nor
+/// CDD_RACE_SLICE pin one.
+constexpr std::uint64_t kDefaultRaceSlice = 64;
+
+/// The race slice CDD_RACE_SLICE pins, 0 when the variable is unset.
+/// Throws std::invalid_argument unless it is a positive decimal integer.
 std::uint64_t EnvRaceSlice() {
-  static const std::uint64_t value = [] {
-    const char* env = std::getenv("CDD_RACE_SLICE");
-    if (env == nullptr) return std::uint64_t{64};
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    return (end == env || *end != '\0' || parsed == 0)
-               ? std::uint64_t{64}
-               : static_cast<std::uint64_t>(parsed);
-  }();
+  const char* env = std::getenv("CDD_RACE_SLICE");
+  if (env == nullptr) return 0;
+  const std::string_view text(env);
+  std::uint64_t value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc{} || end != text.data() + text.size() ||
+      value == 0) {
+    throw std::invalid_argument(
+        "CDD_RACE_SLICE: expected a positive integer, got '" +
+        std::string(text) + "'");
+  }
   return value;
 }
 
@@ -123,8 +142,9 @@ std::unique_ptr<meta::Engine> MakeRace(const Instance& instance,
   const std::vector<std::string> names =
       ResolvePortfolio(instance, options);
   portfolio::RaceParams params;
-  params.slice =
-      options.race_slice != 0 ? options.race_slice : EnvRaceSlice();
+  params.slice = options.race_slice != 0 ? options.race_slice
+                                         : EnvRaceSlice();
+  if (params.slice == 0) params.slice = kDefaultRaceSlice;
   params.features = portfolio::ComputeFeatures(instance);
   std::vector<portfolio::RaceContender> contenders;
   contenders.reserve(names.size());
@@ -152,40 +172,28 @@ std::unique_ptr<meta::Engine> MakeEngineByName(std::string_view name,
   RequireEngineSupports(name, instance);
   if (name == "sa") {
     meta::SaParams params;
-    params.iterations = options.generations;
-    params.seed = options.seed;
-    params.trajectory_stride = options.trajectory_stride;
-    params.stop = options.stop;
+    params.budget = Budget(options);
     params.pool = options.pool;
     return meta::MakeSaEngine(
         meta::SequenceObjective::ForInstance(instance), params);
   }
   if (name == "dpso") {
     meta::DpsoParams params;
-    params.iterations = options.generations;
-    params.seed = options.seed;
-    params.trajectory_stride = options.trajectory_stride;
-    params.stop = options.stop;
+    params.budget = Budget(options);
     params.pool = options.pool;
     return meta::MakeDpsoEngine(
         meta::SequenceObjective::ForInstance(instance), params);
   }
   if (name == "ta") {
     meta::TaParams params;
-    params.iterations = options.generations;
-    params.seed = options.seed;
-    params.trajectory_stride = options.trajectory_stride;
-    params.stop = options.stop;
+    params.budget = Budget(options);
     params.pool = options.pool;
     return meta::MakeTaEngine(
         meta::SequenceObjective::ForInstance(instance), params);
   }
   if (name == "es") {
     meta::EsParams params;
-    params.generations = options.generations;
-    params.seed = options.seed;
-    params.trajectory_stride = options.trajectory_stride;
-    params.stop = options.stop;
+    params.budget = Budget(options);
     params.pool = options.pool;
     return meta::MakeEsEngine(
         meta::SequenceObjective::ForInstance(instance), params);
@@ -194,9 +202,10 @@ std::unique_ptr<meta::Engine> MakeEngineByName(std::string_view name,
     meta::HostEnsembleParams params;
     params.chains = options.chains;
     params.threads = options.threads;
-    params.chain.iterations = options.generations;
-    params.chain.seed = options.seed;
-    params.chain.stop = options.stop;
+    // The ensemble reports no trajectory, so its chains sample none.
+    params.chain.budget = {.iterations = options.generations,
+                           .seed = options.seed,
+                           .stop = options.stop};
     return meta::MakeHostEnsembleEngine(
         meta::SequenceObjective::ForInstance(instance), params);
   }
@@ -219,11 +228,8 @@ std::unique_ptr<meta::Engine> MakeEngineByName(std::string_view name,
       par::ParallelSaParams params;
       params.config = par::LaunchConfig::ForEnsemble(options.ensemble,
                                                      options.block);
-      params.generations = options.generations;
-      params.seed = options.seed;
+      params.budget = Budget(options);
       params.vshape_init = options.vshape_init;
-      params.trajectory_stride = options.trajectory_stride;
-      params.stop = options.stop;
       return par::MakeParallelSaEngine(device, instance, params);
     });
   }
@@ -232,11 +238,8 @@ std::unique_ptr<meta::Engine> MakeEngineByName(std::string_view name,
       par::ParallelDpsoParams params;
       params.config = par::LaunchConfig::ForEnsemble(options.ensemble,
                                                      options.block);
-      params.generations = options.generations;
-      params.seed = options.seed;
+      params.budget = Budget(options);
       params.vshape_init = options.vshape_init;
-      params.trajectory_stride = options.trajectory_stride;
-      params.stop = options.stop;
       return par::MakeParallelDpsoEngine(device, instance, params);
     });
   }
@@ -246,12 +249,12 @@ std::unique_ptr<meta::Engine> MakeEngineByName(std::string_view name,
       params.config = par::LaunchConfig::ForEnsemble(options.ensemble,
                                                      options.block);
       // The generation budget counts single SA steps; the synchronous
-      // variant spends them M (=chain_length) at a time per level.
-      params.temperature_levels = static_cast<std::uint32_t>(
-          std::max<std::uint64_t>(1, options.generations /
-                                         params.chain_length));
-      params.seed = options.seed;
-      params.stop = options.stop;
+      // variant spends them M (=chain_length) at a time per level.  Its
+      // registry runs report no trajectory, as they always have.
+      params.budget = {.iterations = std::max<std::uint64_t>(
+                           1, options.generations / params.chain_length),
+                       .seed = options.seed,
+                       .stop = options.stop};
       return par::MakeParallelSaSyncEngine(device, instance, params);
     });
   }
@@ -306,12 +309,14 @@ bool RacePortfolioPinned(const EngineOptions& options) {
          std::getenv("CDD_RACE_PORTFOLIO") != nullptr;
 }
 
-void MaterializeRacePortfolio(EngineOptions& options) {
-  if (!options.portfolio.empty()) return;
-  if (const char* env = std::getenv("CDD_RACE_PORTFOLIO");
-      env != nullptr) {
-    options.portfolio = env;
+void MaterializeRaceOptions(EngineOptions& options) {
+  if (options.portfolio.empty()) {
+    if (const char* env = std::getenv("CDD_RACE_PORTFOLIO");
+        env != nullptr) {
+      options.portfolio = env;
+    }
   }
+  if (options.race_slice == 0) options.race_slice = EnvRaceSlice();
 }
 
 std::size_t PoolCapacityHint(std::string_view name) {

@@ -76,8 +76,9 @@ struct EngineOptions {
   /// RacePortfolioPinned).  Result-determining, hashed by CacheKey.
   std::string portfolio;
   /// "race" only: Step units each live contender advances per scheduling
-  /// round (0 defers to CDD_RACE_SLICE, then 64).  Result-determining —
-  /// the kill schedule depends on it — so CacheKey hashes it.
+  /// round (0 defers to CDD_RACE_SLICE, then 64; a malformed or zero
+  /// variable is an error).  Result-determining — the kill schedule
+  /// depends on it — so CacheKey hashes it.
   std::uint64_t race_slice = 0;
 };
 
@@ -88,11 +89,14 @@ struct EngineOptions {
 bool RacePortfolioPinned(const EngineOptions& options);
 
 /// Copies CDD_RACE_PORTFOLIO into `options.portfolio` when the latter is
-/// empty.  The front doors (CLI, service Submit) call this for "race"
-/// requests so that cache keys and manifest records carry the *effective*
-/// contender list — an env-pinned race must replay identically in a
-/// process where the variable is no longer set.
-void MaterializeRacePortfolio(EngineOptions& options);
+/// empty, and CDD_RACE_SLICE into `options.race_slice` when that is 0.
+/// The front doors (CLI, service Submit) call this for "race" requests so
+/// that cache keys and manifest records carry the *effective* contender
+/// list and slice — an env-pinned race must replay identically in a
+/// process where the variables are no longer set.  With neither variable
+/// set the options stay untouched.  Throws std::invalid_argument when
+/// CDD_RACE_SLICE is not a positive integer.
+void MaterializeRaceOptions(EngineOptions& options);
 
 /// True when the named engine can solve \p instance's problem variant.
 /// Single-machine total-penalty instances are supported by every engine.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 #include <optional>
 #include <string>
 #include <utility>
@@ -190,11 +191,19 @@ std::future<SolveResponse> SolverService::Submit(SolveRequest request,
     return answer(std::move(response));
   }
 
-  // Race requests bake the effective (env-pinned) contender list into
-  // the options here, so the cache key, the run and the manifest record
-  // all agree — and the record stays replayable without the variable.
+  // Race requests bake the effective (env-pinned) contender list and
+  // slice into the options here, so the cache key, the run and the
+  // manifest record all agree — and the record stays replayable without
+  // the variables.
   if (request.engine == "race") {
-    MaterializeRacePortfolio(request.options);
+    try {
+      MaterializeRaceOptions(request.options);
+    } catch (const std::invalid_argument& e) {
+      failed_->Increment();
+      response.status = SolveStatus::kFailed;
+      response.error = e.what();
+      return answer(std::move(response));
+    }
   }
 
   const std::uint64_t key = CacheKey(request);

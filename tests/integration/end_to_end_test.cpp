@@ -56,26 +56,26 @@ TEST(EndToEnd, AllSolversAgreeOnTinyOptimum) {
   const meta::Objective objective = meta::Objective::ForInstance(instance);
 
   meta::SaParams sa;
-  sa.iterations = 5000;
+  sa.budget.iterations = 5000;
   sa.temp_samples = 500;
   EXPECT_EQ(meta::RunSerialSa(objective, sa).best_cost, optimum);
 
   meta::HostEnsembleParams host;
   host.chains = 16;
-  host.chain.iterations = 500;
+  host.chain.budget.iterations = 500;
   host.chain.temp_samples = 200;
   EXPECT_EQ(meta::RunHostEnsembleSa(objective, host).best_cost, optimum);
 
   sim::Device gpu;
   par::ParallelSaParams psa;
   psa.config = par::LaunchConfig::ForEnsemble(32, 16);
-  psa.generations = 400;
+  psa.budget.iterations = 400;
   psa.temp_samples = 200;
   EXPECT_EQ(par::RunParallelSa(gpu, instance, psa).best_cost, optimum);
 
   par::ParallelDpsoParams pdpso;
   pdpso.config = psa.config;
-  pdpso.generations = 400;
+  pdpso.budget.iterations = 400;
   EXPECT_EQ(par::RunParallelDpso(gpu, instance, pdpso).best_cost, optimum);
 }
 
@@ -94,7 +94,7 @@ TEST(EndToEnd, SchFileRoundTripSolvesIdentically) {
   sim::Device gpu;
   par::ParallelSaParams params;
   params.config = par::LaunchConfig::ForEnsemble(16, 16);
-  params.generations = 100;
+  params.budget.iterations = 100;
   params.temp_samples = 200;
   const Cost a = par::RunParallelSa(gpu, direct, params).best_cost;
   const Cost b = par::RunParallelSa(gpu, loaded, params).best_cost;
@@ -112,11 +112,11 @@ TEST(EndToEnd, RegistryTracksImprovementsAcrossBudgets) {
   params.config = par::LaunchConfig::ForEnsemble(32, 16);
   params.temp_samples = 200;
 
-  params.generations = 30;
+  params.budget.iterations = 30;
   const Cost weak = par::RunParallelSa(gpu, instance, params).best_cost;
   registry.Update(key, weak);
 
-  params.generations = 600;
+  params.budget.iterations = 600;
   const Cost strong = par::RunParallelSa(gpu, instance, params).best_cost;
   registry.Update(key, strong);
 
@@ -138,7 +138,7 @@ TEST(EndToEnd, UcddcpPipelineRespectsCompressionEconomics) {
   sim::Device gpu;
   par::ParallelSaParams params;
   params.config = par::LaunchConfig::ForEnsemble(32, 16);
-  params.generations = 300;
+  params.budget.iterations = 300;
   params.temp_samples = 200;
 
   const par::GpuRunResult flexible =
@@ -161,7 +161,7 @@ TEST(EndToEnd, ProfilerAccountsTheWholePipeline) {
   sim::Device gpu;
   par::ParallelSaParams params;
   params.config = par::LaunchConfig::ForEnsemble(16, 16);
-  params.generations = 10;
+  params.budget.iterations = 10;
   params.temp_samples = 100;
   par::RunParallelSa(gpu, instance, params);
 

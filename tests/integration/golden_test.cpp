@@ -55,9 +55,9 @@ TEST(Golden, BenchmarkGeneratorFingerprint) {
 
 TEST(Golden, SerialSaSeed42) {
   meta::SaParams params;
-  params.iterations = 2000;
+  params.budget.iterations = 2000;
   params.temp_samples = 500;
-  params.seed = 42;
+  params.budget.seed = 42;
   EXPECT_EQ(meta::RunSerialSa(meta::Objective::ForInstance(Cdd50()),
                               params)
                 .best_cost,
@@ -70,9 +70,9 @@ TEST(Golden, SerialSaSeed42) {
 
 TEST(Golden, SerialDpsoSeed42) {
   meta::DpsoParams params;
-  params.iterations = 300;
+  params.budget.iterations = 300;
   params.swarm = 32;
-  params.seed = 42;
+  params.budget.seed = 42;
   EXPECT_EQ(meta::RunSerialDpso(meta::Objective::ForInstance(Cdd50()),
                                 params)
                 .best_cost,
@@ -82,9 +82,9 @@ TEST(Golden, SerialDpsoSeed42) {
 TEST(Golden, ParallelSaSeed42) {
   par::ParallelSaParams params;
   params.config = par::LaunchConfig::ForEnsemble(64, 32);
-  params.generations = 400;
+  params.budget.iterations = 400;
   params.temp_samples = 500;
-  params.seed = 42;
+  params.budget.seed = 42;
   {
     sim::Device gpu;
     EXPECT_EQ(par::RunParallelSa(gpu, Cdd50(), params).best_cost, 18559);
@@ -98,8 +98,8 @@ TEST(Golden, ParallelSaSeed42) {
 TEST(Golden, ParallelDpsoSeed42) {
   par::ParallelDpsoParams params;
   params.config = par::LaunchConfig::ForEnsemble(64, 32);
-  params.generations = 400;
-  params.seed = 42;
+  params.budget.iterations = 400;
+  params.budget.seed = 42;
   sim::Device gpu;
   EXPECT_EQ(par::RunParallelDpso(gpu, Cdd50(), params).best_cost, 17090);
 }

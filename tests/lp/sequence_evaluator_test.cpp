@@ -121,7 +121,7 @@ TEST(LpSequenceEvaluator, DrivesMetaheuristicsOnTheRestrictedProblem) {
                std::invalid_argument);
   const meta::Objective objective = MakeLpObjective(instance);
   meta::SaParams params;
-  params.iterations = 150;
+  params.budget.iterations = 150;
   params.temp_samples = 30;
   const meta::RunResult result = meta::RunSerialSa(objective, params);
   EXPECT_LT(result.best_cost, kInfiniteCost);

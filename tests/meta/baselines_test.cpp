@@ -16,7 +16,7 @@ TEST(ThresholdAccepting, FindsOptimumOnTinyInstance) {
   const Cost optimum = BruteForceCdd(instance).cost;
   const Objective objective = Objective::ForInstance(instance);
   TaParams params;
-  params.iterations = 4000;
+  params.budget.iterations = 4000;
   params.temp_samples = 300;
   const RunResult result = RunThresholdAccepting(objective, params);
   EXPECT_EQ(result.best_cost, optimum);
@@ -26,9 +26,9 @@ TEST(ThresholdAccepting, DeterministicPerSeed) {
   const Instance instance = cdd::testing::RandomCdd(18, 0.4, 62);
   const Objective objective = Objective::ForInstance(instance);
   TaParams params;
-  params.iterations = 400;
+  params.budget.iterations = 400;
   params.temp_samples = 100;
-  params.seed = 13;
+  params.budget.seed = 13;
   EXPECT_EQ(RunThresholdAccepting(objective, params).best_cost,
             RunThresholdAccepting(objective, params).best_cost);
 }
@@ -40,7 +40,7 @@ TEST(ThresholdAccepting, AcceptsSidewaysButConverges) {
   const Instance instance = cdd::testing::RandomUcddcp(10, 1.1, 63);
   const Objective objective = Objective::ForInstance(instance);
   TaParams params;
-  params.iterations = 1000;
+  params.budget.iterations = 1000;
   params.temp_samples = 200;
   const RunResult result = RunThresholdAccepting(objective, params);
   EXPECT_EQ(objective(result.best), result.best_cost);
@@ -51,7 +51,7 @@ TEST(EvolutionStrategy, FindsOptimumOnTinyInstance) {
   const Cost optimum = BruteForceCdd(instance).cost;
   const Objective objective = Objective::ForInstance(instance);
   EsParams params;
-  params.generations = 150;
+  params.budget.iterations = 150;
   params.mu = 8;
   params.lambda = 24;
   const RunResult result = RunEvolutionStrategy(objective, params);
@@ -62,8 +62,8 @@ TEST(EvolutionStrategy, ElitismNeverRegresses) {
   const Instance instance = cdd::testing::RandomCdd(20, 0.6, 65);
   const Objective objective = Objective::ForInstance(instance);
   EsParams params;
-  params.generations = 60;
-  params.trajectory_stride = 1;
+  params.budget.iterations = 60;
+  params.budget.trajectory_stride = 1;
   const RunResult result = RunEvolutionStrategy(objective, params);
   ASSERT_EQ(result.trajectory.size(), 60u);
   for (std::size_t g = 1; g < result.trajectory.size(); ++g) {
@@ -75,7 +75,7 @@ TEST(EvolutionStrategy, EvaluationAccounting) {
   const Instance instance = cdd::testing::RandomCdd(10, 0.5, 66);
   const Objective objective = Objective::ForInstance(instance);
   EsParams params;
-  params.generations = 5;
+  params.budget.iterations = 5;
   params.mu = 4;
   params.lambda = 12;
   const RunResult result = RunEvolutionStrategy(objective, params);

@@ -75,9 +75,9 @@ TEST(SerialDpso, FindsOptimumOnTinyInstance) {
   const Cost optimum = BruteForceCdd(instance).cost;
   const Objective objective = Objective::ForInstance(instance);
   DpsoParams params;
-  params.iterations = 200;
+  params.budget.iterations = 200;
   params.swarm = 24;
-  params.seed = 5;
+  params.budget.seed = 5;
   const RunResult result = RunSerialDpso(objective, params);
   EXPECT_EQ(result.best_cost, optimum);
 }
@@ -86,9 +86,9 @@ TEST(SerialDpso, DeterministicPerSeed) {
   const Instance instance = cdd::testing::RandomCdd(15, 0.6, 23);
   const Objective objective = Objective::ForInstance(instance);
   DpsoParams params;
-  params.iterations = 100;
+  params.budget.iterations = 100;
   params.swarm = 16;
-  params.seed = 9;
+  params.budget.seed = 9;
   EXPECT_EQ(RunSerialDpso(objective, params).best_cost,
             RunSerialDpso(objective, params).best_cost);
 }
@@ -97,7 +97,7 @@ TEST(SerialDpso, EvaluationAccounting) {
   const Instance instance = cdd::testing::RandomCdd(10, 0.5, 2);
   const Objective objective = Objective::ForInstance(instance);
   DpsoParams params;
-  params.iterations = 10;
+  params.budget.iterations = 10;
   params.swarm = 8;
   const RunResult result = RunSerialDpso(objective, params);
   EXPECT_EQ(result.evaluations, 8u + 8u * 10u);
@@ -107,7 +107,7 @@ TEST(SerialDpso, BestIsValidAndAchievesReportedCost) {
   const Instance instance = cdd::testing::RandomUcddcp(12, 1.1, 4);
   const Objective objective = Objective::ForInstance(instance);
   DpsoParams params;
-  params.iterations = 50;
+  params.budget.iterations = 50;
   params.swarm = 16;
   const RunResult result = RunSerialDpso(objective, params);
   EXPECT_NO_THROW(ValidateSequence(result.best, 12));

@@ -6,6 +6,8 @@
 ///     best cost, sequence, evaluation count, trajectory, modeled time.
 ///   * Checkpoint/Restore: speculative Steps after a Checkpoint() leave no
 ///     trace once Restore() rewinds them.
+///   * A pre-stopped StopToken ends the run at once (kStopped, nothing
+///     left to run) with a valid best-so-far sequence.
 ///   * Foreign checkpoints are rejected with std::invalid_argument.
 ///   * The device engines refuse an ensemble whose thread ids overflow the
 ///     packed reduction key, before touching the device.
@@ -21,6 +23,8 @@
 #include <vector>
 
 #include "common/test_instances.hpp"
+#include "core/sequence.hpp"
+#include "core/stop_token.hpp"
 #include "cudasim/device.hpp"
 #include "meta/engine.hpp"
 #include "parallel/parallel_dpso.hpp"
@@ -135,6 +139,30 @@ TEST(EngineLifecycle, FinishIsIdempotent) {
   }
 }
 
+TEST(EngineLifecycle, PreStoppedTokenReturnsAValidBest) {
+  // Every engine has evaluated its initial state(s) by the time Step sees
+  // the stop, so it must report one of them: psa-sync, stopped before its
+  // first temperature level, reports the best initial ensemble member.
+  StopSource source;
+  source.RequestStop();
+  for (const std::string name : kEngines) {
+    EngineOptions options = SmallOptions(name);
+    options.generations = 2'000'000;  // would take far too long if honored
+    options.stop = source.token();
+    const Instance instance = TestInstance(name);
+    auto engine =
+        (*EngineRegistry::Default().FindFactory(name))(instance, options);
+    EXPECT_EQ(engine->Step(meta::kStepAll), meta::StepStatus::kStopped)
+        << name;
+    EXPECT_EQ(engine->Remaining(), 0u) << name;
+    const meta::EngineOutput run = engine->Finish();
+    EXPECT_TRUE(run.result.stopped) << name;
+    EXPECT_NO_THROW(ValidateSequence(run.result.best, instance.size()))
+        << name;
+    EXPECT_LT(run.result.evaluations, options.generations) << name;
+  }
+}
+
 TEST(EngineLifecycle, ForeignCheckpointIsRejected) {
   auto sa = MakeEngine("sa");
   auto ta = MakeEngine("ta");
@@ -154,17 +182,17 @@ TEST(EngineLifecycle, DeviceEnginesRejectEnsemblesPastPackedKeyCapacity) {
 
   par::ParallelSaParams sa;
   sa.config = config;
-  sa.generations = 0;
+  sa.budget.iterations = 0;
   EXPECT_THROW(par::MakeParallelSaEngine(gpu, instance, sa),
                std::invalid_argument);
   par::ParallelDpsoParams dpso;
   dpso.config = config;
-  dpso.generations = 0;
+  dpso.budget.iterations = 0;
   EXPECT_THROW(par::MakeParallelDpsoEngine(gpu, instance, dpso),
                std::invalid_argument);
   par::ParallelSaSyncParams sync;
   sync.config = config;
-  sync.temperature_levels = 0;
+  sync.budget.iterations = 0;
   EXPECT_THROW(par::MakeParallelSaSyncEngine(gpu, instance, sync),
                std::invalid_argument);
 

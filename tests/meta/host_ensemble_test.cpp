@@ -16,7 +16,7 @@ TEST(HostEnsemble, FindsOptimumOnTinyInstance) {
   const Objective objective = Objective::ForInstance(instance);
   HostEnsembleParams params;
   params.chains = 16;
-  params.chain.iterations = 400;
+  params.chain.budget.iterations = 400;
   params.chain.temp_samples = 200;
   const RunResult result = RunHostEnsembleSa(objective, params);
   EXPECT_EQ(result.best_cost, optimum);
@@ -27,7 +27,7 @@ TEST(HostEnsemble, ThreadCountInvariant) {
   const Objective objective = Objective::ForInstance(instance);
   HostEnsembleParams params;
   params.chains = 12;
-  params.chain.iterations = 300;
+  params.chain.budget.iterations = 300;
   params.chain.temp_samples = 200;
   params.threads = 1;
   const RunResult serial = RunHostEnsembleSa(objective, params);
@@ -48,7 +48,7 @@ TEST(HostEnsemble, ThreadCountInvariantAcrossWideSweep) {
   const Objective objective = Objective::ForInstance(instance);
   HostEnsembleParams params;
   params.chains = 10;
-  params.chain.iterations = 250;
+  params.chain.budget.iterations = 250;
   params.chain.temp_samples = 150;
 
   params.threads = 1;
@@ -68,7 +68,7 @@ TEST(HostEnsemble, MoreChainsNeverHurt) {
   const Instance instance = cdd::testing::RandomCdd(15, 0.5, 603);
   const Objective objective = Objective::ForInstance(instance);
   HostEnsembleParams params;
-  params.chain.iterations = 200;
+  params.chain.budget.iterations = 200;
   params.chain.temp_samples = 200;
   params.chains = 4;
   const Cost few = RunHostEnsembleSa(objective, params).best_cost;
@@ -82,7 +82,7 @@ TEST(HostEnsemble, EvaluationAccounting) {
   const Objective objective = Objective::ForInstance(instance);
   HostEnsembleParams params;
   params.chains = 8;
-  params.chain.iterations = 100;
+  params.chain.budget.iterations = 100;
   params.chain.temp_samples = 100;
   const RunResult result = RunHostEnsembleSa(objective, params);
   EXPECT_EQ(result.evaluations, 8u * 101u);

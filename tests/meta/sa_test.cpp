@@ -19,9 +19,9 @@ TEST(SerialSa, FindsOptimumOnTinyInstance) {
   const Cost optimum = BruteForceCdd(instance).cost;
   const Objective objective = Objective::ForInstance(instance);
   SaParams params;
-  params.iterations = 4000;
+  params.budget.iterations = 4000;
   params.temp_samples = 500;
-  params.seed = 3;
+  params.budget.seed = 3;
   const RunResult result = RunSerialSa(objective, params);
   EXPECT_EQ(result.best_cost, optimum);
   EXPECT_NO_THROW(ValidateSequence(result.best, 6));
@@ -31,14 +31,14 @@ TEST(SerialSa, DeterministicPerSeed) {
   const Instance instance = cdd::testing::RandomCdd(20, 0.6, 22);
   const Objective objective = Objective::ForInstance(instance);
   SaParams params;
-  params.iterations = 500;
+  params.budget.iterations = 500;
   params.temp_samples = 100;
-  params.seed = 77;
+  params.budget.seed = 77;
   const RunResult a = RunSerialSa(objective, params);
   const RunResult b = RunSerialSa(objective, params);
   EXPECT_EQ(a.best_cost, b.best_cost);
   EXPECT_EQ(a.best, b.best);
-  params.seed = 78;
+  params.budget.seed = 78;
   const RunResult c = RunSerialSa(objective, params);
   // Different seeds explore differently (almost surely different result
   // sequence; allow equal cost).
@@ -49,7 +49,7 @@ TEST(SerialSa, ReportsEvaluationsAndTime) {
   const Instance instance = cdd::testing::RandomCdd(15, 0.4, 5);
   const Objective objective = Objective::ForInstance(instance);
   SaParams params;
-  params.iterations = 300;
+  params.budget.iterations = 300;
   params.temp_samples = 100;
   const RunResult result = RunSerialSa(objective, params);
   EXPECT_EQ(result.evaluations, 301u);  // initial + one per iteration
@@ -60,9 +60,9 @@ TEST(SerialSa, TrajectoryIsMonotoneNonIncreasing) {
   const Instance instance = cdd::testing::RandomCdd(30, 0.6, 8);
   const Objective objective = Objective::ForInstance(instance);
   SaParams params;
-  params.iterations = 1000;
+  params.budget.iterations = 1000;
   params.temp_samples = 200;
-  params.trajectory_stride = 50;
+  params.budget.trajectory_stride = 50;
   const RunResult result = RunSerialSa(objective, params);
   ASSERT_EQ(result.trajectory.size(), 20u);
   for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
@@ -74,7 +74,7 @@ TEST(SerialSa, InitialSequenceSeedsTheChain) {
   const Instance instance = cdd::testing::RandomCdd(10, 0.5, 99);
   const Objective objective = Objective::ForInstance(instance);
   SaParams params;
-  params.iterations = 0;  // no moves: the result is the initial state
+  params.budget.iterations = 0;  // no moves: the result is the initial state
   params.initial_temperature = 1.0;
   const Sequence init = cdd::testing::RandomSeq(10, 123);
   const RunResult result = RunSerialSa(objective, params, init);
@@ -87,7 +87,7 @@ TEST(SerialSa, WorksOnUcddcp) {
   const Cost optimum = BruteForceUcddcp(instance).cost;
   const Objective objective = Objective::ForInstance(instance);
   SaParams params;
-  params.iterations = 6000;
+  params.budget.iterations = 6000;
   params.temp_samples = 500;
   const RunResult result = RunSerialSa(objective, params);
   EXPECT_GE(result.best_cost, optimum);
@@ -99,16 +99,16 @@ TEST(SerialSa, StopTokenTruncatesTheRun) {
   const Instance instance = cdd::testing::RandomCdd(30, 0.6, 71);
   const Objective objective = Objective::ForInstance(instance);
   SaParams params;
-  params.iterations = 100'000'000;  // far beyond what we let it run
+  params.budget.iterations = 100'000'000;  // far beyond what we let it run
   params.temp_samples = 100;
 
   StopSource source;
   source.RequestStop();  // already stopped: the loop must bail at its
                          // first poll, not after the full budget
-  params.stop = source.token();
+  params.budget.stop = source.token();
   const RunResult result = RunSerialSa(objective, params);
   EXPECT_TRUE(result.stopped);
-  EXPECT_LT(result.evaluations, params.iterations);
+  EXPECT_LT(result.evaluations, params.budget.iterations);
   // Even a truncated run returns a coherent best-so-far.
   EXPECT_NO_THROW(ValidateSequence(result.best, 30));
   EXPECT_EQ(result.best_cost, objective(result.best));
@@ -118,12 +118,12 @@ TEST(SerialSa, DeadlineStopsALongRunEarly) {
   const Instance instance = cdd::testing::RandomCdd(40, 0.6, 72);
   const Objective objective = Objective::ForInstance(instance);
   SaParams params;
-  params.iterations = 500'000'000;  // would run for minutes
+  params.budget.iterations = 500'000'000;  // would run for minutes
   params.temp_samples = 100;
 
   StopSource source(StopSource::Clock::now() +
                     std::chrono::milliseconds(50));
-  params.stop = source.token();
+  params.budget.stop = source.token();
   const auto t0 = std::chrono::steady_clock::now();
   const RunResult result = RunSerialSa(objective, params);
   const double wall_ms =
@@ -131,7 +131,7 @@ TEST(SerialSa, DeadlineStopsALongRunEarly) {
           std::chrono::steady_clock::now() - t0)
           .count();
   EXPECT_TRUE(result.stopped);
-  EXPECT_LT(result.evaluations, params.iterations);
+  EXPECT_LT(result.evaluations, params.budget.iterations);
   // The deadline, not the budget, ended the run (generous CI margin).
   EXPECT_LT(wall_ms, 5000.0);
 }
@@ -142,13 +142,13 @@ TEST(SerialSa, UnstoppedRunIsBitIdenticalWithAndWithoutToken) {
   const Instance instance = cdd::testing::RandomCdd(20, 0.5, 73);
   const Objective objective = Objective::ForInstance(instance);
   SaParams params;
-  params.iterations = 800;
+  params.budget.iterations = 800;
   params.temp_samples = 100;
-  params.seed = 5;
+  params.budget.seed = 5;
   const RunResult bare = RunSerialSa(objective, params);
 
   StopSource source;  // never stopped, no deadline
-  params.stop = source.token();
+  params.budget.stop = source.token();
   const RunResult tokened = RunSerialSa(objective, params);
   EXPECT_FALSE(tokened.stopped);
   EXPECT_EQ(bare.best, tokened.best);

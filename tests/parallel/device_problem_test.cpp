@@ -73,7 +73,7 @@ TEST(FitnessMemoryPolicy, AllThreePathsComputeIdenticalCosts) {
     sim::Device gpu;
     ParallelSaParams params;
     params.config = LaunchConfig::ForEnsemble(32, 16);
-    params.generations = 80;
+    params.budget.iterations = 80;
     params.temp_samples = 100;
     params.penalty_memory = kinds[k];
     const GpuRunResult result = RunParallelSa(gpu, instance, params);
@@ -93,7 +93,7 @@ TEST(FitnessMemoryPolicy, SharedFallsBackForOversizedInstances) {
   sim::Device gpu;
   ParallelSaParams params;
   params.config = LaunchConfig::ForEnsemble(8, 8);
-  params.generations = 3;
+  params.budget.iterations = 3;
   params.temp_samples = 20;
   const GpuRunResult result = RunParallelSa(gpu, instance, params);
   const meta::Objective objective = meta::Objective::ForInstance(instance);

@@ -13,9 +13,9 @@ namespace {
 ParallelSaParams SmallParams() {
   ParallelSaParams p;
   p.config = LaunchConfig::ForEnsemble(16, 16);
-  p.generations = 120;
+  p.budget.iterations = 120;
   p.temp_samples = 100;
-  p.seed = 51;
+  p.budget.seed = 51;
   return p;
 }
 

@@ -16,8 +16,8 @@ ParallelDpsoParams SmallParams(std::uint32_t ensemble = 32,
                                std::uint64_t gens = 150) {
   ParallelDpsoParams p;
   p.config = LaunchConfig::ForEnsemble(ensemble, block);
-  p.generations = gens;
-  p.seed = 21;
+  p.budget.iterations = gens;
+  p.budget.seed = 21;
   return p;
 }
 
@@ -65,7 +65,7 @@ TEST(ParallelDpso, SwarmBestIsMonotonePerGeneration) {
   const Instance instance = cdd::testing::RandomCdd(18, 0.6, 405);
   sim::Device gpu;
   ParallelDpsoParams params = SmallParams(16, 16, 100);
-  params.trajectory_stride = 5;
+  params.budget.trajectory_stride = 5;
   const GpuRunResult result = RunParallelDpso(gpu, instance, params);
   ASSERT_EQ(result.trajectory.size(), 20u);
   for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
@@ -96,7 +96,7 @@ TEST(ParallelDpso, OperatorProbabilitiesZeroFreezeSwarm) {
   ParallelDpsoParams frozen = SmallParams(16, 16, 1);
   frozen.w = frozen.c1 = frozen.c2 = 0.0;
   ParallelDpsoParams longer = frozen;
-  longer.generations = 50;
+  longer.budget.iterations = 50;
   const GpuRunResult r1 = RunParallelDpso(d1, instance, frozen);
   const GpuRunResult r2 = RunParallelDpso(d2, instance, longer);
   EXPECT_EQ(r1.best_cost, r2.best_cost);

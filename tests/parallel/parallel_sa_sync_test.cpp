@@ -17,10 +17,10 @@ ParallelSaSyncParams SmallParams(std::uint32_t levels = 30,
                                  std::uint32_t chain = 5) {
   ParallelSaSyncParams p;
   p.config = LaunchConfig::ForEnsemble(32, 16);
-  p.temperature_levels = levels;
+  p.budget.iterations = levels;
   p.chain_length = chain;
   p.temp_samples = 200;
-  p.seed = 31;
+  p.budget.seed = 31;
   return p;
 }
 
@@ -86,9 +86,9 @@ TEST(ParallelSaSync, SyncPaysCommunicationOverheadPerLevel) {
 
   ParallelSaParams async_params;
   async_params.config = LaunchConfig::ForEnsemble(32, 16);
-  async_params.generations = 150;
+  async_params.budget.iterations = 150;
   async_params.temp_samples = 200;
-  async_params.seed = 31;
+  async_params.budget.seed = 31;
 
   ParallelSaSyncParams sync_params = SmallParams(150, 1);  // 150 evals
 

@@ -18,9 +18,9 @@ ParallelSaParams SmallParams(std::uint32_t ensemble = 32,
                              std::uint64_t gens = 200) {
   ParallelSaParams p;
   p.config = LaunchConfig::ForEnsemble(ensemble, block);
-  p.generations = gens;
+  p.budget.iterations = gens;
   p.temp_samples = 200;
-  p.seed = 11;
+  p.budget.seed = 11;
   return p;
 }
 
@@ -103,7 +103,7 @@ TEST(ParallelSa, TrajectoryIsMonotone) {
   const Instance instance = cdd::testing::RandomCdd(20, 0.6, 308);
   sim::Device gpu;
   ParallelSaParams params = SmallParams(16, 16, 200);
-  params.trajectory_stride = 10;
+  params.budget.trajectory_stride = 10;
   const GpuRunResult result = RunParallelSa(gpu, instance, params);
   ASSERT_EQ(result.trajectory.size(), 20u);
   for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
@@ -200,7 +200,7 @@ TEST(ParallelSa, PaperGeometryRunsOnGT560M) {
   sim::Device gpu(sim::GeForceGT560M());
   ParallelSaParams params;
   params.config = LaunchConfig{};  // the paper's 4 x 192
-  params.generations = 5;
+  params.budget.iterations = 5;
   params.temp_samples = 100;
   const GpuRunResult result = RunParallelSa(gpu, instance, params);
   EXPECT_LT(result.best_cost, kInfiniteCost);

@@ -1,10 +1,11 @@
-/// EngineRegistry: one factory per engine name, uniform options, stop
-/// tokens.
+/// EngineRegistry: one factory per engine name, uniform options, the
+/// race's environment knobs.
 
 #include "serve/engine_registry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -107,24 +108,35 @@ TEST(EngineRegistry, AdapterIsDeterministicPerSeed) {
   EXPECT_EQ(a.result.best_cost, b.result.best_cost);
 }
 
-TEST(EngineRegistry, StopTokenTruncatesARun) {
-  // A pre-stopped token must end the run far short of its budget while
-  // still returning a valid best-so-far sequence.
-  const Instance instance = cdd::testing::RandomCdd(30, 0.6, 31);
-  StopSource source;
-  source.RequestStop();
-
+TEST(EngineRegistry, EnvRaceSliceIsMaterializedIntoTheOptions) {
+  // The effective slice decides the kill schedule, so it must reach the
+  // cache key and the manifest record; with the variable unset the
+  // options (and so default races' manifests) stay untouched.
   EngineOptions options;
-  options.generations = 2'000'000;  // would take far too long if honored
-  options.stop = source.token();
+  options.portfolio = "sa,ta";
+  ::unsetenv("CDD_RACE_SLICE");
+  MaterializeRaceOptions(options);
+  EXPECT_EQ(options.race_slice, 0u);
+  ::setenv("CDD_RACE_SLICE", "7", 1);
+  MaterializeRaceOptions(options);
+  EXPECT_EQ(options.race_slice, 7u);
+  options.race_slice = 5;  // an explicit slice wins over the variable
+  MaterializeRaceOptions(options);
+  EXPECT_EQ(options.race_slice, 5u);
+  ::unsetenv("CDD_RACE_SLICE");
+}
 
-  for (const std::string& name : {std::string("sa"), std::string("ta"),
-                                  std::string("dpso"), std::string("es")}) {
-    const meta::EngineOutput run = Solve(name, instance, options);
-    EXPECT_TRUE(run.result.stopped) << name;
-    EXPECT_NO_THROW(ValidateSequence(run.result.best, 30)) << name;
-    EXPECT_LT(run.result.evaluations, options.generations) << name;
+TEST(EngineRegistry, MalformedEnvRaceSliceIsRejected) {
+  const Instance instance = cdd::testing::RandomCdd(12, 0.4, 23);
+  EngineOptions options;
+  options.generations = 50;
+  options.portfolio = "sa,ta";
+  for (const char* bad : {"abc", "0", "7x", "-3", " 7", ""}) {
+    ::setenv("CDD_RACE_SLICE", bad, 1);
+    EXPECT_THROW(Solve("race", instance, options), std::invalid_argument)
+        << "'" << bad << "'";
   }
+  ::unsetenv("CDD_RACE_SLICE");
 }
 
 }  // namespace

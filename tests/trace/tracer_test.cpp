@@ -212,10 +212,10 @@ TEST_F(TracerTest, TracingNeverPerturbsAnEngineRun) {
       orlib::BiskupFeldmannGenerator().Cdd(20, 0, 0.6);
   const meta::Objective objective = meta::Objective::ForInstance(instance);
   meta::SaParams params;
-  params.iterations = 400;
+  params.budget.iterations = 400;
   params.temp_samples = 200;
-  params.seed = 7;
-  params.trajectory_stride = 10;
+  params.budget.seed = 7;
+  params.budget.trajectory_stride = 10;
 
   SetEnabled(false);
   const meta::RunResult untraced = meta::RunSerialSa(objective, params);

@@ -194,9 +194,9 @@ int main(int argc, char** argv) {
     options.portfolio = args.GetString("portfolio", "");
     options.race_slice =
         static_cast<std::uint64_t>(args.GetInt("race-slice", 0));
-    // Bake an env-pinned contender list into the options so a recorded
-    // manifest stays replayable without CDD_RACE_PORTFOLIO set.
-    if (algo == "race") serve::MaterializeRacePortfolio(options);
+    // Bake an env-pinned contender list and slice into the options so a
+    // recorded manifest stays replayable without CDD_RACE_* set.
+    if (algo == "race") serve::MaterializeRaceOptions(options);
     options.device = &gpu;  // so --profile sees the kernel launches
 
     const std::string trajectory_file = args.GetString("trajectory", "");
