@@ -1,7 +1,5 @@
 #include "meta/dpso.hpp"
 
-#include <utility>
-
 #include "core/candidate_pool.hpp"
 #include "meta/ops.hpp"
 #include "meta/search_loop.hpp"
