@@ -1,8 +1,8 @@
 #include "core/cpu_features.hpp"
 
-#include <cstdlib>
 #include <string_view>
 
+#include "core/env_config.hpp"
 #include "core/eval_simd.hpp"
 
 namespace cdd::core {
@@ -23,18 +23,11 @@ CpuFeatures Detect() {
 }
 
 EvalBackend Resolve() {
-  const bool simd_runs = raw::SimdBatchAvailable();
-  if (const char* env = std::getenv("CDD_EVAL_BACKEND")) {
-    const std::string_view value(env);
-    if (value == "scalar") return EvalBackend::kScalar;
-    if (value == "simd") {
-      // Forcing SIMD on a host that cannot execute it would be a crash,
-      // not a preference; degrade to scalar (results are identical).
-      return simd_runs ? EvalBackend::kSimd : EvalBackend::kScalar;
-    }
-    // Unknown value: fall through to the automatic choice.
-  }
-  return simd_runs ? EvalBackend::kSimd : EvalBackend::kScalar;
+  const EvalBackend wanted =
+      ReadEnv(kEvalBackendEnv, ParseEvalBackend).value_or(EvalBackend::kSimd);
+  // Forcing SIMD on a host that cannot execute it would be a crash, not a
+  // preference; degrade to scalar (results are identical).
+  return raw::SimdBatchAvailable() ? wanted : EvalBackend::kScalar;
 }
 
 }  // namespace
@@ -46,6 +39,18 @@ const CpuFeatures& HostCpuFeatures() {
 
 std::string_view ToString(EvalBackend backend) {
   return backend == EvalBackend::kSimd ? "simd" : "scalar";
+}
+
+bool ParseEvalBackend(std::string_view name, EvalBackend* out) {
+  if (name == "scalar") {
+    *out = EvalBackend::kScalar;
+    return true;
+  }
+  if (name == "simd") {
+    *out = EvalBackend::kSimd;
+    return true;
+  }
+  return false;
 }
 
 EvalBackend ActiveEvalBackend() {

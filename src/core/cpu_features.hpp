@@ -12,7 +12,8 @@
 ///
 ///   1. the CDD_EVAL_BACKEND environment variable ("simd" | "scalar")
 ///      forces a backend, with "simd" silently degrading to scalar when the
-///      host cannot execute it (CI uses this to pin both paths), then
+///      host cannot execute it (CI uses this to pin both paths); any other
+///      value throws std::invalid_argument (core/env_config.hpp), then
 ///   2. the SIMD backend is picked whenever the binary carries it and the
 ///      host CPU supports it, else
 ///   3. the scalar batch walk.
@@ -48,8 +49,13 @@ enum class EvalBackend { kScalar, kSimd };
 /// Stable lower-case name ("scalar" | "simd"), for logs and benches.
 std::string_view ToString(EvalBackend backend);
 
+/// Parses a backend name; returns false (and leaves \p out untouched) on
+/// anything else.
+bool ParseEvalBackend(std::string_view name, EvalBackend* out);
+
 /// The backend every dispatching call site uses, resolved once per process
 /// (environment override first, then the CPU probe — see the file comment).
+/// Throws std::invalid_argument when CDD_EVAL_BACKEND is malformed.
 EvalBackend ActiveEvalBackend();
 
 }  // namespace cdd::core

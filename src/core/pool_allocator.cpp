@@ -1,9 +1,10 @@
 #include "core/pool_allocator.hpp"
 
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <new>
+
+#include "core/env_config.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -208,16 +209,6 @@ DeviceResidentAllocator& DeviceSingleton() {
   return allocator;
 }
 
-PoolBackend ResolveBackend() {
-  if (const char* env = std::getenv("CDD_POOL_BACKEND")) {
-    PoolBackend backend;
-    if (ParsePoolBackend(env, &backend)) return backend;
-    // Unknown value: fall through to the default rather than crash a
-    // service over a typo (same policy as CDD_EVAL_BACKEND).
-  }
-  return PoolBackend::kHost;
-}
-
 }  // namespace
 
 std::string_view ToString(PoolBackend backend) {
@@ -289,7 +280,8 @@ PoolAllocator& PoolAllocatorFor(PoolBackend backend) {
 }
 
 PoolBackend ActivePoolBackend() {
-  static const PoolBackend backend = ResolveBackend();
+  static const PoolBackend backend =
+      ReadEnv(kPoolBackendEnv, ParsePoolBackend).value_or(PoolBackend::kHost);
   return backend;
 }
 

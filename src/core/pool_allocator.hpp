@@ -117,7 +117,8 @@ class PoolAllocator {
 PoolAllocator& PoolAllocatorFor(PoolBackend backend);
 
 /// The backend every defaulted CandidatePool uses, resolved once per
-/// process: CDD_POOL_BACKEND when set to a known name, else kHost.
+/// process: CDD_POOL_BACKEND when set, else kHost.  Throws
+/// std::invalid_argument when the variable holds an unknown name.
 PoolBackend ActivePoolBackend();
 
 /// Shorthand for PoolAllocatorFor(ActivePoolBackend()).

@@ -1,34 +1,10 @@
 #include "cudasim/exec/backend.hpp"
 
-#include <cstdlib>
 #include <thread>
 
+#include "core/env_config.hpp"
+
 namespace cdd::sim::exec {
-
-namespace {
-
-ExecBackend Resolve() {
-  if (const char* env = std::getenv("CDD_EXEC_BACKEND")) {
-    ExecBackend parsed = ExecBackend::kSerial;
-    if (ParseExecBackend(env, &parsed)) return parsed;
-    // Unknown value: fall through to the default.  Execution placement
-    // never changes results, so degrading silently is safe — the run is
-    // merely slower, never wrong.
-  }
-  return ExecBackend::kSerial;
-}
-
-unsigned ResolveWorkers() {
-  if (const char* env = std::getenv("CDD_EXEC_WORKERS")) {
-    const long value = std::strtol(env, nullptr, 10);
-    if (value > 0) return static_cast<unsigned>(value);
-    // Zero, negative or garbage: fall through to the hardware count.
-  }
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware == 0 ? 1u : hardware;
-}
-
-}  // namespace
 
 std::string_view ToString(ExecBackend backend) {
   return backend == ExecBackend::kHostParallel ? "host-parallel" : "serial";
@@ -47,12 +23,21 @@ bool ParseExecBackend(std::string_view name, ExecBackend* out) {
 }
 
 ExecBackend ActiveExecBackend() {
-  static const ExecBackend backend = Resolve();
+  static const ExecBackend backend =
+      core::ReadEnv(core::kExecBackendEnv, ParseExecBackend)
+          .value_or(ExecBackend::kSerial);
   return backend;
 }
 
 unsigned ActiveExecWorkers() {
-  static const unsigned workers = ResolveWorkers();
+  static const unsigned workers = [] {
+    if (const std::optional<unsigned> env = core::ReadEnv(
+            core::kExecWorkersEnv, core::ParsePositive<unsigned>)) {
+      return *env;
+    }
+    const unsigned hardware = std::thread::hardware_concurrency();
+    return hardware == 0 ? 1u : hardware;
+  }();
   return workers;
 }
 

@@ -24,7 +24,7 @@
 /// Backend selection mirrors the cpu_features / pool_allocator idiom: the
 /// CDD_EXEC_BACKEND environment variable ("serial" | "host-parallel") is
 /// resolved exactly once per process into ActiveExecBackend(); unknown
-/// values fall back to kSerial.  serve::ServiceConfig::exec_backend and
+/// values throw std::invalid_argument (core/env_config.hpp).  serve::ServiceConfig::exec_backend and
 /// the --exec-backend CLI flags override the environment per service /
 /// per device (Device::set_exec_backend), and Device::set_worker_threads
 /// remains the per-device hard override the tests use.
@@ -48,12 +48,14 @@ std::string_view ToString(ExecBackend backend);
 bool ParseExecBackend(std::string_view name, ExecBackend* out);
 
 /// The backend every defaulted Device uses, resolved once per process:
-/// CDD_EXEC_BACKEND when set to a known name, else kSerial.
+/// CDD_EXEC_BACKEND when set, else kSerial.  Throws std::invalid_argument
+/// when the variable holds an unknown name.
 ExecBackend ActiveExecBackend();
 
 /// Worker cap for host-parallel execution, resolved once per process:
-/// CDD_EXEC_WORKERS when set to a positive integer, else the hardware
-/// concurrency (minimum 1).  This bounds the persistent pool's thread
+/// CDD_EXEC_WORKERS when set, else the hardware concurrency (minimum 1).
+/// Throws std::invalid_argument unless the variable is unset or a
+/// positive integer.  This bounds the persistent pool's thread
 /// count *and* the per-launch participation of a defaulted Device.
 unsigned ActiveExecWorkers();
 

@@ -1,15 +1,12 @@
 #include "cudasim/exec/host_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -19,78 +16,26 @@ namespace cdd::sim::exec {
 
 namespace {
 
-/// How block indices are handed to participants.  CDD_EXEC_CHUNK picks
-/// the policy per launch; the choice only moves block bodies between
-/// host threads, so kernel results and modeled time are unaffected.
-///
-///   * kDynamic (default, and any unknown value): one shared cursor,
-///     chunk = 1 — block bodies are orders of magnitude heavier than one
-///     fetch_add, and a single hot cacheline is fine at pool scale.
-///   * kStatic ("static"): pre-partitioned contiguous ranges claimed
-///     whole — no per-block atomics at all, but a participant stuck with
-///     a skewed range finishes alone.
-///   * kSteal ("steal"): contiguous per-participant ranges, owner claims
-///     from the front one block at a time; a participant whose range
-///     runs dry steals the back half of the richest remaining range into
-///     its own slot.  This is the fallback for skewed block costs: the
-///     long tail of an expensive range keeps getting split instead of
-///     serializing on its original owner.
-enum class ChunkMode { kDynamic, kStatic, kSteal };
-
-ChunkMode ChunkModeFromEnv() {
-  const char* value = std::getenv("CDD_EXEC_CHUNK");
-  if (value == nullptr) return ChunkMode::kDynamic;
-  const std::string_view mode(value);
-  if (mode == "static") return ChunkMode::kStatic;
-  if (mode == "steal") return ChunkMode::kSteal;
-  return ChunkMode::kDynamic;
-}
-
-/// A contiguous [begin, end) block range packed begin<<32|end, so that
-/// claiming one index off the front and stealing a half off the back are
-/// both single-word compare-exchanges against the same cell.
-constexpr std::uint64_t PackRange(std::uint64_t begin, std::uint64_t end) {
-  return (begin << 32) | end;
-}
-constexpr std::uint64_t RangeBegin(std::uint64_t range) {
-  return range >> 32;
-}
-constexpr std::uint64_t RangeEnd(std::uint64_t range) {
-  return range & 0xffffffffull;
-}
-
 /// One published ParallelFor call.  Lives on the caller's stack; the
 /// caller removes it from the active list before returning, so workers
 /// never hold a pointer past the call.
 struct LaunchJob {
   std::size_t blocks = 0;
   const std::function<void(std::size_t)>* fn = nullptr;
-  ChunkMode mode = ChunkMode::kDynamic;
 
-  /// Next block index to claim (kDynamic).
+  /// Next block index to claim.  One shared cursor, chunk = 1: block
+  /// bodies are orders of magnitude heavier than one fetch_add, a single
+  /// hot cacheline is fine at pool scale, and claiming one block at a
+  /// time already balances launches whose blocks differ in cost.
   std::atomic<std::size_t> next{0};
 
-  /// Shared per-ticket ranges (kStatic / kSteal): one contiguous slice
-  /// of [0, blocks) per potential participant.  next_ticket assigns each
-  /// participant its home slot.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> ranges;
-  std::size_t range_count = 0;
-  std::atomic<int> next_ticket{0};
-
   /// True while unclaimed blocks remain.  This is the join guard the
-  /// pool checks before a worker attaches: in every mode it can only go
-  /// false after the point at which the last participant to claim work
-  /// is still attached, so observing true under the registry mutex means
-  /// the frame is alive (see TryAcquireLocked).
+  /// pool checks before a worker attaches: it can only go false after
+  /// the point at which the last participant to claim work is still
+  /// attached, so observing true under the registry mutex means the
+  /// frame is alive (see TryAcquireLocked).
   bool HasWork() const {
-    if (mode == ChunkMode::kDynamic) {
-      return next.load(std::memory_order_relaxed) < blocks;
-    }
-    for (std::size_t t = 0; t < range_count; ++t) {
-      const std::uint64_t range = ranges[t].load(std::memory_order_relaxed);
-      if (RangeBegin(range) < RangeEnd(range)) return true;
-    }
-    return false;
+    return next.load(std::memory_order_relaxed) < blocks;
   }
   /// Threads currently inside RunChunks (the caller plus every pool
   /// worker that acquired a slot).  The launch is complete only when this
@@ -113,112 +58,25 @@ struct LaunchJob {
   bool completed = false;
 };
 
-/// Runs one claimed block index, with the shared failure protocol.
-void RunOne(LaunchJob& job, std::size_t b) {
-  if (job.failed.load(std::memory_order_relaxed)) return;
-  try {
-    (*job.fn)(b);
-  } catch (...) {
-    const std::scoped_lock lock(job.error_mutex);
-    // Keep the failure with the lowest block index so the rethrown
-    // exception is independent of worker timing.
-    if (b < job.first_error_block) {
-      job.first_error_block = b;
-      job.first_error = std::current_exception();
-    }
-    job.failed.store(true, std::memory_order_relaxed);
-  }
-}
-
-/// Pops the front index of \p range; false once it is empty.
-bool ClaimFront(std::atomic<std::uint64_t>& range, std::size_t* b) {
-  std::uint64_t cur = range.load(std::memory_order_relaxed);
-  for (;;) {
-    const std::uint64_t begin = RangeBegin(cur);
-    const std::uint64_t end = RangeEnd(cur);
-    if (begin >= end) return false;
-    if (range.compare_exchange_weak(cur, PackRange(begin + 1, end),
-                                    std::memory_order_relaxed)) {
-      *b = static_cast<std::size_t>(begin);
-      return true;
-    }
-  }
-}
-
-/// Moves the back half of the richest shared range into slot \p own.
-/// False only when a full scan found every range empty — the steal-mode
-/// termination condition.
-bool StealHalf(LaunchJob& job, std::size_t own) {
-  for (;;) {
-    std::size_t victim = own;
-    std::uint64_t victim_range = 0;
-    std::uint64_t best_remaining = 0;
-    for (std::size_t t = 0; t < job.range_count; ++t) {
-      if (t == own) continue;
-      const std::uint64_t range = job.ranges[t].load(std::memory_order_relaxed);
-      const std::uint64_t remaining = RangeEnd(range) - RangeBegin(range);
-      if (RangeBegin(range) < RangeEnd(range) && remaining > best_remaining) {
-        best_remaining = remaining;
-        victim = t;
-        victim_range = range;
-      }
-    }
-    if (best_remaining == 0) return false;
-    const std::uint64_t end = RangeEnd(victim_range);
-    const std::uint64_t take = (best_remaining + 1) / 2;
-    std::uint64_t expected = victim_range;
-    if (job.ranges[victim].compare_exchange_strong(
-            expected, PackRange(RangeBegin(victim_range), end - take),
-            std::memory_order_relaxed)) {
-      // The stolen half lands in the thief's own (empty) slot, so it
-      // stays visible to further thieves — a skewed tail keeps getting
-      // split instead of serializing on whoever stole it first.
-      job.ranges[own].store(PackRange(end - take, end),
-                            std::memory_order_relaxed);
-      return true;
-    }
-    // Lost the race against the victim's owner or another thief; rescan.
-  }
-}
-
-/// Claims indices from \p job until exhausted (mode-dispatched).
+/// Claims indices from \p job until exhausted.  Once any block fails,
+/// blocks claimed later are skipped.
 void RunChunks(LaunchJob& job) {
   CDD_TRACE_SPAN("exec.worker");
-  switch (job.mode) {
-    case ChunkMode::kDynamic:
-      for (;;) {
-        const std::size_t b =
-            job.next.fetch_add(1, std::memory_order_relaxed);
-        if (b >= job.blocks) return;
-        RunOne(job, b);
+  for (;;) {
+    const std::size_t b = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (b >= job.blocks) return;
+    if (job.failed.load(std::memory_order_relaxed)) continue;
+    try {
+      (*job.fn)(b);
+    } catch (...) {
+      const std::scoped_lock lock(job.error_mutex);
+      // Keep the failure with the lowest block index so the rethrown
+      // exception is independent of worker timing.
+      if (b < job.first_error_block) {
+        job.first_error_block = b;
+        job.first_error = std::current_exception();
       }
-    case ChunkMode::kStatic:
-      for (;;) {
-        const int ticket =
-            job.next_ticket.fetch_add(1, std::memory_order_relaxed);
-        if (static_cast<std::size_t>(ticket) >= job.range_count) return;
-        // Claim the whole slice up front (the empty range marks it
-        // taken); no per-block atomics after this exchange.
-        const std::uint64_t range =
-            job.ranges[ticket].exchange(PackRange(0, 0),
-                                        std::memory_order_relaxed);
-        for (std::uint64_t b = RangeBegin(range); b < RangeEnd(range); ++b) {
-          RunOne(job, static_cast<std::size_t>(b));
-        }
-      }
-    case ChunkMode::kSteal: {
-      // Every participant has a home slot (range_count equals the
-      // participation cap, so tickets never run out).
-      const std::size_t own = static_cast<std::size_t>(
-          job.next_ticket.fetch_add(1, std::memory_order_relaxed));
-      for (;;) {
-        std::size_t b = 0;
-        if (ClaimFront(job.ranges[own], &b)) {
-          RunOne(job, b);
-          continue;
-        }
-        if (!StealHalf(job, own)) return;
-      }
+      job.failed.store(true, std::memory_order_relaxed);
     }
   }
 }
@@ -256,8 +114,8 @@ struct HostThreadPool::Impl {
 
   LaunchJob* TryAcquireLocked() {
     for (LaunchJob* job : active) {
-      // The exhaustion check is the lifetime guard: claim cursors only
-      // advance, a participant leaves only after observing exhaustion,
+      // The exhaustion check is the lifetime guard: the claim cursor only
+      // advances, a participant leaves only after observing exhaustion,
       // and the caller destroys the job only after every participant
       // left.  So while a job still has unclaimed blocks (checked here,
       // under the registry mutex, before the caller could have erased
@@ -335,22 +193,6 @@ void HostThreadPool::ParallelFor(
                                                   blocks - 1);
   job.open_slots.store(static_cast<int>(extra),
                        std::memory_order_relaxed);
-  // Range bookkeeping packs block indices into 32 bits; absurdly large
-  // launches just keep the default policy.
-  job.mode = blocks < (std::uint64_t{1} << 32) ? ChunkModeFromEnv()
-                                               : ChunkMode::kDynamic;
-  if (job.mode != ChunkMode::kDynamic) {
-    // One contiguous slice per potential participant (caller + extra);
-    // extra <= blocks - 1 guarantees every slice is non-empty.
-    job.range_count = extra + 1;
-    job.ranges.reset(new std::atomic<std::uint64_t>[job.range_count]);
-    for (std::size_t t = 0; t < job.range_count; ++t) {
-      job.ranges[t].store(
-          PackRange(t * blocks / job.range_count,
-                    (t + 1) * blocks / job.range_count),
-          std::memory_order_relaxed);
-    }
-  }
   {
     const std::scoped_lock lock(impl_->mutex);
     // The pool grows to the largest cap ever requested (explicit

@@ -10,20 +10,16 @@
 /// concurrent devices (one per in-flight request) draw from the same
 /// bounded set of worker threads instead of each spawning its own.
 ///
-/// Scheduling defaults to chunked round-robin over block indices:
-/// callers publish a launch with an atomic next-block cursor, workers
-/// (and the calling thread itself, which always participates so progress
-/// never depends on pool availability) claim indices with fetch_add
-/// until the launch is exhausted.  `CDD_EXEC_CHUNK` switches the claim
-/// policy per launch — `static` pre-partitions contiguous ranges with no
-/// per-block atomics, `steal` adds work-stealing on top (a participant
-/// whose range runs dry splits off the back half of the richest
-/// remaining range) for skewed block costs; any other value keeps the
-/// default.  The policy only moves block bodies between host threads:
-/// results and modeled time are identical across all three.  Per-launch
-/// participation is capped (Device worker-thread settings), and multiple
-/// launches may be in flight concurrently — a worker that finds one
-/// launch saturated moves to the next.
+/// Scheduling is chunked round-robin over block indices: callers publish
+/// a launch with an atomic next-block cursor, workers (and the calling
+/// thread itself, which always participates so progress never depends
+/// on pool availability) claim one index at a time with fetch_add until
+/// the launch is exhausted.  Claiming single blocks also balances
+/// launches whose blocks differ in cost: no thread is ever handed more
+/// than the one block it is running.  Per-launch participation is capped
+/// (Device worker-thread settings), and multiple launches may be in
+/// flight concurrently — a worker that finds one launch saturated moves
+/// to the next.
 ///
 /// Determinism contract: ParallelFor promises only that fn(b) runs
 /// exactly once for every b in [0, blocks) — in unspecified order, on

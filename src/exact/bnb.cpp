@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -20,33 +19,6 @@
 
 namespace cdd::exact {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Environment knobs (resolve-once; neither changes a completed run's result).
-
-std::uint32_t EnvFrontierDepth() {
-  static const std::uint32_t value = [] {
-    const char* env = std::getenv("CDD_BNB_FRONTIER_DEPTH");
-    if (env == nullptr) return 0u;
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    return (end == env || *end != '\0') ? 0u
-                                        : static_cast<std::uint32_t>(parsed);
-  }();
-  return value;
-}
-
-std::uint64_t EnvWarmStartIterations() {
-  static const std::uint64_t value = [] {
-    const char* env = std::getenv("CDD_BNB_WARM_START");
-    if (env == nullptr) return std::uint64_t{256};
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    return (end == env || *end != '\0') ? std::uint64_t{256}
-                                        : static_cast<std::uint64_t>(parsed);
-  }();
-  return value;
-}
 
 // ---------------------------------------------------------------------------
 // Job classes.  A "mode" commits a job to one side of the V with one
@@ -621,8 +593,7 @@ class BnbEngine final : public meta::Engine {
         meta::SequenceObjective::ForInstance(instance);
     seed_seq_ = VShapeSeed(instance);
     seed_cost_ = objective.Evaluate(seed_seq_);
-    const std::uint64_t warm =
-        params.warm_start ? *params.warm_start : EnvWarmStartIterations();
+    const std::uint64_t warm = params.warm_start.value_or(kBnbWarmStart);
     if (warm > 0 && !params.stop.stop_requested()) {
       meta::SaParams sa;
       sa.budget = {
@@ -639,13 +610,11 @@ class BnbEngine final : public meta::Engine {
     workers_ =
         params.workers != 0 ? params.workers : sim::exec::ActiveExecWorkers();
     if (workers_ == 0) workers_ = 1;
-    const std::uint32_t frontier_depth = params.frontier_depth != 0
-                                             ? params.frontier_depth
-                                             : EnvFrontierDepth();
 
     const std::size_t target =
         std::max<std::size_t>(32, static_cast<std::size_t>(workers_) * 8);
-    gen_complete_ = GenerateFrontier(ctx_, seed_cost_, target, frontier_depth,
+    gen_complete_ = GenerateFrontier(ctx_, seed_cost_, target,
+                                     params.frontier_depth,
                                      params.stop, roots_, gen_nodes_);
 
     control_.stop = params.stop;

@@ -60,6 +60,9 @@ namespace cdd::exact {
 /// throw ExactLimitError.  Overridable per call through BnbParams.
 inline constexpr std::size_t kBnbDefaultMaxJobs = 32;
 
+/// Default iterations of the serial-SA polish of the incumbent seed.
+inline constexpr std::uint64_t kBnbWarmStart = 256;
+
 /// Tuning knobs of one branch-and-bound run.  None of them changes a
 /// *completed* run's sequence, cost or proof — only how fast it gets there
 /// (truncation knobs decide whether it completes at all).
@@ -68,13 +71,12 @@ struct BnbParams {
   /// (the CDD_EXEC_WORKERS cap).  The result is worker-count invariant.
   unsigned workers = 0;
   /// Depth at which the tree is split into parallel subtree roots;
-  /// 0 resolves CDD_BNB_FRONTIER_DEPTH, else picks the shallowest depth
-  /// giving ~8 roots per worker.
+  /// 0 picks the shallowest depth giving ~8 roots per worker.
   std::uint32_t frontier_depth = 0;
   /// Iterations of the serial-SA polish applied to the V-shape seed that
-  /// becomes the initial incumbent; unset resolves CDD_BNB_WARM_START
-  /// (default 256), 0 disables the polish.  Uses a private RNG stream —
-  /// no other engine's schedule is perturbed.
+  /// becomes the initial incumbent; unset means kBnbWarmStart, 0
+  /// disables the polish.  Uses a private RNG stream — no other engine's
+  /// schedule is perturbed.
   std::optional<std::uint64_t> warm_start;
   /// Node budget; 0 = unlimited.  Exhausting it truncates like a deadline.
   std::uint64_t max_nodes = 0;

@@ -1,11 +1,12 @@
 #include "serve/engine_registry.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
+#include "core/cpu_features.hpp"
+#include "core/env_config.hpp"
+#include "core/pool_allocator.hpp"
 #include "exact/bnb.hpp"
 #include "meta/dpso.hpp"
 #include "meta/evostrategy.hpp"
@@ -81,21 +82,10 @@ meta::SearchBudget Budget(const EngineOptions& options) {
 constexpr std::uint64_t kDefaultRaceSlice = 64;
 
 /// The race slice CDD_RACE_SLICE pins, 0 when the variable is unset.
-/// Throws std::invalid_argument unless it is a positive decimal integer.
 std::uint64_t EnvRaceSlice() {
-  const char* env = std::getenv("CDD_RACE_SLICE");
-  if (env == nullptr) return 0;
-  const std::string_view text(env);
-  std::uint64_t value = 0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (error != std::errc{} || end != text.data() + text.size() ||
-      value == 0) {
-    throw std::invalid_argument(
-        "CDD_RACE_SLICE: expected a positive integer, got '" +
-        std::string(text) + "'");
-  }
-  return value;
+  return core::ReadEnv(core::kRaceSliceEnv,
+                       core::ParsePositive<std::uint64_t>)
+      .value_or(0);
 }
 
 std::vector<std::string> SplitNames(std::string_view csv) {
@@ -112,18 +102,27 @@ std::vector<std::string> SplitNames(std::string_view csv) {
   return names;
 }
 
+/// Accepts a contender list that names at least one engine.
+bool ParsePortfolio(std::string_view csv, std::string* out) {
+  if (SplitNames(csv).empty()) return false;
+  *out = csv;
+  return true;
+}
+
+/// The contender list CDD_RACE_PORTFOLIO pins, empty when the variable is
+/// unset.
+std::string EnvRacePortfolio() {
+  return core::ReadEnv(core::kRacePortfolioEnv, ParsePortfolio)
+      .value_or("");
+}
+
 /// The contender list of one race: the pinned list when options/env give
 /// one, otherwise the bandit prior's top three over the serial engines
 /// (cheap enough that racing three never dwarfs one full solo run).
 std::vector<std::string> ResolvePortfolio(const Instance& instance,
                                           const EngineOptions& options) {
-  std::string csv = options.portfolio;
-  if (csv.empty()) {
-    if (const char* env = std::getenv("CDD_RACE_PORTFOLIO");
-        env != nullptr) {
-      csv = env;
-    }
-  }
+  const std::string csv =
+      options.portfolio.empty() ? EnvRacePortfolio() : options.portfolio;
   if (!csv.empty()) {
     std::vector<std::string> names = SplitNames(csv);
     if (names.empty()) {
@@ -305,18 +304,19 @@ void RequireEngineSupports(std::string_view name, const Instance& instance) {
 }
 
 bool RacePortfolioPinned(const EngineOptions& options) {
-  return !options.portfolio.empty() ||
-         std::getenv("CDD_RACE_PORTFOLIO") != nullptr;
+  return !options.portfolio.empty() || !EnvRacePortfolio().empty();
 }
 
 void MaterializeRaceOptions(EngineOptions& options) {
-  if (options.portfolio.empty()) {
-    if (const char* env = std::getenv("CDD_RACE_PORTFOLIO");
-        env != nullptr) {
-      options.portfolio = env;
-    }
-  }
+  if (options.portfolio.empty()) options.portfolio = EnvRacePortfolio();
   if (options.race_slice == 0) options.race_slice = EnvRaceSlice();
+}
+
+void ResolveEnvironment() {
+  core::ActiveEvalBackend();
+  core::ActivePoolBackend();
+  sim::exec::ActiveExecBackend();
+  sim::exec::ActiveExecWorkers();
 }
 
 std::size_t PoolCapacityHint(std::string_view name) {

@@ -95,8 +95,15 @@ bool RacePortfolioPinned(const EngineOptions& options);
 /// list and slice — an env-pinned race must replay identically in a
 /// process where the variables are no longer set.  With neither variable
 /// set the options stay untouched.  Throws std::invalid_argument when
-/// CDD_RACE_SLICE is not a positive integer.
+/// either variable is malformed.
 void MaterializeRaceOptions(EngineOptions& options);
+
+/// Resolves the once-per-process CDD_* variables (CDD_EVAL_BACKEND,
+/// CDD_POOL_BACKEND, CDD_EXEC_BACKEND, CDD_EXEC_WORKERS) now, so that a
+/// malformed value throws std::invalid_argument on the calling thread
+/// rather than at first use, which may be on a worker thread or inside a
+/// noexcept evaluation kernel.  Front ends call it before any solve.
+void ResolveEnvironment();
 
 /// True when the named engine can solve \p instance's problem variant.
 /// Single-machine total-penalty instances are supported by every engine.

@@ -1,13 +1,14 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <exception>
 #include <stdexcept>
 #include <optional>
 #include <string>
 #include <utility>
 
+#include "core/env_config.hpp"
 #include "serve/replay.hpp"
 #include "trace/manifest.hpp"
 #include "trace/tracer.hpp"
@@ -22,28 +23,14 @@ double MsSince(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
-/// Parses "low:high" (absolute queue depths) from CDD_SERVE_WATERMARKS.
-/// Malformed text leaves both outputs untouched — admission control stays
-/// off, matching how the other CDD_* environment overrides degrade.
-void ParseWatermarks(const char* text, std::size_t* low, std::size_t* high) {
-  if (text == nullptr) return;
-  char* end = nullptr;
-  const unsigned long long parsed_low = std::strtoull(text, &end, 10);
-  if (end == text || *end != ':') return;
-  const char* rest = end + 1;
-  const unsigned long long parsed_high = std::strtoull(rest, &end, 10);
-  if (end == rest || *end != '\0' || parsed_high == 0) return;
-  *low = static_cast<std::size_t>(parsed_low);
-  *high = static_cast<std::size_t>(parsed_high);
-}
-
 core::PoolAllocator* ResolvePoolAllocator(const ServiceConfig& config) {
   if (config.pool_allocator != nullptr) return config.pool_allocator;
-  core::PoolBackend backend = core::ActivePoolBackend();
-  if (!config.pool_backend.empty()) {
-    // Unknown names keep the environment/default resolution, matching how
-    // CDD_POOL_BACKEND itself degrades.
-    core::ParsePoolBackend(config.pool_backend, &backend);
+  if (config.pool_backend.empty()) return &core::ActivePoolAllocator();
+  core::PoolBackend backend = core::PoolBackend::kHost;
+  if (!core::ParsePoolBackend(config.pool_backend, &backend)) {
+    throw std::invalid_argument("unknown pool backend '" +
+                                config.pool_backend +
+                                "' (expected host, pinned, device or numa)");
   }
   return &core::PoolAllocatorFor(backend);
 }
@@ -52,10 +39,12 @@ sim::exec::ExecBackend ResolveExecBackend(const ServiceConfig& config,
                                           Counter* clamped) {
   using sim::exec::ExecBackend;
   if (!config.exec_backend.empty()) {
-    // Unknown names keep the environment/default resolution, matching how
-    // CDD_EXEC_BACKEND itself degrades.
-    ExecBackend backend = sim::exec::ActiveExecBackend();
-    sim::exec::ParseExecBackend(config.exec_backend, &backend);
+    ExecBackend backend = ExecBackend::kSerial;
+    if (!sim::exec::ParseExecBackend(config.exec_backend, &backend)) {
+      throw std::invalid_argument("unknown exec backend '" +
+                                  config.exec_backend +
+                                  "' (expected serial or host-parallel)");
+    }
     return backend;
   }
   ExecBackend backend = sim::exec::ActiveExecBackend();
@@ -75,6 +64,20 @@ sim::exec::ExecBackend ResolveExecBackend(const ServiceConfig& config,
 }
 
 }  // namespace
+
+bool ParseWatermarks(std::string_view text, Watermarks* out) {
+  const std::size_t colon = text.find(':');
+  if (colon == std::string_view::npos) return false;
+  Watermarks parsed;
+  const char* low_end = text.data() + colon;
+  const auto [end, error] = std::from_chars(text.data(), low_end, parsed.low);
+  if (error != std::errc{} || end != low_end ||
+      !core::ParsePositive(text.substr(colon + 1), &parsed.high)) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
 
 SolverService::SolverService(ServiceConfig config,
                              const EngineRegistry& registry)
@@ -112,11 +115,14 @@ SolverService::SolverService(ServiceConfig config,
       pool_allocator_(ResolvePoolAllocator(config)),
       exec_backend_(ResolveExecBackend(config, exec_clamped_)),
       queue_(config.queue_capacity) {
+  ResolveEnvironment();
   if (config_.workers == 0) config_.workers = 1;
   if (config_.shed_low_watermark == 0 && config_.shed_high_watermark == 0) {
-    ParseWatermarks(std::getenv("CDD_SERVE_WATERMARKS"),
-                    &config_.shed_low_watermark,
-                    &config_.shed_high_watermark);
+    if (const std::optional<Watermarks> env =
+            core::ReadEnv(core::kServeWatermarksEnv, ParseWatermarks)) {
+      config_.shed_low_watermark = env->low;
+      config_.shed_high_watermark = env->high;
+    }
   }
   config_.shed_high_watermark =
       std::min(config_.shed_high_watermark, queue_.capacity());

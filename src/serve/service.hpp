@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +58,18 @@
 
 namespace cdd::serve {
 
+/// Admission-control watermarks on queue depth (see ServiceConfig).
+struct Watermarks {
+  std::size_t low = 0;
+  std::size_t high = 0;
+};
+
+/// Parses "LOW:HIGH" absolute queue depths: two decimal integers with no
+/// sign, space or trailing text, and HIGH > 0.  Returns false (and leaves
+/// \p out untouched) on anything else.  Shared by CDD_SERVE_WATERMARKS
+/// and `sched_serve --watermarks`.
+bool ParseWatermarks(std::string_view text, Watermarks* out);
+
 /// Sizing of one SolverService.
 struct ServiceConfig {
   unsigned workers = 4;             ///< solver threads
@@ -69,7 +82,8 @@ struct ServiceConfig {
   /// are never recorded: a manifest always describes a reproducible run.
   std::string manifest_path;
   /// Candidate-pool placement for request-scoped pools ("host", "pinned",
-  /// "device", "numa").  Empty defers to CDD_POOL_BACKEND (then "host").
+  /// "device", "numa").  Empty defers to CDD_POOL_BACKEND (then "host");
+  /// an unknown name makes the constructor throw std::invalid_argument.
   /// Placement never changes results — only the modeled transfer cost.
   std::string pool_backend;
   /// Block-execution backend for the private simulated devices the device
@@ -79,7 +93,8 @@ struct ServiceConfig {
   /// hardware clamps the env-derived host-parallel default back to serial
   /// (each request would only contend with its siblings for the same
   /// cores), counted in the `exec_clamped` metric.  An explicit setting
-  /// here is honored as-is.  Execution placement never changes results.
+  /// here is honored as-is; an unknown name makes the constructor throw
+  /// std::invalid_argument.  Execution placement never changes results.
   std::string exec_backend;
   /// Test seam: when non-null, overrides `pool_backend` entirely and every
   /// request-scoped pool allocates through this allocator (e.g. an
@@ -104,7 +119,7 @@ struct ServiceConfig {
   /// trace instant, so starvation at the cap is never silent.
   unsigned max_preempt_depth = 4;
   /// Admission-control watermarks on queue depth.  0/0 (the default)
-  /// defers to CDD_SERVE_WATERMARKS ("low:high", absolute depths); when
+  /// defers to CDD_SERVE_WATERMARKS ("LOW:HIGH", see ParseWatermarks); when
   /// that is unset too, admission control is off and the queue behaves
   /// exactly as before (full -> kRejectedQueueFull).  With a high
   /// watermark:

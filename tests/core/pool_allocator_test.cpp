@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "core/candidate_pool.hpp"
+#include "core/env_config.hpp"
 
 namespace cdd::core {
 namespace {
@@ -44,7 +44,7 @@ TEST(PoolAllocator, SingletonsMatchTheirBackend) {
 }
 
 TEST(PoolAllocator, ActiveBackendDefaultsToHostWithoutEnvOverride) {
-  if (std::getenv("CDD_POOL_BACKEND") != nullptr) {
+  if (EnvText(kPoolBackendEnv)) {
     GTEST_SKIP() << "CDD_POOL_BACKEND is set in this environment";
   }
   EXPECT_EQ(ActivePoolBackend(), PoolBackend::kHost);

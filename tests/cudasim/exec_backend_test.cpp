@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -161,53 +160,12 @@ TEST(ExecBackend, LowestBlockErrorWinsAndDeviceSurvives) {
   EXPECT_EQ(std::accumulate(ok.begin(), ok.end(), 0), 64);
 }
 
-/// Pins the CDD_EXEC_CHUNK value for one test body and restores the
-/// previous environment on scope exit.
-class ScopedChunkMode {
- public:
-  explicit ScopedChunkMode(const char* mode) {
-    const char* old = std::getenv("CDD_EXEC_CHUNK");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv("CDD_EXEC_CHUNK", mode, 1);
-  }
-  ~ScopedChunkMode() {
-    if (had_) {
-      setenv("CDD_EXEC_CHUNK", saved_.c_str(), 1);
-    } else {
-      unsetenv("CDD_EXEC_CHUNK");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
-
-TEST(ExecBackend, ChunkModesAreBitIdenticalIncludingModeledTime) {
-  // The claim policy only moves block bodies between host threads; the
-  // reduction result, per-thread outputs and the virtual clock must all
-  // match the serial run under every CDD_EXEC_CHUNK value.
-  const ReductionRun serial = RunReduction(1);
-  for (const char* mode : {"static", "steal", "bogus-value"}) {
-    const ScopedChunkMode chunk(mode);
-    for (const unsigned workers : {2u, 4u}) {
-      const ReductionRun parallel = RunReduction(workers);
-      EXPECT_EQ(parallel.best, serial.best) << mode << " " << workers;
-      EXPECT_EQ(parallel.out, serial.out) << mode << " " << workers;
-      EXPECT_EQ(parallel.sim_time_s, serial.sim_time_s)
-          << mode << " " << workers;
-    }
-  }
-}
-
-TEST(ExecBackend, StealModeSurvivesSkewAndErrors) {
-  const ScopedChunkMode chunk("steal");
+TEST(ExecBackend, SkewedBlocksRunOnceAndLowestErrorWins) {
   Device gpu;
   gpu.set_worker_threads(4);
   // Heavily skewed block costs: the last block is the only expensive
-  // one, the exact shape stealing exists for.  Every index must still
-  // run exactly once.
+  // one.  The shared cursor hands it to one participant while the others
+  // drain the cheap blocks; every index must still run exactly once.
   constexpr std::uint32_t kBlocks = 64;
   std::vector<int> ran(kBlocks, 0);
   int* data = ran.data();
@@ -222,7 +180,7 @@ TEST(ExecBackend, StealModeSurvivesSkewAndErrors) {
             static_cast<int>(kBlocks));
   EXPECT_EQ(*std::min_element(ran.begin(), ran.end()), 1);
 
-  // The deterministic lowest-block error rule holds under stealing too.
+  // The deterministic lowest-block error rule holds on the same device.
   try {
     gpu.Launch({16}, {8}, [](ThreadCtx& t) {
       if (t.linear_block() >= 7) {

@@ -139,5 +139,22 @@ TEST(EngineRegistry, MalformedEnvRaceSliceIsRejected) {
   ::unsetenv("CDD_RACE_SLICE");
 }
 
+TEST(EngineRegistry, MalformedEnvRacePortfolioIsRejected) {
+  // A set variable that names no engine is an error, never a silent
+  // fallback to the bandit prior.
+  EngineOptions options;
+  for (const char* bad : {"", ",", " , "}) {
+    ::setenv("CDD_RACE_PORTFOLIO", bad, 1);
+    EXPECT_THROW(MaterializeRaceOptions(options), std::invalid_argument)
+        << "'" << bad << "'";
+    EXPECT_THROW(RacePortfolioPinned(options), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  ::setenv("CDD_RACE_PORTFOLIO", "sa, ta", 1);
+  MaterializeRaceOptions(options);
+  EXPECT_EQ(options.portfolio, "sa, ta");
+  ::unsetenv("CDD_RACE_PORTFOLIO");
+}
+
 }  // namespace
 }  // namespace cdd::serve

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -42,6 +43,17 @@ TEST(SolverService, SolvesOneRequest) {
   EXPECT_FALSE(response.from_cache);
   EXPECT_NO_THROW(ValidateSequence(response.result.best, 12));
   EXPECT_GE(response.solve_ms, 0.0);
+}
+
+TEST(SolverService, UnknownBackendNamesFailConstruction) {
+  // A typo'd backend is a configuration error, not a silent fallback to
+  // the environment default.
+  ServiceConfig bad_pool;
+  bad_pool.pool_backend = "bogus";
+  EXPECT_THROW(SolverService{bad_pool}, std::invalid_argument);
+  ServiceConfig bad_exec;
+  bad_exec.exec_backend = "bogus";
+  EXPECT_THROW(SolverService{bad_exec}, std::invalid_argument);
 }
 
 TEST(SolverService, UnknownEngineRejectedImmediately) {

@@ -99,6 +99,9 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // A malformed CDD_* variable is an error before any work starts.
+    serve::ResolveEnvironment();
+
     // --- resolve the engine first: fail fast on a typo'd name -------------
     const serve::EngineRegistry& registry = serve::EngineRegistry::Default();
     const std::string algo = args.GetString("algo", "psa");

@@ -5,9 +5,12 @@ Three checks, all mechanical so the docs cannot silently rot:
 
 1. Every relative markdown link in the documentation set resolves to an
    existing file (anchors and external http/mailto links are skipped).
-2. Every environment variable the source tree actually reads — any
-   `getenv("CDD_...")` in src/ — is documented in docs/CONFIGURATION.md,
-   so a new knob cannot land without its reference entry.
+2. The environment variables match the table in src/core/env_config.hpp,
+   the one place the library reads them: every table entry has a
+   section in docs/CONFIGURATION.md, so a new knob cannot land without
+   its reference entry; every `CDD_*` section there is in the table, so
+   a retired knob cannot linger in the docs; and src/ calls getenv
+   nowhere but core/env_config.cpp.
 3. Bidirectional flag gate: every `--flag` and CDD_* variable that the
    built binaries print in their --help output must appear in
    docs/CONFIGURATION.md.  This direction catches a flag added to a tool
@@ -48,7 +51,11 @@ HELP_BINARIES = [
 ]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-GETENV_RE = re.compile(r"getenv\(\s*\"(CDD_[A-Z0-9_]+)\"")
+ENV_TABLE = "src/core/env_config.hpp"
+ENV_ENTRY_RE = re.compile(r"EnvVar\s+k\w+\{\s*\"(CDD_[A-Z0-9_]+)\"")
+ENV_SECTION_RE = re.compile(r"^### `(CDD_[A-Z0-9_]+)`", re.MULTILINE)
+GETENV_RE = re.compile(r"\bgetenv\s*\(")
+GETENV_HOME = "src/core/env_config.cpp"
 HELP_FLAG_RE = re.compile(r"(?<![-\w])--([a-z][a-z0-9-]*)")
 HELP_ENV_RE = re.compile(r"\b(CDD_[A-Z0-9_]+)\b")
 
@@ -84,23 +91,35 @@ def read_configuration():
 
 
 def check_env_vars(documented):
-    read_vars = set()
+    with open(os.path.join(REPO, ENV_TABLE), encoding="utf-8") as f:
+        table = set(ENV_ENTRY_RE.findall(f.read()))
+    errors = []
+    if not table:
+        errors.append(f"no EnvVar entries found in {ENV_TABLE} — "
+                      "check_docs.py pattern is stale")
+    sections = set(ENV_SECTION_RE.findall(documented))
+    for var in sorted(table - sections):
+        errors.append(
+            f"{ENV_TABLE} lists {var} but docs/CONFIGURATION.md has no "
+            f"section for it")
+    for var in sorted(sections - table):
+        errors.append(
+            f"docs/CONFIGURATION.md documents {var} but {ENV_TABLE} "
+            f"does not list it")
     src = os.path.join(REPO, "src")
     for dirpath, _dirnames, filenames in os.walk(src):
         for name in filenames:
             if not name.endswith((".cpp", ".hpp", ".h", ".cc")):
                 continue
-            with open(os.path.join(dirpath, name), encoding="utf-8") as f:
-                read_vars.update(GETENV_RE.findall(f.read()))
-    errors = []
-    for var in sorted(read_vars):
-        if var not in documented:
-            errors.append(
-                f"src/ reads {var} but docs/CONFIGURATION.md never "
-                f"mentions it")
-    if not read_vars:
-        errors.append("no getenv(\"CDD_...\") found in src/ — "
-                      "check_docs.py pattern is stale")
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, REPO)
+            if rel == GETENV_HOME:
+                continue
+            with open(path, encoding="utf-8") as f:
+                if GETENV_RE.search(f.read()):
+                    errors.append(
+                        f"{rel} calls getenv; read CDD_* variables "
+                        f"through {ENV_TABLE}")
     return errors
 
 

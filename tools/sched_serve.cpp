@@ -340,43 +340,21 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.GetInt("cache", 4096));
     config.preempt_slice =
         static_cast<std::uint64_t>(args.GetInt("preempt-slice", 0));
+    // Unknown backend names make the SolverService constructor throw;
+    // the catch below prints the error.
     config.pool_backend = args.GetString("pool-backend", "");
-    if (!config.pool_backend.empty()) {
-      core::PoolBackend parsed = core::PoolBackend::kHost;
-      if (!core::ParsePoolBackend(config.pool_backend, &parsed)) {
-        std::cerr << "error: unknown --pool-backend '"
-                  << config.pool_backend
-                  << "' (host|pinned|device|numa)\n";
-        return 1;
-      }
-    }
     config.exec_backend = args.GetString("exec-backend", "");
-    if (!config.exec_backend.empty()) {
-      sim::exec::ExecBackend parsed = sim::exec::ExecBackend::kSerial;
-      if (!sim::exec::ParseExecBackend(config.exec_backend, &parsed)) {
-        std::cerr << "error: unknown --exec-backend '"
-                  << config.exec_backend << "' (serial|host-parallel)\n";
-        return 1;
-      }
-    }
     config.manifest_path = args.GetString("manifest", "");
-    if (const std::string watermarks = args.GetString("watermarks", "");
-        !watermarks.empty()) {
-      std::size_t low = 0;
-      std::size_t high = 0;
-      const char* first = watermarks.data();
-      const char* last = first + watermarks.size();
-      const auto low_end = std::from_chars(first, last, low);
-      if (low_end.ec != std::errc() || low_end.ptr == last ||
-          *low_end.ptr != ':' ||
-          std::from_chars(low_end.ptr + 1, last, high).ptr != last ||
-          high == 0) {
+    if (const std::string text = args.GetString("watermarks", "");
+        !text.empty()) {
+      serve::Watermarks watermarks;
+      if (!serve::ParseWatermarks(text, &watermarks)) {
         std::cerr << "error: --watermarks wants LOW:HIGH depths, got '"
-                  << watermarks << "'\n";
+                  << text << "'\n";
         return 1;
       }
-      config.shed_low_watermark = low;
-      config.shed_high_watermark = high;
+      config.shed_low_watermark = watermarks.low;
+      config.shed_high_watermark = watermarks.high;
     }
     serve::SolverService service(config);
 
