@@ -1,12 +1,19 @@
 /// \file bench_micro_cudasim.cpp
 /// \brief GPU-simulator microbenchmarks: host-side cost of kernel launch,
-/// fiber barriers, and atomic reduction — the simulator's own overheads,
-/// kept separate from the modeled device time.
+/// fiber barriers, atomic reduction and the paper's fitness launch — the
+/// simulator's own overheads, kept separate from the modeled device time.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/test_instances.hpp"
+#include "core/eval_simd.hpp"
 #include "cudasim/atomics.hpp"
 #include "cudasim/device.hpp"
+#include "cudasim/memory.hpp"
+#include "parallel/detail.hpp"
+#include "parallel/device_problem.hpp"
 
 namespace {
 
@@ -39,10 +46,13 @@ void BM_CooperativeBarrierKernel(benchmark::State& state) {
 BENCHMARK(BM_CooperativeBarrierKernel)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_FitnessShapedLaunch(benchmark::State& state) {
-  // The shape of the paper's fitness launch (Section VI-A): 4 blocks x 192
-  // threads stage a vector in shared memory behind one barrier, so every
-  // simulated thread is a fiber that is armed, yields once and finishes.
-  // The argument is the block-execution worker cap (1 = serial).
+  // A cooperative launch of the paper's fitness geometry (Section VI-A):
+  // 4 blocks x 192 threads stage a vector in shared memory behind one
+  // barrier, so every simulated thread is a fiber that is armed, yields
+  // once and finishes.  The fitness launch itself no longer runs fibers
+  // (BM_LaunchFitness); this measures what a user kernel with one
+  // barrier costs.  The argument is the block-execution worker cap
+  // (1 = serial).
   Device gpu;
   gpu.set_worker_threads(static_cast<unsigned>(state.range(0)));
   LaunchOptions opts;
@@ -63,6 +73,67 @@ void BM_FitnessShapedLaunch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4 * 192);
 }
 BENCHMARK(BM_FitnessShapedLaunch)->Arg(1)->Arg(4)->UseRealTime();
+
+/// 768 device rows of length n (the paper's 4 x 192 ensemble) on a
+/// serial device, for the two fitness benchmarks below.
+struct FitnessRows {
+  static constexpr std::uint32_t kEnsemble = 768;
+  Device gpu;
+  cdd::par::DeviceProblem problem;
+  cdd::sim::DeviceBuffer<cdd::JobId> seqs;
+  cdd::sim::DeviceBuffer<cdd::Cost> costs;
+
+  explicit FitnessRows(std::int32_t n)
+      : problem(gpu, cdd::testing::RandomCdd(static_cast<std::uint32_t>(n),
+                                             0.6, 7)),
+        seqs(gpu, static_cast<std::size_t>(kEnsemble) * n),
+        costs(gpu, kEnsemble) {
+    gpu.set_worker_threads(1);
+    seqs.CopyFromHost(
+        cdd::par::detail::MakeInitialSequences(kEnsemble, n, 11));
+  }
+};
+
+void BM_LaunchFitness(benchmark::State& state) {
+  // The whole fitness launch of psa/pdpso/psa-sync: launch bookkeeping,
+  // per-thread charges and the block-sliced batch evaluation.  Compare
+  // with BM_FitnessBatchEval at the same n for the host overhead per
+  // launch.
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  FitnessRows rows(n);
+  const cdd::par::LaunchConfig config;
+  const cdd::CandidatePoolView pool = cdd::par::detail::DeviceView(
+      rows.seqs.data(), rows.costs.data(), n, FitnessRows::kEnsemble);
+  for (auto _ : state) {
+    cdd::par::detail::LaunchFitness(rows.gpu, rows.problem, config, pool,
+                                    "fitness");
+    benchmark::DoNotOptimize(rows.costs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * FitnessRows::kEnsemble);
+}
+BENCHMARK(BM_LaunchFitness)->Arg(50)->Arg(200)->Arg(500);
+
+void BM_FitnessBatchEval(benchmark::State& state) {
+  // The batch evaluator alone over the same rows, sliced per 192-thread
+  // block exactly as LaunchFitness's thread 0 of each block runs it.
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  FitnessRows rows(n);
+  const cdd::par::DeviceProblem& p = rows.problem;
+  constexpr std::int32_t kBlock = 192;
+  for (auto _ : state) {
+    for (std::uint32_t first = 0; first < FitnessRows::kEnsemble;
+         first += kBlock) {
+      cdd::raw::EvalCddBatchDispatch(
+          n, p.due_date(), rows.seqs.data() + std::size_t{first} * n, n,
+          kBlock, p.proc(), p.alpha(), p.beta(), rows.costs.data() + first);
+    }
+    benchmark::DoNotOptimize(rows.costs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * FitnessRows::kEnsemble);
+}
+BENCHMARK(BM_FitnessBatchEval)->Arg(50)->Arg(200)->Arg(500);
 
 void BM_AtomicMinReduction(benchmark::State& state) {
   Device gpu;

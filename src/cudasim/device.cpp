@@ -6,6 +6,7 @@
 #include "trace/tracer.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <unordered_map>
 #include <vector>
@@ -246,18 +247,22 @@ double Device::ExecuteLaunch(Dim3 grid, Dim3 block,
   std::uint64_t total_work = 0;
   std::uint64_t max_work = 0;
   const unsigned cap = worker_threads();
+  const auto wall_start = std::chrono::steady_clock::now();
   if (cap <= 1 || grid.count() <= 1) {
     RunBlocksSequential(grid, block, opts, kernel, total_work, max_work);
   } else {
     RunBlocksParallel(grid, block, opts, kernel, cap, total_work,
                       max_work);
   }
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - wall_start;
 
   const LaunchCharge charge{grid, block, total_work, max_work,
                             opts.shared_bytes};
   const double seconds = model_.KernelSeconds(charge);
   profiler_.RecordKernel(opts.name, grid.count(),
-                         grid.count() * block.count(), total_work, seconds);
+                         grid.count() * block.count(), total_work, seconds,
+                         wall.count());
   return seconds;
 }
 

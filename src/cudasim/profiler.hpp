@@ -16,6 +16,9 @@ struct KernelRecord {
   std::uint64_t threads = 0;
   std::uint64_t work_units = 0;   ///< sum of ThreadCtx::charge() amounts
   double sim_time_s = 0.0;        ///< modeled device time
+  /// Host wall time spent executing the blocks (the simulator's own cost,
+  /// under whichever exec backend ran them; not part of the model).
+  double wall_s = 0.0;
 };
 
 /// Aggregate statistics of one transfer direction.
@@ -30,7 +33,7 @@ class Profiler {
  public:
   void RecordKernel(const std::string& name, std::uint64_t blocks,
                     std::uint64_t threads, std::uint64_t work_units,
-                    double sim_time_s);
+                    double sim_time_s, double wall_s = 0.0);
   void RecordTransfer(bool host_to_device, std::uint64_t bytes,
                       double sim_time_s);
 

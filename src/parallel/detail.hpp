@@ -179,8 +179,10 @@ enum class PenaltyMemory { kShared, kGlobal, kTexture };
 /// the same CandidatePoolView geometry the host engines batch through,
 /// normally built over device buffers via DeviceView (thread t evaluates
 /// pool.row(t) into pool.costs[t]; pool.pinned may be null).  Penalty
-/// reads go through cooperative shared-memory staging (where they fit),
-/// read-only texture fetches, or direct global loads, per \p memory.
+/// reads are charged as shared-memory staging (where it fits), read-only
+/// texture fetches, or direct global loads, per \p memory.  The launch is
+/// non-cooperative: the staging phase is modeled by its charge and its
+/// shared-memory request, not executed.
 ///
 /// Transfer accounting: the view's backend tag decides whether the launch
 /// models staging copies.  kDevice and kPinned views are consumed in

@@ -1,13 +1,16 @@
 #pragma once
 /// \file kernels_raw.hpp
 /// \brief Allocation-free "device function" helpers shared by the parallel
-/// kernels: per-thread perturbation, crossovers on raw arrays, and the
-/// packed keys of the atomic-min reduction.
+/// kernels: per-thread perturbation and Metropolis acceptance of the SA
+/// chains, crossovers on raw arrays, and the packed keys of the atomic-min
+/// reduction.
 
+#include <cmath>
 #include <cstdint>
 
 #include "core/sequence.hpp"
 #include "core/types.hpp"
+#include "cudasim/device.hpp"
 #include "rng/philox.hpp"
 
 namespace cdd::par::raw {
@@ -70,42 +73,36 @@ inline void PerturbRaw(JobId* seq, std::int32_t n, std::uint32_t pert,
   for (std::uint32_t k = 0; k < pert; ++k) seq[positions[k]] = values[k];
 }
 
-/// One-point crossover on raw arrays.  \p used is n bytes of per-thread
-/// scratch; \p child must not alias the parents.
-inline void OnePointCrossoverRaw(std::int32_t n, const JobId* p1,
-                                 const JobId* p2, std::uint32_t cut,
-                                 JobId* child, std::uint8_t* used) {
+/// In-place two-point crossover (DPSO's F3): \p row keeps [a, b) where it
+/// is and the gaps [0, a) then [b, n) get \p donor's remaining jobs in
+/// donor order.  Every donor job is written (branchless), but the write
+/// index only advances past a job the kept segment lacks.  Both rows are
+/// permutations of 0..n-1 and must not alias, a <= b <= n, and \p used is
+/// n bytes of per-thread scratch.
+inline void TwoPointCrossoverRaw(std::int32_t n, JobId* row,
+                                 const JobId* donor, std::uint32_t a,
+                                 std::uint32_t b, std::uint8_t* used) {
   for (std::int32_t i = 0; i < n; ++i) used[i] = 0;
-  for (std::uint32_t k = 0; k < cut; ++k) {
-    child[k] = p1[k];
-    used[p1[k]] = 1;
-  }
-  std::int32_t write = static_cast<std::int32_t>(cut);
-  for (std::int32_t i = 0; i < n && write < n; ++i) {
-    if (!used[p2[i]]) child[write++] = p2[i];
-  }
+  for (std::uint32_t k = a; k < b; ++k) used[row[k]] = 1;
+  std::int32_t i = 0;  // donor scan, resumed by the second gap
+  const auto fill = [&](std::int32_t w, std::int32_t end) {
+    for (; w < end; ++i) {
+      const JobId v = donor[i];
+      row[w] = v;
+      w += !used[v];
+    }
+  };
+  fill(0, static_cast<std::int32_t>(a));
+  fill(static_cast<std::int32_t>(b), n);
 }
 
-/// Two-point crossover on raw arrays: child keeps p1[a..b), the remaining
-/// positions (0..a) then [b..n) are filled with p2's leftover jobs in order.
-inline void TwoPointCrossoverRaw(std::int32_t n, const JobId* p1,
-                                 const JobId* p2, std::uint32_t a,
-                                 std::uint32_t b, JobId* child,
+/// In-place one-point crossover (DPSO's F2): \p row keeps its first \p cut
+/// jobs and its tail gets \p donor's remaining jobs — the two-point
+/// crossover with a = 0.
+inline void OnePointCrossoverRaw(std::int32_t n, JobId* row,
+                                 const JobId* donor, std::uint32_t cut,
                                  std::uint8_t* used) {
-  for (std::int32_t i = 0; i < n; ++i) used[i] = 0;
-  for (std::uint32_t k = a; k < b; ++k) {
-    child[k] = p1[k];
-    used[p1[k]] = 1;
-  }
-  std::int32_t write = 0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    if (used[p2[i]]) continue;
-    if (write == static_cast<std::int32_t>(a)) {
-      write = static_cast<std::int32_t>(b);
-    }
-    if (write >= n) break;
-    child[write++] = p2[i];
-  }
+  TwoPointCrossoverRaw(n, row, donor, 0, cut, used);
 }
 
 /// Random swap of two distinct positions (DPSO's F1 operator).
@@ -119,6 +116,67 @@ inline void SwapRaw(JobId* seq, std::int32_t n, rng::Philox4x32& rng) {
   const JobId tmp = seq[i];
   seq[i] = seq[j];
   seq[j] = tmp;
+}
+
+/// Largest perturbation size the SA kernels' per-thread scratch holds.
+inline constexpr std::uint32_t kMaxPert = 32;
+
+/// The device rows of an SA ensemble: thread t owns row t (stride n) of
+/// curr and cand, and entry t of curr_cost and cand_cost.
+struct ChainRows {
+  JobId* curr;
+  JobId* cand;
+  Cost* curr_cost;
+  const Cost* cand_cost;
+  std::int32_t n;
+};
+
+/// Perturbation kernel body of psa and psa-sync (Section VI-B) for thread
+/// \p tid of generation \p generation: copies the current row into the
+/// candidate row, then applies the Pert-sized shuffle when \p shuffle_now
+/// and one random swap otherwise.  \p pert is at most kMaxPert.
+inline void PerturbCandidate(sim::ThreadCtx& t, const ChainRows& rows,
+                             std::uint64_t tid, std::uint64_t seed,
+                             std::uint64_t generation, std::uint32_t pert,
+                             bool shuffle_now) {
+  const std::int32_t n = rows.n;
+  const JobId* src = rows.curr + tid * n;
+  JobId* dst = rows.cand + tid * n;
+  for (std::int32_t k = 0; k < n; ++k) dst[k] = src[k];
+  rng::Philox4x32 rng = MakeStream(seed, generation, RngPhase::kPerturb,
+                                   static_cast<std::uint32_t>(tid));
+  if (shuffle_now) {
+    std::uint32_t positions[kMaxPert];
+    JobId values[kMaxPert];
+    PerturbRaw(dst, n, pert, rng, positions, values);
+    t.charge(static_cast<std::uint64_t>(n) + 8 * pert);
+  } else {
+    SwapRaw(dst, n, rng);
+    t.charge(static_cast<std::uint64_t>(n) + 2);
+  }
+}
+
+/// Acceptance kernel body of psa and psa-sync (Section VI-C) for thread
+/// \p tid: the Metropolis rule at \p temperature, copying the candidate
+/// over the current row and cost when accepted.  Returns whether it was.
+inline bool MetropolisAccept(sim::ThreadCtx& t, const ChainRows& rows,
+                             std::uint64_t tid, std::uint64_t seed,
+                             std::uint64_t generation, double temperature) {
+  const std::int32_t n = rows.n;
+  rng::Philox4x32 rng = MakeStream(seed, generation, RngPhase::kAccept,
+                                   static_cast<std::uint32_t>(tid));
+  const Cost e = rows.curr_cost[tid];
+  const Cost e_new = rows.cand_cost[tid];
+  const double accept =
+      std::exp(static_cast<double>(e - e_new) / temperature);
+  t.charge(4);
+  if (!(accept >= static_cast<double>(rng.NextUniform()))) return false;
+  JobId* cur = rows.curr + tid * n;
+  const JobId* cnd = rows.cand + tid * n;
+  for (std::int32_t k = 0; k < n; ++k) cur[k] = cnd[k];
+  rows.curr_cost[tid] = e_new;
+  t.charge(static_cast<std::uint64_t>(n));
+  return true;
 }
 
 // --- packed (cost, thread) reduction keys --------------------------------

@@ -13,8 +13,8 @@
 namespace cdd::par {
 namespace {
 
-/// Host snapshot of the swarm at a generation boundary.  child/used are
-/// per-thread crossover scratch (rewritten before read) and are skipped;
+/// Host snapshot of the swarm at a generation boundary.  used is
+/// per-thread crossover scratch (rewritten before read) and is skipped;
 /// per-generation Philox streams are stateless in (seed, generation).
 struct DpsoBuffers {
   std::vector<JobId> pos;
@@ -25,13 +25,12 @@ struct DpsoBuffers {
   std::int64_t packed_best = 0;
 };
 
-/// Swarm state: positions, particle bests, swarm best, plus per-thread
-/// "local memory" scratch for the crossovers.
+/// Swarm state: positions, particle bests, swarm best, plus the per-thread
+/// job marks of the in-place crossovers ("local memory" scratch).
 struct DpsoDeviceState {
   DeviceProblem problem;
   sim::DeviceBuffer<JobId> pos;
   sim::DeviceBuffer<JobId> pbest;
-  sim::DeviceBuffer<JobId> child;
   sim::DeviceBuffer<std::uint8_t> used;
   sim::DeviceBuffer<JobId> gbest;
   sim::DeviceBuffer<Cost> pos_cost;
@@ -43,7 +42,6 @@ struct DpsoDeviceState {
       : problem(device, instance),
         pos(device, static_cast<std::size_t>(ensemble) * problem.n()),
         pbest(device, static_cast<std::size_t>(ensemble) * problem.n()),
-        child(device, static_cast<std::size_t>(ensemble) * problem.n()),
         used(device, static_cast<std::size_t>(ensemble) * problem.n()),
         gbest(device, static_cast<std::size_t>(problem.n())),
         pos_cost(device, ensemble),
@@ -116,7 +114,6 @@ class ParallelDpsoEngine final
     const double c2 = params_.c2;
     JobId* d_pos = state_->pos.data();
     JobId* d_pbest = state_->pbest.data();
-    JobId* d_child = state_->child.data();
     std::uint8_t* d_used = state_->used.data();
     JobId* d_gbest = state_->gbest.data();
     Cost* d_pos_cost = state_->pos_cost.data();
@@ -136,7 +133,6 @@ class ParallelDpsoEngine final
               const std::uint64_t tid = t.global_thread();
               if (tid >= ensemble) return;
               JobId* mine = d_pos + tid * n;
-              JobId* scratch = d_child + tid * n;
               std::uint8_t* marks = d_used + tid * n;
               rng::Philox4x32 rng =
                   raw::MakeStream(seed, g, raw::RngPhase::kDpsoUpdate,
@@ -147,12 +143,14 @@ class ParallelDpsoEngine final
                 t.charge(2);
               }
               // c1 (+) F2: one-point crossover with the particle best.
+              // Each crossover charges 3n (clear the marks, build the
+              // child, copy it back): the paper's kernel, not the in-place
+              // host version.
               if (rng.NextUniform() < c1) {
                 const std::uint32_t cut = cdd::UniformBelow(
                     rng, static_cast<std::uint32_t>(n) + 1);
                 raw::OnePointCrossoverRaw(n, mine, d_pbest + tid * n, cut,
-                                          scratch, marks);
-                for (std::int32_t k = 0; k < n; ++k) mine[k] = scratch[k];
+                                          marks);
                 t.charge(3 * static_cast<std::uint64_t>(n));
               }
               // c2 (+) F3: two-point crossover with the swarm best.
@@ -166,9 +164,7 @@ class ParallelDpsoEngine final
                   a = b;
                   b = tmp;
                 }
-                raw::TwoPointCrossoverRaw(n, mine, d_gbest, a, b, scratch,
-                                          marks);
-                for (std::int32_t k = 0; k < n; ++k) mine[k] = scratch[k];
+                raw::TwoPointCrossoverRaw(n, mine, d_gbest, a, b, marks);
                 t.charge(3 * static_cast<std::uint64_t>(n));
               }
               t.charge(4);

@@ -1,7 +1,6 @@
 #include "parallel/parallel_sa.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "core/vshape.hpp"
@@ -16,7 +15,6 @@
 namespace cdd::par {
 
 namespace {
-constexpr std::uint32_t kMaxPert = 32;
 
 /// Host snapshot of the device-resident SA state at a generation boundary.
 /// cand/cand_cost are per-generation scratch (fully rewritten before being
@@ -36,7 +34,7 @@ struct SaBuffers {
 /// the initial temperature on the host (Salamon rule, Section VI).
 double ValidateAndResolveT0(const Instance& instance,
                             const ParallelSaParams& params) {
-  if (params.pert > kMaxPert) {
+  if (params.pert > raw::kMaxPert) {
     throw std::invalid_argument(
         "RunParallelSa: pert exceeds the kernel's scratch capacity (32)");
   }
@@ -140,6 +138,7 @@ class ParallelSaEngine final
     Cost* d_curr_cost = state_->curr_cost.data();
     Cost* d_cand_cost = state_->cand_cost.data();
     Cost* d_best_cost = state_->best_cost.data();
+    const raw::ChainRows rows{d_curr, d_cand, d_curr_cost, d_cand_cost, n};
     const CandidatePoolView cand_pool =
         detail::DeviceView(d_cand, d_cand_cost, n, ensemble);
 
@@ -160,21 +159,8 @@ class ParallelSaEngine final
             [=](sim::ThreadCtx& t) {
               const std::uint64_t tid = t.global_thread();
               if (tid >= ensemble) return;
-              const JobId* src = d_curr + tid * n;
-              JobId* dst = d_cand + tid * n;
-              for (std::int32_t k = 0; k < n; ++k) dst[k] = src[k];
-              rng::Philox4x32 rng =
-                  raw::MakeStream(seed, g, raw::RngPhase::kPerturb,
-                                  static_cast<std::uint32_t>(tid));
-              if (shuffle_now) {
-                std::uint32_t positions[kMaxPert];
-                JobId values[kMaxPert];
-                raw::PerturbRaw(dst, n, pert, rng, positions, values);
-                t.charge(static_cast<std::uint64_t>(n) + 8 * pert);
-              } else {
-                raw::SwapRaw(dst, n, rng);
-                t.charge(static_cast<std::uint64_t>(n) + 2);
-              }
+              raw::PerturbCandidate(t, rows, tid, seed, g, pert,
+                                    shuffle_now);
             });
       }
 
@@ -193,27 +179,18 @@ class ParallelSaEngine final
             [=](sim::ThreadCtx& t) {
               const std::uint64_t tid = t.global_thread();
               if (tid >= ensemble) return;
-              rng::Philox4x32 rng =
-                  raw::MakeStream(seed, g, raw::RngPhase::kAccept,
-                                  static_cast<std::uint32_t>(tid));
-              const Cost e = d_curr_cost[tid];
+              if (!raw::MetropolisAccept(t, rows, tid, seed, g, temp)) {
+                return;
+              }
+              // psa also tracks each thread's personal best.
               const Cost e_new = d_cand_cost[tid];
-              const double accept =
-                  std::exp(static_cast<double>(e - e_new) / temp);
-              if (accept >= static_cast<double>(rng.NextUniform())) {
-                JobId* cur = d_curr + tid * n;
+              if (e_new < d_best_cost[tid]) {
+                d_best_cost[tid] = e_new;
                 const JobId* cnd = d_cand + tid * n;
-                for (std::int32_t k = 0; k < n; ++k) cur[k] = cnd[k];
-                d_curr_cost[tid] = e_new;
-                if (e_new < d_best_cost[tid]) {
-                  d_best_cost[tid] = e_new;
-                  JobId* bst = d_best + tid * n;
-                  for (std::int32_t k = 0; k < n; ++k) bst[k] = cnd[k];
-                  t.charge(static_cast<std::uint64_t>(n));
-                }
+                JobId* bst = d_best + tid * n;
+                for (std::int32_t k = 0; k < n; ++k) bst[k] = cnd[k];
                 t.charge(static_cast<std::uint64_t>(n));
               }
-              t.charge(4);
             });
       }
 

@@ -7,9 +7,9 @@
 /// One generation launches four kernels in order:
 ///   1. perturbation — candidate = partial Fisher–Yates of the current
 ///      sequence (per-thread Philox stream),
-///   2. fitness      — stages alpha/beta into block shared memory behind a
-///      __syncthreads barrier, then evaluates the candidate with the O(n)
-///      algorithm of Section IV,
+///   2. fitness      — evaluates the candidate with the O(n) algorithm of
+///      Section IV, charged as reading alpha/beta from block shared
+///      memory (the paper stages them there behind a __syncthreads),
 ///   3. acceptance   — metropolis rule at the generation's temperature,
 ///      tracking each thread's personal best,
 ///   4. reduction    — atomicMin over packed (cost, thread) keys,

@@ -16,7 +16,6 @@
 namespace cdd::par {
 
 namespace {
-constexpr std::uint32_t kMaxPert = 32;
 
 /// State at a temperature-level boundary.  Every level ends with the
 /// broadcast that overwrites all current states, so curr/curr_cost (plus
@@ -31,7 +30,7 @@ struct SyncBuffers {
 
 double ValidateAndResolveT0(const Instance& instance,
                             const ParallelSaSyncParams& params) {
-  if (params.pert > kMaxPert) {
+  if (params.pert > raw::kMaxPert) {
     throw std::invalid_argument("RunParallelSaSync: pert exceeds 32");
   }
   const meta::SequenceObjective objective =
@@ -113,6 +112,7 @@ class ParallelSaSyncEngine final
     std::int64_t* d_packed_best = state_->packed_best.data();
     std::int64_t* d_distance = state_->distance_sum.data();
     const Cost bound = state_->problem.cost_upper_bound();
+    const raw::ChainRows rows{d_curr, d_cand, d_curr_cost, d_cand_cost, n};
     const CandidatePoolView cand_pool =
         detail::DeviceView(d_cand, d_cand_cost, n, ensemble);
 
@@ -135,21 +135,8 @@ class ParallelSaSyncEngine final
               [=](sim::ThreadCtx& t) {
                 const std::uint64_t tid = t.global_thread();
                 if (tid >= ensemble) return;
-                const JobId* src = d_curr + tid * n;
-                JobId* dst = d_cand + tid * n;
-                for (std::int32_t i = 0; i < n; ++i) dst[i] = src[i];
-                rng::Philox4x32 rng =
-                    raw::MakeStream(seed, g, raw::RngPhase::kPerturb,
-                                    static_cast<std::uint32_t>(tid));
-                if (shuffle_now) {
-                  std::uint32_t positions[kMaxPert];
-                  JobId values[kMaxPert];
-                  raw::PerturbRaw(dst, n, pert, rng, positions, values);
-                  t.charge(static_cast<std::uint64_t>(n) + 8 * pert);
-                } else {
-                  raw::SwapRaw(dst, n, rng);
-                  t.charge(static_cast<std::uint64_t>(n) + 2);
-                }
+                raw::PerturbCandidate(t, rows, tid, seed, g, pert,
+                                      shuffle_now);
               });
         }
         detail::LaunchFitness(device_, state_->problem, params_.config,
@@ -163,21 +150,7 @@ class ParallelSaSyncEngine final
               [=](sim::ThreadCtx& t) {
                 const std::uint64_t tid = t.global_thread();
                 if (tid >= ensemble) return;
-                rng::Philox4x32 rng =
-                    raw::MakeStream(seed, g, raw::RngPhase::kAccept,
-                                    static_cast<std::uint32_t>(tid));
-                const Cost e = d_curr_cost[tid];
-                const Cost e_new = d_cand_cost[tid];
-                const double accept =
-                    std::exp(static_cast<double>(e - e_new) / temp);
-                if (accept >= static_cast<double>(rng.NextUniform())) {
-                  JobId* cur = d_curr + tid * n;
-                  const JobId* cnd = d_cand + tid * n;
-                  for (std::int32_t i = 0; i < n; ++i) cur[i] = cnd[i];
-                  d_curr_cost[tid] = e_new;
-                  t.charge(static_cast<std::uint64_t>(n));
-                }
-                t.charge(4);
+                raw::MetropolisAccept(t, rows, tid, seed, g, temp);
               });
         }
         device_.Synchronize();

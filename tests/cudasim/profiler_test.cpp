@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
+#include "cudasim/device.hpp"
+
 namespace cdd::sim {
 namespace {
 
@@ -42,6 +46,8 @@ TEST(Profiler, ReportContainsEverySection) {
   prof.RecordTransfer(true, 42, 0.002);
   const std::string report = prof.Report();
   EXPECT_NE(report.find("my_kernel"), std::string::npos);
+  EXPECT_NE(report.find("modeled [ms]"), std::string::npos);
+  EXPECT_NE(report.find("wall [ms]"), std::string::npos);
   EXPECT_NE(report.find("H->D"), std::string::npos);
   EXPECT_NE(report.find("D->H"), std::string::npos);
   EXPECT_NE(report.find("42"), std::string::npos);
@@ -55,6 +61,44 @@ TEST(Profiler, ResetClearsEverything) {
   EXPECT_TRUE(prof.kernels().empty());
   EXPECT_EQ(prof.h2d().count, 0u);
   EXPECT_EQ(prof.d2h().count, 0u);
+}
+
+TEST(Profiler, AggregatesWallTime) {
+  Profiler prof;
+  prof.RecordKernel("fitness", 4, 768, 1000, 0.5, 0.003);
+  prof.RecordKernel("fitness", 4, 768, 2000, 0.25, 0.001);
+  EXPECT_DOUBLE_EQ(prof.Find("fitness")->wall_s, 0.004);
+  EXPECT_DOUBLE_EQ(prof.Find("fitness")->sim_time_s, 0.75);
+}
+
+TEST(Profiler, DeviceRecordsKernelWallTimeUnderBothBackends) {
+  // Block execution is timed on the host: a kernel whose thread 0 spins
+  // for 200 us records at least that much wall time, serially and with
+  // blocks fanned out over the host pool, while the modeled figures stay
+  // backend-independent.
+  const auto busy = [](ThreadCtx& t) {
+    t.charge(1);
+    if (t.linear_thread() != 0) return;
+    const auto start = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - start <
+           std::chrono::microseconds(200)) {
+    }
+  };
+  double modeled[2] = {0.0, 0.0};
+  for (const unsigned workers : {1u, 2u}) {
+    Device gpu;
+    gpu.set_worker_threads(workers);
+    gpu.Launch({4}, {32}, busy);
+    const KernelRecord* r = gpu.profiler().Find("kernel");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->launches, 1u);
+    EXPECT_EQ(r->work_units, 128u);
+    EXPECT_GE(r->wall_s, 200e-6) << "workers=" << workers;
+    modeled[workers - 1] = r->sim_time_s;
+    gpu.profiler().Reset();
+    EXPECT_EQ(gpu.profiler().Find("kernel"), nullptr);
+  }
+  EXPECT_EQ(modeled[0], modeled[1]);
 }
 
 }  // namespace

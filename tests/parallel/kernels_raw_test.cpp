@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "meta/ops.hpp"
 #include "parallel/launch_config.hpp"
 
 namespace cdd::par::raw {
@@ -40,30 +42,38 @@ TEST(PerturbRaw, ClampsPertAndHandlesTinySequences) {
   EXPECT_TRUE(IsPermutation(three));
 }
 
+/// The crossovers work in place: the child overwrites a copy of p1.
+Sequence OnePoint(const Sequence& p1, const Sequence& p2, std::uint32_t cut) {
+  Sequence row = p1;
+  std::vector<std::uint8_t> used(p1.size());
+  OnePointCrossoverRaw(static_cast<std::int32_t>(p1.size()), row.data(),
+                       p2.data(), cut, used.data());
+  return row;
+}
+
+Sequence TwoPoint(const Sequence& p1, const Sequence& p2, std::uint32_t a,
+                  std::uint32_t b) {
+  Sequence row = p1;
+  std::vector<std::uint8_t> used(p1.size());
+  TwoPointCrossoverRaw(static_cast<std::int32_t>(p1.size()), row.data(),
+                       p2.data(), a, b, used.data());
+  return row;
+}
+
 TEST(CrossoverRaw, OnePointMatchesSpecification) {
   const Sequence p1{0, 1, 2, 3, 4};
   const Sequence p2{4, 3, 2, 1, 0};
-  Sequence child(5);
-  std::uint8_t used[5];
-  OnePointCrossoverRaw(5, p1.data(), p2.data(), 2, child.data(), used);
-  EXPECT_EQ(child, (Sequence{0, 1, 4, 3, 2}));
-  OnePointCrossoverRaw(5, p1.data(), p2.data(), 0, child.data(), used);
-  EXPECT_EQ(child, p2);
-  OnePointCrossoverRaw(5, p1.data(), p2.data(), 5, child.data(), used);
-  EXPECT_EQ(child, p1);
+  EXPECT_EQ(OnePoint(p1, p2, 2), (Sequence{0, 1, 4, 3, 2}));
+  EXPECT_EQ(OnePoint(p1, p2, 0), p2);
+  EXPECT_EQ(OnePoint(p1, p2, 5), p1);
 }
 
 TEST(CrossoverRaw, TwoPointMatchesSpecification) {
   const Sequence p1{0, 1, 2, 3, 4};
   const Sequence p2{4, 3, 2, 1, 0};
-  Sequence child(5);
-  std::uint8_t used[5];
-  TwoPointCrossoverRaw(5, p1.data(), p2.data(), 1, 3, child.data(), used);
-  EXPECT_EQ(child, (Sequence{4, 1, 2, 3, 0}));
-  TwoPointCrossoverRaw(5, p1.data(), p2.data(), 0, 0, child.data(), used);
-  EXPECT_EQ(child, p2);
-  TwoPointCrossoverRaw(5, p1.data(), p2.data(), 0, 5, child.data(), used);
-  EXPECT_EQ(child, p1);
+  EXPECT_EQ(TwoPoint(p1, p2, 1, 3), (Sequence{4, 1, 2, 3, 0}));
+  EXPECT_EQ(TwoPoint(p1, p2, 0, 0), p2);
+  EXPECT_EQ(TwoPoint(p1, p2, 0, 5), p1);
 }
 
 TEST(CrossoverRaw, AlwaysPermutationsUnderRandomCuts) {
@@ -71,20 +81,40 @@ TEST(CrossoverRaw, AlwaysPermutationsUnderRandomCuts) {
   for (const std::int32_t n : {2, 5, 17, 60}) {
     Sequence p1 = RandomSequence(static_cast<std::size_t>(n), rng);
     Sequence p2 = RandomSequence(static_cast<std::size_t>(n), rng);
-    Sequence child(static_cast<std::size_t>(n));
-    std::vector<std::uint8_t> used(static_cast<std::size_t>(n));
     for (int trial = 0; trial < 50; ++trial) {
       const std::uint32_t cut =
           UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
-      OnePointCrossoverRaw(n, p1.data(), p2.data(), cut, child.data(),
-                           used.data());
-      ASSERT_TRUE(IsPermutation(child)) << "1pt n=" << n;
+      ASSERT_TRUE(IsPermutation(OnePoint(p1, p2, cut))) << "1pt n=" << n;
       std::uint32_t a = UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
       std::uint32_t b = UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
       if (a > b) std::swap(a, b);
-      TwoPointCrossoverRaw(n, p1.data(), p2.data(), a, b, child.data(),
-                           used.data());
-      ASSERT_TRUE(IsPermutation(child)) << "2pt n=" << n;
+      ASSERT_TRUE(IsPermutation(TwoPoint(p1, p2, a, b))) << "2pt n=" << n;
+    }
+  }
+}
+
+TEST(CrossoverRaw, MatchesHostReferenceForEveryCut) {
+  // The in-place device crossovers against meta/ops.cpp's host
+  // references, for every cut and every a <= b, over random donors.
+  rng::Philox4x32 rng(17, 19);
+  for (const std::int32_t n : {1, 2, 5, 17}) {
+    const auto un = static_cast<std::uint32_t>(n);
+    for (int trial = 0; trial < 8; ++trial) {
+      const Sequence p1 = RandomSequence(un, rng);
+      const Sequence p2 = RandomSequence(un, rng);
+      Sequence expected;
+      for (std::uint32_t cut = 0; cut <= un; ++cut) {
+        meta::OnePointCrossover(p1, p2, cut, expected);
+        ASSERT_EQ(OnePoint(p1, p2, cut), expected)
+            << "n=" << n << " cut=" << cut;
+      }
+      for (std::uint32_t a = 0; a <= un; ++a) {
+        for (std::uint32_t b = a; b <= un; ++b) {
+          meta::TwoPointCrossover(p1, p2, a, b, expected);
+          ASSERT_EQ(TwoPoint(p1, p2, a, b), expected)
+              << "n=" << n << " a=" << a << " b=" << b;
+        }
+      }
     }
   }
 }
