@@ -3,14 +3,21 @@
 /// slow when run iteratively on some general heuristic algorithm".
 /// google-benchmark comparison of per-sequence latency:
 ///   O(n) evaluators  <<  O(n^2) reference oracles  <<  two-phase simplex.
+/// The BM_*Batch* pairs time one 768-row generation batch of the
+/// generator's instance (n = 50, 200, 500) through the scalar batch and
+/// through the dispatch entry point (SIMD unless CDD_EVAL_BACKEND=scalar).
 
 #include <benchmark/benchmark.h>
 
 #include "common/test_instances.hpp"
+#include "core/candidate_pool.hpp"
 #include "core/eval_cdd.hpp"
+#include "core/eval_raw.hpp"
+#include "core/eval_simd.hpp"
 #include "core/eval_ucddcp.hpp"
 #include "core/reference_eval.hpp"
 #include "lp/models.hpp"
+#include "orlib/biskup_feldmann.hpp"
 
 namespace {
 
@@ -78,6 +85,81 @@ void BM_EvalUcddcpSimplexLp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvalUcddcpSimplexLp)->Arg(8)->Arg(16)->Arg(32);
+
+/// Rows per batch: the fitness launch's 768 chains.
+constexpr std::size_t kBatchRows = 768;
+
+cdd::CandidatePool RandomRows(std::uint32_t n) {
+  cdd::CandidatePool pool(n, kBatchRows);
+  for (std::size_t b = 0; b < kBatchRows; ++b) {
+    pool.Append(RandomSeq(n, n * 13 + b));
+  }
+  return pool;
+}
+
+template <bool kDispatch>
+void BM_UcddcpBatch(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const cdd::UcddcpEvaluator eval(
+      cdd::orlib::BiskupFeldmannGenerator().Ucddcp(n, 0));
+  cdd::CandidatePool pool = RandomRows(n);
+  const cdd::CandidatePoolView v = pool.view();
+  const auto batch = static_cast<std::int32_t>(v.count);
+  for (auto _ : state) {
+    if (kDispatch) {
+      cdd::raw::EvalUcddcpBatchDispatch(
+          static_cast<std::int32_t>(n), eval.due_date(), v.seqs, v.stride,
+          batch, eval.proc_data(), eval.min_proc_data(), eval.alpha_data(),
+          eval.beta_data(), eval.gamma_data(), v.costs, v.pinned);
+    } else {
+      cdd::raw::EvalUcddcpBatch(
+          static_cast<std::int32_t>(n), eval.due_date(), v.seqs, v.stride,
+          batch, eval.proc_data(), eval.min_proc_data(), eval.alpha_data(),
+          eval.beta_data(), eval.gamma_data(), v.costs, v.pinned);
+    }
+    benchmark::DoNotOptimize(v.costs);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_UcddcpBatch<false>)
+    ->Name("BM_UcddcpBatchScalar")
+    ->Arg(50)->Arg(200)->Arg(500);
+BENCHMARK(BM_UcddcpBatch<true>)
+    ->Name("BM_UcddcpBatchDispatch")
+    ->Arg(50)->Arg(200)->Arg(500);
+
+template <bool kDispatch>
+void BM_CddBatch(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const cdd::CddEvaluator eval(
+      cdd::orlib::BiskupFeldmannGenerator().Cdd(n, 0, 0.4));
+  cdd::CandidatePool pool = RandomRows(n);
+  const cdd::CandidatePoolView v = pool.view();
+  const auto batch = static_cast<std::int32_t>(v.count);
+  for (auto _ : state) {
+    if (kDispatch) {
+      cdd::raw::EvalCddBatchDispatch(
+          static_cast<std::int32_t>(n), eval.due_date(), v.seqs, v.stride,
+          batch, eval.proc_data(), eval.alpha_data(), eval.beta_data(),
+          v.costs, v.pinned);
+    } else {
+      cdd::raw::EvalCddBatch(static_cast<std::int32_t>(n), eval.due_date(),
+                             v.seqs, v.stride, batch, eval.proc_data(),
+                             eval.alpha_data(), eval.beta_data(), v.costs,
+                             v.pinned);
+    }
+    benchmark::DoNotOptimize(v.costs);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_CddBatch<false>)
+    ->Name("BM_CddBatchScalar")
+    ->Arg(50)->Arg(200)->Arg(500);
+BENCHMARK(BM_CddBatch<true>)
+    ->Name("BM_CddBatchDispatch")
+    ->Arg(50)->Arg(200)->Arg(500);
 
 }  // namespace
 

@@ -32,9 +32,14 @@
 /// piecewise linear in the start time s with integral slope pl - pe, so the
 /// cost at the chosen offset is the s = 0 cost plus slope x distance per
 /// segment, bit-identical to the two-pass result in exact integer
-/// arithmetic.  EvalCddBatch / EvalUcddcpBatch run the fused evaluator over
-/// B stride-aligned sequences of one candidate pool while the instance
-/// arrays stay cache-resident, with no per-candidate dispatch.
+/// arithmetic.  EvalUcddcpOnePass folds the CDD relaxation's crossing walk
+/// into the Property-2 tardy walk (with d >= sum P the crossing walk's pl
+/// is the suffix sum of beta), so a UCDDCP row is one backward walk to r
+/// and one forward walk to r.  EvalCddBatch / EvalUcddcpBatch run these
+/// row evaluators over B stride-aligned sequences of one candidate pool
+/// while the instance arrays stay cache-resident, with no per-candidate
+/// dispatch.  EvalCdd / EvalUcddcp keep the literal two-pass shape as the
+/// reference oracles.
 
 #include <cstdint>
 
@@ -271,48 +276,86 @@ inline void EvalCddBatch(std::int32_t n, Time d, const JobId* seqs,
   }
 }
 
-/// Single-pass-base variant of EvalUcddcp (bit-identical results): the CDD
-/// relaxation is solved by EvalCddFused, the compression decisions are the
-/// unchanged Property 2 walks.
+/// Sum of P_i and sum of alpha_i: the two instance constants the one-pass
+/// UCDDCP walk needs.  Batch callers compute them once per call.
+struct UcddcpSums {
+  Time proc = 0;
+  Cost alpha = 0;
+};
+
+inline UcddcpSums SumUcddcp(std::int32_t n, const Time* proc,
+                            const Cost* alpha) noexcept {
+  UcddcpSums s;
+  for (std::int32_t j = 0; j < n; ++j) {
+    s.proc += proc[j];
+    s.alpha += alpha[j];
+  }
+  return s;
+}
+
+/// True when the one-pass walk applies: d >= sum P (the unrestricted
+/// case) and the CDD relaxation pins a job at d, i.e. d == sum P or the
+/// all-early block slides right (sum alpha > 0).  Otherwise (r = -1, or a
+/// restricted instance) the evaluators return EvalUcddcp's result.
+inline bool UcddcpOnePassApplies(Time d, const UcddcpSums& s) noexcept {
+  return s.proc == d || (s.proc < d && s.alpha > 0);
+}
+
+/// \brief The one-pass UCDDCP row walk (bit-identical to EvalUcddcp when
+/// UcddcpOnePassApplies holds; \p sum_alpha is the instance's sum of alpha).
+///
+/// With d >= sum P the s = 0 schedule is all-early, so the CDD relaxation
+/// starts with pl = 0, pe = sum alpha and the pinned position at n-1, and
+/// its crossing walk moves position p to the tardy side while
+/// pl + beta < pe - alpha.  That pl is exactly the Property-2 suffix sum
+/// `sb` at p, so one backward walk decides each crossing, adds the
+/// crossed position's tardy term, and stops at the due-date position r.
+/// A forward walk over 0..r then adds the early terms.
+inline EvalResult EvalUcddcpOnePass(std::int32_t n, Time d, const JobId* seq,
+                                    const Time* proc, const Time* minproc,
+                                    const Cost* alpha, const Cost* beta,
+                                    const Cost* gamma,
+                                    Cost sum_alpha) noexcept {
+  Cost cost = 0;
+  Cost sb = 0;          // suffix sum of beta over the tardy positions
+  Cost pe = sum_alpha;  // alpha mass at or before the pinned position
+  std::int32_t r = n - 1;
+  for (; r > 0; --r) {
+    const JobId j = seq[r];
+    const Cost sb_next = sb + beta[j];
+    const Cost pe_next = pe - alpha[j];
+    if (!(sb_next < pe_next)) break;
+    sb = sb_next;
+    pe = pe_next;
+    const Time x = (sb > gamma[j]) ? proc[j] - minproc[j] : Time{0};
+    cost += (proc[j] - x) * sb + gamma[j] * x;
+  }
+
+  Time compressed_before_d = 0;
+  Cost pa = 0;  // prefix sum of alpha of the strictly preceding positions
+  for (std::int32_t i = 0; i <= r; ++i) {
+    const JobId j = seq[i];
+    const Time x = (pa > gamma[j]) ? proc[j] - minproc[j] : Time{0};
+    cost += (proc[j] - x) * pa + gamma[j] * x;
+    compressed_before_d += proc[j] - x;
+    pa += alpha[j];
+  }
+  return {cost, d - compressed_before_d, r};
+}
+
+/// One-pass variant of EvalUcddcp (bit-identical results):
+/// the row evaluator behind the batched entry points and the simulator's
+/// fitness kernel.  Instances outside UcddcpOnePassApplies take EvalUcddcp.
 inline EvalResult EvalUcddcpFused(std::int32_t n, Time d, const JobId* seq,
                                   const Time* proc, const Time* minproc,
                                   const Cost* alpha, const Cost* beta,
-                                  const Cost* gamma,
-                                  Time* x_out = nullptr) noexcept {
-  const EvalResult base = EvalCddFused(n, d, seq, proc, alpha, beta);
-  if (x_out != nullptr) {
-    for (std::int32_t i = 0; i < n; ++i) x_out[i] = 0;
+                                  const Cost* gamma) noexcept {
+  const UcddcpSums s = SumUcddcp(n, proc, alpha);
+  if (UcddcpOnePassApplies(d, s)) {
+    return EvalUcddcpOnePass(n, d, seq, proc, minproc, alpha, beta, gamma,
+                             s.alpha);
   }
-  const std::int32_t r = base.pinned;
-  if (r < 0) {
-    return base;
-  }
-
-  Cost cost = 0;
-  Time compressed_before_d = 0;
-
-  Cost sb = 0;
-  for (std::int32_t i = n - 1; i > r; --i) {
-    const JobId j = seq[i];
-    sb += beta[j];
-    const Time reducible = proc[j] - minproc[j];
-    const Time x = (sb > gamma[j]) ? reducible : Time{0};
-    cost += (proc[j] - x) * sb + gamma[j] * x;
-    if (x_out != nullptr) x_out[j] = x;
-  }
-
-  Cost pa = 0;
-  for (std::int32_t i = 0; i <= r; ++i) {
-    const JobId j = seq[i];
-    const Time reducible = proc[j] - minproc[j];
-    const Time x = (pa > gamma[j]) ? reducible : Time{0};
-    cost += (proc[j] - x) * pa + gamma[j] * x;
-    compressed_before_d += proc[j] - x;
-    if (x_out != nullptr) x_out[j] = x;
-    pa += alpha[j];
-  }
-
-  return {cost, d - compressed_before_d, r};
+  return EvalUcddcp(n, d, seq, proc, minproc, alpha, beta, gamma);
 }
 
 /// --- Parallel machines & early work ------------------------------------
@@ -423,7 +466,8 @@ inline void EvalEarlyWorkBatch(std::int32_t n, std::int32_t m, Time d,
 }
 
 /// Batched UCDDCP evaluation over a stride-aligned SoA pool; see
-/// EvalCddBatch for the layout contract.
+/// EvalCddBatch for the layout contract.  The instance sums are computed
+/// once per call.
 inline void EvalUcddcpBatch(std::int32_t n, Time d, const JobId* seqs,
                             std::int32_t stride, std::int32_t batch,
                             const Time* proc, const Time* minproc,
@@ -431,10 +475,14 @@ inline void EvalUcddcpBatch(std::int32_t n, Time d, const JobId* seqs,
                             const Cost* gamma, Cost* costs,
                             std::int32_t* pinned = nullptr,
                             Time* offsets = nullptr) noexcept {
+  const UcddcpSums s = SumUcddcp(n, proc, alpha);
+  const bool one_pass = UcddcpOnePassApplies(d, s);
   for (std::int32_t b = 0; b < batch; ++b) {
-    const EvalResult r = EvalUcddcpFused(
-        n, d, seqs + static_cast<std::size_t>(b) * stride, proc, minproc,
-        alpha, beta, gamma);
+    const JobId* seq = seqs + static_cast<std::size_t>(b) * stride;
+    const EvalResult r =
+        one_pass ? EvalUcddcpOnePass(n, d, seq, proc, minproc, alpha, beta,
+                                     gamma, s.alpha)
+                 : EvalUcddcp(n, d, seq, proc, minproc, alpha, beta, gamma);
     costs[b] = r.cost;
     if (pinned != nullptr) pinned[b] = r.pinned;
     if (offsets != nullptr) offsets[b] = r.offset;

@@ -22,9 +22,10 @@ namespace {
 //
 // One lane per candidate, outer loop over sequence positions.  Every lane
 // update is a branch-free select on exactly the condition the scalar
-// EvalCddFused evaluates, so the per-lane arithmetic is the scalar
-// algorithm verbatim — the compiler maps the K-wide inner loops onto
-// Advanced SIMD on aarch64 and onto whatever the host offers elsewhere.
+// EvalCddFused / EvalUcddcpOnePass evaluates, so the per-lane arithmetic
+// is the scalar algorithm verbatim — the compiler maps the K-wide inner
+// loops onto Advanced SIMD on aarch64 and onto whatever the host offers
+// elsewhere.
 // ---------------------------------------------------------------------------
 
 template <int K>
@@ -102,98 +103,63 @@ void CddLanesPortable(std::int32_t n, Time d, const JobId* seqs,
   }
 }
 
+/// The one-pass UCDDCP walk of EvalUcddcpOnePass over K lanes: a masked
+/// backward walk whose lanes retire at their own due-date position r, then
+/// a forward walk masked up to the largest r.  A lane's sb / pe (and pa)
+/// are dead once it retires, so they update unconditionally and only the
+/// cost terms and r are masked.
 template <int K>
 void UcddcpLanesPortable(std::int32_t n, Time d, const JobId* seqs,
                          const std::int64_t* row_off, const Time* proc,
                          const Time* minproc, const Cost* alpha,
-                         const Cost* beta, const Cost* gamma, Cost* cost_out,
-                         std::int64_t* pinned_out,
+                         const Cost* beta, const Cost* gamma, Cost sum_alpha,
+                         Cost* cost_out, std::int64_t* pinned_out,
                          Time* offset_out) noexcept {
-  Cost base_cost[K];
-  std::int64_t r[K];
-  Time base_offset[K];
-  CddLanesPortable<K>(n, d, seqs, row_off, proc, alpha, beta, base_cost, r,
-                      base_offset);
-
   Cost cost[K] = {};
-  Time compressed[K] = {};
   Cost sb[K] = {};
+  Cost pe[K];
+  std::int64_t r[K];
+  bool active[K];
+  for (int k = 0; k < K; ++k) {
+    pe[k] = sum_alpha;
+    r[k] = n - 1;
+    active[k] = true;
+  }
+
+  bool any = true;
+  for (std::int32_t p = n - 1; any && p > 0; --p) {
+    any = false;
+    for (int k = 0; k < K; ++k) {
+      const JobId j = seqs[row_off[k] + p];
+      sb[k] += beta[j];
+      pe[k] -= alpha[j];
+      const bool cross = active[k] && sb[k] < pe[k];
+      const Time x = (sb[k] > gamma[j]) ? proc[j] - minproc[j] : Time{0};
+      cost[k] += cross ? (proc[j] - x) * sb[k] + gamma[j] * x : Cost{0};
+      r[k] -= cross ? 1 : 0;
+      active[k] = cross;
+      any = any || cross;
+    }
+  }
+
+  std::int64_t rmax = r[0];
+  for (int k = 1; k < K; ++k) rmax = std::max(rmax, r[k]);
+  Time compressed[K] = {};
   Cost pa[K] = {};
-
-  // The per-lane crossings r[k] bound the walk phases: for i > rmax every
-  // participating lane is on the tardy side, for i <= rmin every one is
-  // on the early side.  Those two long scans run *dense* — the only lane
-  // test left is the loop-invariant participation check — and only the
-  // short mixed band between rmin and rmax pays the per-position test.
-  // Lanes with no pinned job (r < 0) never enter either walk.
-  std::int64_t rmin = n;
-  std::int64_t rmax = -1;
-  for (int k = 0; k < K; ++k) {
-    if (r[k] >= 0) {
-      rmin = std::min(rmin, r[k]);
-      rmax = std::max(rmax, r[k]);
-    }
-  }
-
-  // Tardy side (Property 2 suffix walk): lane k participates while
-  // i > r[k].  Dense phase first, then the mixed band.
-  std::int32_t i = n - 1;
-  for (; rmax >= 0 && i > rmax; --i) {
+  for (std::int64_t e = 0; e <= rmax; ++e) {
     for (int k = 0; k < K; ++k) {
-      if (r[k] < 0) continue;
-      const JobId j = seqs[row_off[k] + i];
-      sb[k] += beta[j];
-      const Time reducible = proc[j] - minproc[j];
-      const Time x = (sb[k] > gamma[j]) ? reducible : Time{0};
-      cost[k] += (proc[j] - x) * sb[k] + gamma[j] * x;
-    }
-  }
-  for (; i >= 1; --i) {
-    bool any = false;
-    for (int k = 0; k < K; ++k) {
-      if (r[k] < 0 || i <= r[k]) continue;
-      any = true;
-      const JobId j = seqs[row_off[k] + i];
-      sb[k] += beta[j];
-      const Time reducible = proc[j] - minproc[j];
-      const Time x = (sb[k] > gamma[j]) ? reducible : Time{0};
-      cost[k] += (proc[j] - x) * sb[k] + gamma[j] * x;
-    }
-    if (!any) break;
-  }
-
-  // Early side (prefix walk): lane k participates while i <= r[k].
-  std::int32_t e = 0;
-  for (; e <= rmin && e < n; ++e) {
-    for (int k = 0; k < K; ++k) {
-      if (r[k] < 0) continue;
+      const bool act = e <= r[k];
       const JobId j = seqs[row_off[k] + e];
-      const Time reducible = proc[j] - minproc[j];
-      const Time x = (pa[k] > gamma[j]) ? reducible : Time{0};
-      cost[k] += (proc[j] - x) * pa[k] + gamma[j] * x;
-      compressed[k] += proc[j] - x;
+      const Time x = (pa[k] > gamma[j]) ? proc[j] - minproc[j] : Time{0};
+      cost[k] += act ? (proc[j] - x) * pa[k] + gamma[j] * x : Cost{0};
+      compressed[k] += act ? proc[j] - x : Time{0};
       pa[k] += alpha[j];
     }
   }
-  for (; e < n; ++e) {
-    bool any = false;
-    for (int k = 0; k < K; ++k) {
-      if (r[k] < 0 || e > r[k]) continue;
-      any = true;
-      const JobId j = seqs[row_off[k] + e];
-      const Time reducible = proc[j] - minproc[j];
-      const Time x = (pa[k] > gamma[j]) ? reducible : Time{0};
-      cost[k] += (proc[j] - x) * pa[k] + gamma[j] * x;
-      compressed[k] += proc[j] - x;
-      pa[k] += alpha[j];
-    }
-    if (!any) break;
-  }
 
   for (int k = 0; k < K; ++k) {
-    const bool part = r[k] >= 0;
-    cost_out[k] = part ? cost[k] : base_cost[k];
-    offset_out[k] = part ? d - compressed[k] : base_offset[k];
+    cost_out[k] = cost[k];
+    offset_out[k] = d - compressed[k];
     pinned_out[k] = r[k];
   }
 }
@@ -232,14 +198,19 @@ void StoreLanes(const Cost* cost, const std::int64_t* pinned,
 //    every partial sum — c, pe, pl, |c - d|, the walk prefixes — stays
 //    below 2^31, so every product is one vpmuludq (32x32 -> 64, exact).
 //
-// Each phase reads one 32-bit packed word per lane and step,
+// Each CDD phase reads one 32-bit packed word per lane and step,
 // (alpha << 16) | proc in the early phase and (beta << 16) | proc in the
 // tardy phase, assembled with plain scalar loads: vpgather is microcoded
 // on most production x86 cores (and slowed further by the Downfall
-// mitigation), four independent loads are not.  The breakpoint slide and
-// Theorem-1 crossing walk run scalar per lane — they touch a handful of
-// positions, and scalarizing them removes the masked-lane machinery from
-// the kernel entirely.
+// mitigation), four independent loads are not.  On CDD the breakpoint
+// slide and Theorem-1 crossing walk run scalar per lane — with d < sum P
+// they touch a few positions around the due date.
+//
+// UCDDCP is different: with d >= sum P the crossing walk starts at n-1
+// and covers about 40% of the row, so the UCDDCP kernel is the one-pass
+// walk of EvalUcddcpOnePass in lockstep — a masked backward walk that
+// decides the crossings and adds the tardy terms, then the forward early
+// walk — with no CDD pass underneath.
 // ---------------------------------------------------------------------------
 
 constexpr std::int64_t kFieldLimit = std::int64_t{1} << 16;
@@ -267,10 +238,12 @@ bool Packable(std::int32_t n, Time d, const Time* proc, const Cost* alpha,
   return sp < kSumLimit && sa < kSumLimit && sb < kSumLimit;
 }
 
-bool Packable2(std::int32_t n, const Time* minproc,
+/// The UCDDCP kernel's extra bounds: M_i and gamma_i fit 16 bits and
+/// M_i <= P_i, so the reducible amount P_i - M_i is a 16-bit field too.
+bool Packable2(std::int32_t n, const Time* proc, const Time* minproc,
                const Cost* gamma) noexcept {
   for (std::int32_t j = 0; j < n; ++j) {
-    if (minproc[j] < 0 || minproc[j] >= kFieldLimit) return false;
+    if (minproc[j] < 0 || minproc[j] > proc[j]) return false;
     if (gamma[j] < 0 || gamma[j] >= kFieldLimit) return false;
   }
   return true;
@@ -297,18 +270,6 @@ const std::uint32_t* PackTardy32(std::int32_t n, const Time* proc,
   for (std::int32_t j = 0; j < n; ++j) {
     scratch[static_cast<std::size_t>(j)] =
         static_cast<std::uint32_t>((beta[j] << 16) | proc[j]);
-  }
-  return scratch.data();
-}
-
-/// (gamma << 16) | minproc, one word per job id (UCDDCP compression data).
-const std::uint32_t* PackCompression32(std::int32_t n, const Time* minproc,
-                                       const Cost* gamma) {
-  static thread_local std::vector<std::uint32_t> scratch;
-  scratch.resize(static_cast<std::size_t>(n));
-  for (std::int32_t j = 0; j < n; ++j) {
-    scratch[static_cast<std::size_t>(j)] =
-        static_cast<std::uint32_t>((gamma[j] << 16) | minproc[j]);
   }
   return scratch.data();
 }
@@ -638,230 +599,116 @@ __attribute__((target("avx2"))) void EvalCddGroup8Avx2(
              offsets_out);
 }
 
-/// The Property-2 suffix/prefix walks applied on top of the CDD
-/// relaxation result of one 4-lane group (base_cost/base_offset/r from a
-/// CddLanes* kernel).
-__attribute__((target("avx2"))) void UcddcpTailAvx2(
-    std::int32_t n, Time d, const JobId* seqs, std::int64_t row0,
-    std::int64_t stride, const std::uint32_t* packE,
-    const std::uint32_t* packT, const std::uint32_t* packC, std::int32_t b,
-    __m256i base_cost, __m256i base_offset, __m256i r, Cost* costs,
-    std::int32_t* pinned_out, Time* offsets_out) noexcept {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i neg1 = _mm256_set1_epi64x(-1);
-  const __m256i low16 = _mm256_set1_epi64x(0xffff);
-  const __m256i vd = _mm256_set1_epi64x(d);
-  // Lanes with no pinned job keep the CDD relaxation result verbatim.
-  const __m256i part = _mm256_cmpgt_epi64(r, neg1);
-  if (_mm256_movemask_epi8(part) == 0) {
-    Store4Avx2(base_cost, r, base_offset, b, costs, pinned_out,
-               offsets_out);
-    return;
+/// P | (P - M) << 16 | alpha << 32 | gamma << 48, one 64-bit word per job
+/// id: every field a UCDDCP step reads except beta.
+const std::uint64_t* PackUcddcp64(std::int32_t n, const Time* proc,
+                                  const Time* minproc, const Cost* alpha,
+                                  const Cost* gamma) {
+  static thread_local std::vector<std::uint64_t> scratch;
+  scratch.resize(static_cast<std::size_t>(n));
+  for (std::int32_t j = 0; j < n; ++j) {
+    scratch[static_cast<std::size_t>(j)] =
+        static_cast<std::uint64_t>(proc[j]) |
+        static_cast<std::uint64_t>(proc[j] - minproc[j]) << 16 |
+        static_cast<std::uint64_t>(alpha[j]) << 32 |
+        static_cast<std::uint64_t>(gamma[j]) << 48;
   }
-
-  const JobId* rows[4] = {seqs + row0, seqs + row0 + stride,
-                          seqs + row0 + 2 * stride,
-                          seqs + row0 + 3 * stride};
-
-  __m256i cost = zero;
-  __m256i compressed = zero;
-  __m256i sb = zero;
-  __m256i pa = zero;
-
-  // Lane operands come from guarded scalar loads: inactive lanes read
-  // nothing and see zero packed words.
-  alignas(32) std::int64_t w1[4];
-  alignas(32) std::int64_t w2[4];
-
-  // The per-lane crossings bound the walk phases exactly as in the CDD
-  // kernel's early/mixed/tardy split: for i > rmax every participating
-  // lane is on the tardy side and for i <= rmin every one is on the
-  // early side, so the activity mask is the loop-invariant `part` —
-  // those dense ranges skip the per-position broadcast/compare/movemask.
-  // Only the mixed band (rmin, rmax] pays the per-position test.
-  alignas(32) std::int64_t rl[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(rl), r);
-  const int pm = _mm256_movemask_pd(_mm256_castsi256_pd(part));
-  std::int32_t rmin = n;
-  std::int32_t rmax = -1;
-  for (int k = 0; k < 4; ++k) {
-    if (((pm >> k) & 1) != 0) {
-      rmin = std::min(rmin, static_cast<std::int32_t>(rl[k]));
-      rmax = std::max(rmax, static_cast<std::int32_t>(rl[k]));
-    }
-  }
-
-  // Tardy side: lane active while i > r (Property 2 suffix walk).
-  // Dense phase first (act == part for i > rmax), then the mixed band.
-  std::int32_t i = n - 1;
-  for (; i > rmax; --i) {
-    for (int k = 0; k < 4; ++k) {
-      if (((pm >> k) & 1) != 0) {
-        const JobId j = rows[k][i];
-        w1[k] = packT[j];
-        w2[k] = packC[j];
-      } else {
-        w1[k] = 0;
-        w2[k] = 0;
-      }
-    }
-    const __m256i packed1 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(w1));
-    const __m256i packed2 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(w2));
-    const __m256i pj = _mm256_and_si256(packed1, low16);
-    const __m256i bj = _mm256_srli_epi64(packed1, 16);
-    const __m256i mj = _mm256_and_si256(packed2, low16);
-    const __m256i gj = _mm256_srli_epi64(packed2, 16);
-    sb = _mm256_add_epi64(sb, _mm256_and_si256(part, bj));
-    const __m256i reducible = _mm256_sub_epi64(pj, mj);
-    const __m256i x =
-        _mm256_and_si256(_mm256_cmpgt_epi64(sb, gj), reducible);
-    const __m256i term =
-        _mm256_add_epi64(_mm256_mul_epu32(_mm256_sub_epi64(pj, x), sb),
-                         _mm256_mul_epu32(gj, x));
-    cost = _mm256_add_epi64(cost, _mm256_and_si256(part, term));
-  }
-  for (; i >= 1; --i) {
-    const __m256i vi = _mm256_set1_epi64x(i);
-    const __m256i act =
-        _mm256_and_si256(part, _mm256_cmpgt_epi64(vi, r));
-    const int am = _mm256_movemask_pd(_mm256_castsi256_pd(act));
-    if (am == 0) break;
-    for (int k = 0; k < 4; ++k) {
-      if (((am >> k) & 1) != 0) {
-        const JobId j = rows[k][i];
-        w1[k] = packT[j];
-        w2[k] = packC[j];
-      } else {
-        w1[k] = 0;
-        w2[k] = 0;
-      }
-    }
-    const __m256i packed1 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(w1));
-    const __m256i packed2 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(w2));
-    const __m256i pj = _mm256_and_si256(packed1, low16);
-    const __m256i bj = _mm256_srli_epi64(packed1, 16);
-    const __m256i mj = _mm256_and_si256(packed2, low16);
-    const __m256i gj = _mm256_srli_epi64(packed2, 16);
-    sb = _mm256_add_epi64(sb, _mm256_and_si256(act, bj));
-    const __m256i reducible = _mm256_sub_epi64(pj, mj);
-    const __m256i x =
-        _mm256_and_si256(_mm256_cmpgt_epi64(sb, gj), reducible);
-    const __m256i term =
-        _mm256_add_epi64(_mm256_mul_epu32(_mm256_sub_epi64(pj, x), sb),
-                         _mm256_mul_epu32(gj, x));
-    cost = _mm256_add_epi64(cost, _mm256_and_si256(act, term));
-  }
-
-  // Early side: lane active while i <= r (Property 2 prefix walk).
-  // Dense phase first (act == part for i <= rmin), then the mixed band.
-  std::int32_t e = 0;
-  for (; e <= rmin && e < n; ++e) {
-    for (int k = 0; k < 4; ++k) {
-      if (((pm >> k) & 1) != 0) {
-        const JobId j = rows[k][e];
-        w1[k] = packE[j];
-        w2[k] = packC[j];
-      } else {
-        w1[k] = 0;
-        w2[k] = 0;
-      }
-    }
-    const __m256i packed1 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(w1));
-    const __m256i packed2 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(w2));
-    const __m256i pj = _mm256_and_si256(packed1, low16);
-    const __m256i aj = _mm256_srli_epi64(packed1, 16);
-    const __m256i mj = _mm256_and_si256(packed2, low16);
-    const __m256i gj = _mm256_srli_epi64(packed2, 16);
-    const __m256i reducible = _mm256_sub_epi64(pj, mj);
-    const __m256i x =
-        _mm256_and_si256(_mm256_cmpgt_epi64(pa, gj), reducible);
-    const __m256i pmx = _mm256_sub_epi64(pj, x);
-    const __m256i term = _mm256_add_epi64(_mm256_mul_epu32(pmx, pa),
-                                          _mm256_mul_epu32(gj, x));
-    cost = _mm256_add_epi64(cost, _mm256_and_si256(part, term));
-    compressed = _mm256_add_epi64(compressed, _mm256_and_si256(part, pmx));
-    pa = _mm256_add_epi64(pa, _mm256_and_si256(part, aj));
-  }
-  for (; e < n; ++e) {
-    const __m256i vi = _mm256_set1_epi64x(e);
-    const __m256i act =
-        _mm256_andnot_si256(_mm256_cmpgt_epi64(vi, r), part);
-    const int am = _mm256_movemask_pd(_mm256_castsi256_pd(act));
-    if (am == 0) break;
-    for (int k = 0; k < 4; ++k) {
-      if (((am >> k) & 1) != 0) {
-        const JobId j = rows[k][e];
-        w1[k] = packE[j];
-        w2[k] = packC[j];
-      } else {
-        w1[k] = 0;
-        w2[k] = 0;
-      }
-    }
-    const __m256i packed1 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(w1));
-    const __m256i packed2 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(w2));
-    const __m256i pj = _mm256_and_si256(packed1, low16);
-    const __m256i aj = _mm256_srli_epi64(packed1, 16);
-    const __m256i mj = _mm256_and_si256(packed2, low16);
-    const __m256i gj = _mm256_srli_epi64(packed2, 16);
-    const __m256i reducible = _mm256_sub_epi64(pj, mj);
-    const __m256i x =
-        _mm256_and_si256(_mm256_cmpgt_epi64(pa, gj), reducible);
-    const __m256i pmx = _mm256_sub_epi64(pj, x);
-    const __m256i term = _mm256_add_epi64(_mm256_mul_epu32(pmx, pa),
-                                          _mm256_mul_epu32(gj, x));
-    cost = _mm256_add_epi64(cost, _mm256_and_si256(act, term));
-    compressed = _mm256_add_epi64(compressed, _mm256_and_si256(act, pmx));
-    pa = _mm256_add_epi64(pa, _mm256_and_si256(act, aj));
-  }
-
-  const __m256i out_cost = _mm256_blendv_epi8(base_cost, cost, part);
-  const __m256i out_offset = _mm256_blendv_epi8(
-      base_offset, _mm256_sub_epi64(vd, compressed), part);
-  Store4Avx2(out_cost, r, out_offset, b, costs, pinned_out, offsets_out);
+  return scratch.data();
 }
 
+/// beta, one 32-bit word per job id (the backward walk's fifth field).
+const std::uint32_t* PackBeta32(std::int32_t n, const Cost* beta) {
+  static thread_local std::vector<std::uint32_t> scratch;
+  scratch.resize(static_cast<std::size_t>(n));
+  for (std::int32_t j = 0; j < n; ++j) {
+    scratch[static_cast<std::size_t>(j)] = static_cast<std::uint32_t>(beta[j]);
+  }
+  return scratch.data();
+}
+
+/// Four packed 64-bit words, one per candidate lane.
+__attribute__((target("avx2"))) inline __m256i Lanes64(
+    const std::uint64_t* pack, JobId j0, JobId j1, JobId j2,
+    JobId j3) noexcept {
+  return _mm256_setr_epi64x(static_cast<long long>(pack[j0]),
+                            static_cast<long long>(pack[j1]),
+                            static_cast<long long>(pack[j2]),
+                            static_cast<long long>(pack[j3]));
+}
+
+/// EvalUcddcpOnePass over 4 lanes.  The backward walk is masked: `act`
+/// holds the lanes that cross position p, and a lane retires at its own r
+/// (kept as n-1 plus its crossing masks, which are -1).  sb only grows and
+/// pe only shrinks (Packable admits no negative field), so a lane that
+/// stops crossing never crosses again and sb / pe need no mask.  The
+/// forward walk is dense up to the smallest r and masked up to the
+/// largest.  Every operand comes from independent scalar loads assembled
+/// in registers, and every product is one exact vpmuludq (see Packable /
+/// Packable2).
 __attribute__((target("avx2"))) void EvalUcddcpGroupAvx2(
     std::int32_t n, Time d, const JobId* seqs, std::int64_t row0,
-    std::int64_t stride, const std::uint32_t* packE,
-    const std::uint32_t* packT, const std::uint32_t* packC, std::int32_t b,
-    Cost* costs, std::int32_t* pinned_out, Time* offsets_out) noexcept {
-  __m256i base_cost;
-  __m256i base_offset;
-  __m256i r;
-  CddLanesAvx2(n, d, seqs, row0, stride, packE, packT, base_cost,
-               base_offset, r);
-  UcddcpTailAvx2(n, d, seqs, row0, stride, packE, packT, packC, b,
-                 base_cost, base_offset, r, costs, pinned_out, offsets_out);
-}
+    std::int64_t stride, const std::uint64_t* packW,
+    const std::uint32_t* packB, Cost sum_alpha, std::int32_t b, Cost* costs,
+    std::int32_t* pinned_out, Time* offsets_out) noexcept {
+  const __m256i low16 = _mm256_set1_epi64x(0xffff);
+  const JobId* r0 = seqs + row0;
+  const JobId* r1 = r0 + stride;
+  const JobId* r2 = r1 + stride;
+  const JobId* r3 = r2 + stride;
+  __m256i cost = _mm256_setzero_si256();
+  __m256i sb = _mm256_setzero_si256();
+  __m256i pe = _mm256_set1_epi64x(sum_alpha);
+  __m256i r = _mm256_set1_epi64x(n - 1);
 
-/// 8-candidate UCDDCP group: the CDD relaxation (where the long all-early
-/// and all-tardy scans live) runs through the interleaved two-group
-/// kernel; the short Property-2 walks then finish each group in turn.
-__attribute__((target("avx2"))) void EvalUcddcpGroup8Avx2(
-    std::int32_t n, Time d, const JobId* seqs, std::int64_t row0,
-    std::int64_t stride, const std::uint32_t* packE,
-    const std::uint32_t* packT, const std::uint32_t* packC, std::int32_t b,
-    Cost* costs, std::int32_t* pinned_out, Time* offsets_out) noexcept {
-  __m256i base_cost[2];
-  __m256i base_offset[2];
-  __m256i r[2];
-  CddLanes8Avx2(n, d, seqs, row0, stride, packE, packT, base_cost,
-                base_offset, r);
-  UcddcpTailAvx2(n, d, seqs, row0, stride, packE, packT, packC, b,
-                 base_cost[0], base_offset[0], r[0], costs, pinned_out,
-                 offsets_out);
-  UcddcpTailAvx2(n, d, seqs, row0 + 4 * stride, stride, packE, packT,
-                 packC, b + 4, base_cost[1], base_offset[1], r[1], costs,
-                 pinned_out, offsets_out);
+  for (std::int32_t p = n - 1; p > 0; --p) {
+    const __m256i w = Lanes64(packW, r0[p], r1[p], r2[p], r3[p]);
+    const __m256i bj = Lanes32(packB, r0[p], r1[p], r2[p], r3[p]);
+    const __m256i pj = _mm256_and_si256(w, low16);
+    const __m256i rj = _mm256_and_si256(_mm256_srli_epi64(w, 16), low16);
+    const __m256i aj = _mm256_and_si256(_mm256_srli_epi64(w, 32), low16);
+    const __m256i gj = _mm256_srli_epi64(w, 48);
+    sb = _mm256_add_epi64(sb, bj);
+    pe = _mm256_sub_epi64(pe, aj);
+    const __m256i act = _mm256_cmpgt_epi64(pe, sb);
+    r = _mm256_add_epi64(r, act);  // act lanes are -1
+    const __m256i x = _mm256_and_si256(_mm256_cmpgt_epi64(sb, gj), rj);
+    const __m256i term =
+        _mm256_add_epi64(_mm256_mul_epu32(_mm256_sub_epi64(pj, x), sb),
+                         _mm256_mul_epu32(gj, x));
+    cost = _mm256_add_epi64(cost, _mm256_and_si256(act, term));
+    if (_mm256_movemask_pd(_mm256_castsi256_pd(act)) == 0) break;
+  }
+
+  alignas(32) std::int64_t rl[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(rl), r);
+  const std::int64_t rmin = std::min(std::min(rl[0], rl[1]),
+                                     std::min(rl[2], rl[3]));
+  const std::int64_t rmax = std::max(std::max(rl[0], rl[1]),
+                                     std::max(rl[2], rl[3]));
+  __m256i pa = _mm256_setzero_si256();
+  __m256i comp = _mm256_setzero_si256();
+  for (std::int64_t e = 0; e <= rmax; ++e) {
+    const __m256i w = Lanes64(packW, r0[e], r1[e], r2[e], r3[e]);
+    const __m256i pj = _mm256_and_si256(w, low16);
+    const __m256i rj = _mm256_and_si256(_mm256_srli_epi64(w, 16), low16);
+    const __m256i aj = _mm256_and_si256(_mm256_srli_epi64(w, 32), low16);
+    const __m256i gj = _mm256_srli_epi64(w, 48);
+    const __m256i x = _mm256_and_si256(_mm256_cmpgt_epi64(pa, gj), rj);
+    __m256i pmx = _mm256_sub_epi64(pj, x);
+    __m256i term = _mm256_add_epi64(_mm256_mul_epu32(pmx, pa),
+                                    _mm256_mul_epu32(gj, x));
+    if (e > rmin) {  // past some lane's r: drop the retired lanes
+      const __m256i out = _mm256_cmpgt_epi64(_mm256_set1_epi64x(e), r);
+      pmx = _mm256_andnot_si256(out, pmx);
+      term = _mm256_andnot_si256(out, term);
+    }
+    cost = _mm256_add_epi64(cost, term);
+    comp = _mm256_add_epi64(comp, pmx);
+    pa = _mm256_add_epi64(pa, aj);
+  }
+
+  Store4Avx2(cost, r, _mm256_sub_epi64(_mm256_set1_epi64x(d), comp), b,
+             costs, pinned_out, offsets_out);
 }
 
 #endif  // CDD_SIMD_X86
@@ -903,6 +750,12 @@ void PortableLanesUcddcpDriver(std::int32_t n, Time d, const JobId* seqs,
                                const Cost* gamma, Cost* costs,
                                std::int32_t* pinned,
                                Time* offsets) noexcept {
+  const UcddcpSums sums = SumUcddcp(n, proc, alpha);
+  if (!UcddcpOnePassApplies(d, sums)) {
+    EvalUcddcpBatch(n, d, seqs, stride, batch, proc, minproc, alpha, beta,
+                    gamma, costs, pinned, offsets);
+    return;
+  }
   constexpr int K = kPortableLanes;
   std::int32_t b = 0;
   for (; b + K <= batch; b += K) {
@@ -914,13 +767,13 @@ void PortableLanesUcddcpDriver(std::int32_t n, Time d, const JobId* seqs,
       row_off[k] = static_cast<std::int64_t>(b + k) * stride;
     }
     UcddcpLanesPortable<K>(n, d, seqs, row_off, proc, minproc, alpha, beta,
-                           gamma, cost, pin, off);
+                           gamma, sums.alpha, cost, pin, off);
     StoreLanes<K>(cost, pin, off, b, costs, pinned, offsets);
   }
   for (; b < batch; ++b) {
-    const EvalResult r = EvalUcddcpFused(
+    const EvalResult r = EvalUcddcpOnePass(
         n, d, seqs + static_cast<std::size_t>(b) * stride, proc, minproc,
-        alpha, beta, gamma);
+        alpha, beta, gamma, sums.alpha);
     costs[b] = r.cost;
     if (pinned != nullptr) pinned[b] = r.pinned;
     if (offsets != nullptr) offsets[b] = r.offset;
@@ -1001,26 +854,21 @@ void EvalUcddcpBatchSimd(std::int32_t n, Time d, const JobId* seqs,
                          const Cost* gamma, Cost* costs,
                          std::int32_t* pinned, Time* offsets) noexcept {
 #if defined(CDD_SIMD_X86)
-  if (core::HostCpuFeatures().avx2 && Packable(n, d, proc, alpha, beta) &&
-      Packable2(n, minproc, gamma)) {
-    const std::uint32_t* packE = PackEarly32(n, proc, alpha);
-    const std::uint32_t* packT = PackTardy32(n, proc, beta);
-    const std::uint32_t* packC = PackCompression32(n, minproc, gamma);
+  const UcddcpSums sums = SumUcddcp(n, proc, alpha);
+  if (core::HostCpuFeatures().avx2 && UcddcpOnePassApplies(d, sums) &&
+      Packable(n, d, proc, alpha, beta) && Packable2(n, proc, minproc, gamma)) {
+    const std::uint64_t* packW = PackUcddcp64(n, proc, minproc, alpha, gamma);
+    const std::uint32_t* packB = PackBeta32(n, beta);
     std::int32_t b = 0;
-    for (; b + 8 <= batch; b += 8) {  // interleaved two-group fast path
-      EvalUcddcpGroup8Avx2(n, d, seqs,
-                           static_cast<std::int64_t>(b) * stride, stride,
-                           packE, packT, packC, b, costs, pinned, offsets);
-    }
     for (; b + 4 <= batch; b += 4) {
-      EvalUcddcpGroupAvx2(n, d, seqs,
-                          static_cast<std::int64_t>(b) * stride, stride,
-                          packE, packT, packC, b, costs, pinned, offsets);
+      EvalUcddcpGroupAvx2(n, d, seqs, static_cast<std::int64_t>(b) * stride,
+                          stride, packW, packB, sums.alpha, b, costs, pinned,
+                          offsets);
     }
     for (; b < batch; ++b) {  // scalar tail
-      const EvalResult r = EvalUcddcpFused(
+      const EvalResult r = EvalUcddcpOnePass(
           n, d, seqs + static_cast<std::size_t>(b) * stride, proc, minproc,
-          alpha, beta, gamma);
+          alpha, beta, gamma, sums.alpha);
       costs[b] = r.cost;
       if (pinned != nullptr) pinned[b] = r.pinned;
       if (offsets != nullptr) offsets[b] = r.offset;

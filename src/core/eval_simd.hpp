@@ -11,24 +11,27 @@
 /// becomes a lane mask, and the crossing loop of Theorem 1 retires lanes
 /// individually: a lane drops out of the walk the moment its scalar
 /// counterpart would have broken (masked retirement in the portable
-/// kernels, a short scalar per-lane walk in the AVX2 build).  Rows
-/// beyond the last full lane group go through the scalar fused
-/// evaluator (the "scalar tail").
+/// kernels, a short scalar per-lane walk in the AVX2 CDD build).  The
+/// UCDDCP kernels run EvalUcddcpOnePass per lane: a masked backward walk
+/// whose lanes retire at their own due-date position r, then a forward
+/// walk up to the largest r.  Rows beyond the last full lane group go
+/// through the scalar row evaluator (the "scalar tail").
 ///
 /// Bit-identity: every quantity is an exact 64-bit integer and the lane
 /// math performs the same additions, subtractions, comparisons and
-/// products as EvalCddFused in the same order per lane, so the SIMD
+/// products as EvalCddFused / EvalUcddcpOnePass per lane, so the SIMD
 /// results equal the scalar results bit for bit on every input (the
-/// eval_batch tests pin SIMD == scalar == fused == LP-oracle).
+/// eval_batch, eval_simd and eval_raw tests pin SIMD == scalar == fused
+/// == two-pass reference == LP-oracle).
 ///
 /// Backend layers:
-///  * x86-64: AVX2 kernels (4x64-bit lanes, phase-split scan, scalar-load
-///    row assembly), compiled with a function-level target attribute and
-///    guarded by the cpuid probe of core/cpu_features.hpp — the binary
-///    runs on any x86-64 host.  Instances whose fields do not fit 16 bits
-///    or whose field sums (or d) do not fit 31 bits (far beyond every
-///    benchmark family) fall back to the scalar batch; results are
-///    identical either way.
+///  * x86-64: AVX2 kernels (4x64-bit lanes, phase-split CDD scan, one-pass
+///    UCDDCP walk, scalar-load row assembly), compiled with a
+///    function-level target attribute and guarded by the cpuid probe of
+///    core/cpu_features.hpp — the binary runs on any x86-64 host.
+///    Instances whose fields do not fit 16 bits, whose field sums (or d)
+///    do not fit 31 bits, or (UCDDCP) with some M_i > P_i fall back to the
+///    scalar batch; results are identical either way.
 ///  * aarch64: the portable lane-transposed kernels below, selected at
 ///    compile time (Advanced SIMD is baseline) and auto-vectorized.
 ///  * anything else: the scalar batch evaluators.

@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/test_instances.hpp"
 #include "core/reference_eval.hpp"
+#include "core/sequence.hpp"
+#include "rng/philox.hpp"
 
 namespace cdd::raw {
 namespace {
@@ -147,6 +152,113 @@ TEST(EvalRawProperty, PinnedPositionReallyCompletesAtDueDate) {
       EXPECT_EQ(r.offset, 0);
     }
   }
+}
+
+/// Raw UCDDCP arrays for the one-pass differential test: corners the
+/// Instance constructor would normally never produce are allowed here.
+struct RawUcddcp {
+  std::vector<Time> proc;
+  std::vector<Time> minproc;
+  std::vector<Cost> alpha;
+  std::vector<Cost> beta;
+  std::vector<Cost> gamma;
+  Time d = 0;
+};
+
+enum class Corner { kNone, kAlphaZero, kBetaZero, kGammaZero, kMinIsProc };
+
+/// Fields below \p span (a small span makes penalty-mass ties common);
+/// d = sum P + \p slack (negative slack: a restricted instance).
+RawUcddcp RandomRawUcddcp(std::int32_t n, Corner corner, Time slack,
+                          std::uint32_t span, rng::Philox4x32& rng) {
+  RawUcddcp in;
+  for (std::int32_t j = 0; j < n; ++j) {
+    const Time p = 1 + UniformBelow(rng, span);
+    in.proc.push_back(p);
+    in.minproc.push_back(corner == Corner::kMinIsProc
+                             ? p
+                             : 1 + UniformBelow(
+                                       rng, static_cast<std::uint32_t>(p)));
+    in.alpha.push_back(corner == Corner::kAlphaZero ? 0
+                                                    : UniformBelow(rng, span));
+    in.beta.push_back(corner == Corner::kBetaZero ? 0
+                                                  : UniformBelow(rng, span));
+    in.gamma.push_back(corner == Corner::kGammaZero ? 0
+                                                    : UniformBelow(rng, span));
+    in.d += p;
+  }
+  in.d = std::max<Time>(0, in.d + slack);
+  return in;
+}
+
+TEST(EvalRawProperty, UcddcpOnePassMatchesTwoPassReference) {
+  rng::Philox4x32 rng(20261017, /*stream=*/0x0e5aULL);
+  constexpr std::int32_t kRows = 9;
+  int ties = 0;
+  int unpinned = 0;
+  int restricted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::int32_t n = 1 + trial % 24;
+    const auto corner = static_cast<Corner>(trial / 24 % 5);
+    const int slack_kind = trial / 120 % 3;
+    const auto draw = static_cast<Time>(UniformBelow(rng, 10));
+    const Time slack = slack_kind == 0   ? 0
+                       : slack_kind == 1 ? 1 + 3 * draw
+                                         : -1 - draw;
+    const std::uint32_t span = trial / 360 % 2 == 0 ? 3 : 16;
+    const RawUcddcp in = RandomRawUcddcp(n, corner, slack, span, rng);
+    Time sum_proc = 0;
+    for (const Time p : in.proc) sum_proc += p;
+    restricted += in.d < sum_proc ? 1 : 0;
+
+    const std::int32_t stride = n + 3;  // padded rows, as in a pool
+    std::vector<JobId> seqs(static_cast<std::size_t>(kRows * stride), -1);
+    for (std::int32_t b = 0; b < kRows; ++b) {
+      const Sequence row = RandomSequence(static_cast<std::size_t>(n), rng);
+      std::copy(row.begin(), row.end(), seqs.begin() + b * stride);
+    }
+    std::vector<Cost> costs(kRows);
+    std::vector<std::int32_t> pinned(kRows);
+    std::vector<Time> offsets(kRows);
+    EvalUcddcpBatch(n, in.d, seqs.data(), stride, kRows, in.proc.data(),
+                    in.minproc.data(), in.alpha.data(), in.beta.data(),
+                    in.gamma.data(), costs.data(), pinned.data(),
+                    offsets.data());
+
+    for (std::int32_t b = 0; b < kRows; ++b) {
+      const JobId* seq = seqs.data() + b * stride;
+      const EvalResult ref =
+          EvalUcddcp(n, in.d, seq, in.proc.data(), in.minproc.data(),
+                     in.alpha.data(), in.beta.data(), in.gamma.data());
+      const EvalResult fused =
+          EvalUcddcpFused(n, in.d, seq, in.proc.data(), in.minproc.data(),
+                          in.alpha.data(), in.beta.data(), in.gamma.data());
+      ASSERT_EQ(fused.cost, ref.cost) << "trial=" << trial << " row=" << b;
+      ASSERT_EQ(fused.pinned, ref.pinned) << "trial=" << trial;
+      ASSERT_EQ(fused.offset, ref.offset) << "trial=" << trial;
+      ASSERT_EQ(costs[b], ref.cost) << "trial=" << trial << " row=" << b;
+      ASSERT_EQ(pinned[b], ref.pinned) << "trial=" << trial;
+      ASSERT_EQ(offsets[b], ref.offset) << "trial=" << trial;
+      if (ref.pinned < 0) ++unpinned;
+      // The crossing walk stopped at r > 0 on equal penalty masses
+      // (pl_next == pe_next): the suffix beta from r equals the alpha
+      // before r.
+      if (ref.pinned > 0 && in.d >= sum_proc) {
+        Cost suffix_beta = 0;
+        Cost prefix_alpha = 0;
+        for (std::int32_t i = 0; i < n; ++i) {
+          const auto j = static_cast<std::size_t>(seq[i]);
+          if (i >= ref.pinned) suffix_beta += in.beta[j];
+          if (i < ref.pinned) prefix_alpha += in.alpha[j];
+        }
+        ties += suffix_beta == prefix_alpha ? 1 : 0;
+      }
+    }
+  }
+  // The corners the sweep is meant to reach were all reached.
+  EXPECT_GT(ties, 0);
+  EXPECT_GT(unpinned, 0);
+  EXPECT_GT(restricted, 0);
 }
 
 }  // namespace

@@ -248,6 +248,55 @@ TEST(EvalSimdUcddcp, MatchesScalarOnPenaltyEdgeCases) {
                                /*batch=*/6);
 }
 
+TEST(EvalSimdUcddcp, LanesRetireAtTheirOwnDueDatePosition) {
+  // Job 0 carries most of the earliness mass and a little tardiness, job 1
+  // a large tardiness: a row led by job 0 crosses all the way down
+  // (r = 0), a row ending in job 0 stops at once (r = n-1), and the other
+  // two rows stop in between — so one 4-lane AVX2 group and both 2-lane
+  // portable groups hold lanes that retire at different positions.
+  for (const Time slack : {Time{0}, Time{7}}) {  // d = sum P and d > sum P
+    const Instance instance(Problem::kUcddcp, /*d=*/23 + slack,
+                            /*proc=*/{3, 1, 4, 1, 5, 9},
+                            /*early=*/{50, 0, 1, 1, 1, 1},
+                            /*tardy=*/{5, 40, 1, 1, 1, 1},
+                            /*min_proc=*/{1, 1, 2, 1, 3, 4},
+                            /*compress=*/{2, 0, 3, 1, 2, 5});
+    const UcddcpEvaluator eval(instance);
+    CandidatePool pool(instance.size(), 4);
+    pool.Append(Sequence{1, 2, 3, 4, 5, 0});  // r = 5
+    pool.Append(Sequence{0, 1, 2, 3, 4, 5});  // r = 0
+    pool.Append(Sequence{2, 3, 0, 1, 4, 5});  // r = 2
+    pool.Append(Sequence{2, 0, 1, 3, 4, 5});  // r = 1
+    const CandidatePoolView v = pool.view();
+    BatchOutputs simd(4);
+    BatchOutputs lanes(4);
+    raw::EvalUcddcpBatchSimd(6, eval.due_date(), v.seqs, v.stride, 4,
+                             eval.proc_data(), eval.min_proc_data(),
+                             eval.alpha_data(), eval.beta_data(),
+                             eval.gamma_data(), simd.costs.data(),
+                             simd.pinned.data(), simd.offsets.data());
+    raw::EvalUcddcpBatchPortableLanes(
+        6, eval.due_date(), v.seqs, v.stride, 4, eval.proc_data(),
+        eval.min_proc_data(), eval.alpha_data(), eval.beta_data(),
+        eval.gamma_data(), lanes.costs.data(), lanes.pinned.data(),
+        lanes.offsets.data());
+    const std::int32_t expected_r[] = {5, 0, 2, 1};
+    for (std::size_t b = 0; b < 4; ++b) {
+      const raw::EvalResult ref = raw::EvalUcddcp(
+          6, eval.due_date(), pool.row(b).data(), eval.proc_data(),
+          eval.min_proc_data(), eval.alpha_data(), eval.beta_data(),
+          eval.gamma_data());
+      ASSERT_EQ(ref.pinned, expected_r[b]) << "row=" << b;
+      for (const BatchOutputs* out : {&simd, &lanes}) {
+        EXPECT_EQ(out->costs[b], ref.cost) << "slack=" << slack
+                                           << " row=" << b;
+        EXPECT_EQ(out->pinned[b], ref.pinned);
+        EXPECT_EQ(out->offsets[b], ref.offset);
+      }
+    }
+  }
+}
+
 TEST(EvalSimdUcddcp, MatchesLpOracleOnSmallInstances) {
   for (const std::uint32_t n : {1u, 3u, 6u}) {
     const Instance instance = testing::RandomUcddcp(n, 1.3, 55 + n);
