@@ -30,6 +30,7 @@ struct ThreadCtxAccess {
   }
   static void SetFiber(ThreadCtx& ctx, Fiber* fiber) { ctx.fiber_ = fiber; }
   static std::uint64_t Work(const ThreadCtx& ctx) { return ctx.work_; }
+  static void ResetWork(ThreadCtx& ctx) { ctx.work_ = 0; }
 };
 
 namespace {
@@ -80,6 +81,31 @@ struct BlockResult {
   std::uint64_t max_work = 0;
 };
 
+/// Executes one block of a plain launch.  Its threads run one after
+/// another to completion, so they share one context: only the thread
+/// index and the charge change between threads (a 1-D block needs no
+/// unlinearizing).
+BlockResult RunPlainBlock(Dim3 grid, Dim3 block, Dim3 bidx,
+                          std::byte* smem_ptr, const LaunchOptions& opts,
+                          const KernelFn& kernel,
+                          const DeviceProperties* props) {
+  ThreadCtx ctx;
+  ThreadCtxAccess::Init(ctx, Dim3{}, bidx, block, grid, smem_ptr,
+                        opts.shared_bytes, props);
+  const bool one_d = block.y == 1 && block.z == 1;
+  BlockResult res;
+  for (std::size_t t = 0; t < block.count(); ++t) {
+    ctx.thread_idx = one_d ? Dim3{static_cast<std::uint32_t>(t), 0, 0}
+                           : UnlinearizeThread(block, t);
+    ThreadCtxAccess::ResetWork(ctx);
+    kernel(ctx);
+    const std::uint64_t w = ThreadCtxAccess::Work(ctx);
+    res.total_work += w;
+    res.max_work = std::max(res.max_work, w);
+  }
+  return res;
+}
+
 /// Executes one block and returns its charge aggregates.
 BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
                         const LaunchOptions& opts, const KernelFn& kernel,
@@ -97,6 +123,11 @@ BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
   }
   std::byte* smem_ptr = reinterpret_cast<std::byte*>(ws.smem.data());
 
+  if (!opts.cooperative) {
+    return RunPlainBlock(grid, block, bidx, smem_ptr, opts, kernel,
+                         ws.props);
+  }
+
   if (ws.ctxs.size() < tpb) ws.ctxs.resize(tpb);
   for (std::size_t t = 0; t < tpb; ++t) {
     ThreadCtxAccess::Init(ws.ctxs[t], UnlinearizeThread(block, t), bidx,
@@ -104,34 +135,28 @@ BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
                           ws.props);
   }
 
-  if (opts.cooperative) {
-    auto& fibers = ws.pool->Acquire(tpb);
+  auto& fibers = ws.pool->Acquire(tpb);
+  for (std::size_t t = 0; t < tpb; ++t) {
+    ThreadCtx& ctx = ws.ctxs[t];
+    ThreadCtxAccess::SetFiber(ctx, &fibers[t]);
+    fibers[t].Reset([&kernel, &ctx]() { kernel(ctx); });
+  }
+  std::size_t finished = 0;
+  while (finished < tpb) {
+    std::size_t yielded = 0;
     for (std::size_t t = 0; t < tpb; ++t) {
-      ThreadCtx& ctx = ws.ctxs[t];
-      ThreadCtxAccess::SetFiber(ctx, &fibers[t]);
-      fibers[t].Reset([&kernel, &ctx]() { kernel(ctx); });
-    }
-    std::size_t finished = 0;
-    while (finished < tpb) {
-      std::size_t yielded = 0;
-      for (std::size_t t = 0; t < tpb; ++t) {
-        if (fibers[t].done()) continue;
-        if (fibers[t].Resume()) {
-          ++yielded;
-        } else {
-          fibers[t].RethrowIfFailed();
-          ++finished;
-        }
-      }
-      if (yielded > 0 && finished > 0) {
-        throw GpuError(
-            "__syncthreads divergence in block " + ToString(bidx) +
-            ": some threads exited while others wait at a barrier");
+      if (fibers[t].done()) continue;
+      if (fibers[t].Resume()) {
+        ++yielded;
+      } else {
+        fibers[t].RethrowIfFailed();
+        ++finished;
       }
     }
-  } else {
-    for (std::size_t t = 0; t < tpb; ++t) {
-      kernel(ws.ctxs[t]);
+    if (yielded > 0 && finished > 0) {
+      throw GpuError(
+          "__syncthreads divergence in block " + ToString(bidx) +
+          ": some threads exited while others wait at a barrier");
     }
   }
 

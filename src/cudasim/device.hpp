@@ -121,7 +121,9 @@ struct LaunchOptions {
   std::size_t shared_bytes = 0;  ///< dynamic shared memory per block
   /// Cooperative launches run block threads as fibers and support
   /// syncthreads(); non-cooperative launches run threads as a plain loop
-  /// (faster) and forbid barriers.
+  /// (faster) and forbid barriers.  A plain launch reuses one ThreadCtx
+  /// for all threads of a block, so a kernel must not keep a reference to
+  /// its context after it returns.
   bool cooperative = false;
   std::size_t fiber_stack_bytes = 64 * 1024;
 };

@@ -83,6 +83,14 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
   const bool use_shared =
       memory == PenaltyMemory::kShared &&
       shared_bytes <= device.properties().shared_mem_per_block;
+  // Per-thread charges, constant over the launch.  The staging copy is
+  // split over the block.  Sequence/processing-time traffic is always
+  // global; the two penalty streams go through the selected memory path.
+  const std::uint64_t staging_units =
+      static_cast<std::uint64_t>(n) / config.block().count() + 1;
+  const std::uint64_t other_units =
+      (controllable ? 3 : 1) * static_cast<std::uint64_t>(n);
+  const std::uint64_t penalty_units = 2 * static_cast<std::uint64_t>(n);
 
   // A plain (non-cooperative) launch: no thread waits at a barrier.  The
   // shared-memory request of the paper's staging phase stays on the
@@ -149,22 +157,10 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
           // disjoint strided copies behind one __syncthreads.  Only its
           // charge is simulated: the batch evaluation above reads the
           // global vectors, so no thread would read the staged copy.
-          t.charge(static_cast<std::uint64_t>(n) / t.block_dim.count() +
-                   1);
+          t.charge(staging_units);
         }
         const std::uint64_t tid = t.global_thread();
         if (tid >= pool.count) return;
-        // Charge split: sequence/processing-time traffic is always global;
-        // the two penalty streams go through the selected memory path.
-        std::uint64_t other_units;
-        std::uint64_t penalty_units;
-        if (controllable) {
-          other_units = 3 * static_cast<std::uint64_t>(n);
-          penalty_units = 2 * static_cast<std::uint64_t>(n);
-        } else {
-          other_units = static_cast<std::uint64_t>(n);
-          penalty_units = 2 * static_cast<std::uint64_t>(n);
-        }
         t.charge(other_units);
         switch (memory) {
           case PenaltyMemory::kShared:

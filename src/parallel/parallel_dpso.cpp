@@ -139,7 +139,8 @@ class ParallelDpsoEngine final
                                   static_cast<std::uint32_t>(tid));
               // w (+) F1: swap velocity.
               if (rng.NextUniform() < w) {
-                raw::SwapRaw(mine, n, rng);
+                std::uint32_t swapped[2];
+                raw::SwapRaw(mine, n, rng, swapped);
                 t.charge(2);
               }
               // c1 (+) F2: one-point crossover with the particle best.
@@ -186,11 +187,8 @@ class ParallelDpsoEngine final
                          if (tid >= ensemble) return;
                          if (d_pos_cost[tid] < d_pbest_cost[tid]) {
                            d_pbest_cost[tid] = d_pos_cost[tid];
-                           const JobId* src = d_pos + tid * n;
-                           JobId* dst = d_pbest + tid * n;
-                           for (std::int32_t k = 0; k < n; ++k) {
-                             dst[k] = src[k];
-                           }
+                           raw::CopyRow(d_pbest + tid * n, d_pos + tid * n,
+                                        n);
                            t.charge(static_cast<std::uint64_t>(n));
                          }
                          t.charge(2);
@@ -261,10 +259,7 @@ class ParallelDpsoEngine final
                      if (d_pbest_cost[tid] != raw::UnpackCost(packed)) {
                        return;
                      }
-                     const JobId* src = d_pbest + tid * n;
-                     for (std::int32_t i = 0; i < n; ++i) {
-                       d_gbest[i] = src[i];
-                     }
+                     raw::CopyRow(d_gbest, d_pbest + tid * n, n);
                      t.charge(static_cast<std::uint64_t>(n));
                    });
   }

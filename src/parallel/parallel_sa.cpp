@@ -17,10 +17,11 @@ namespace cdd::par {
 namespace {
 
 /// Host snapshot of the device-resident SA state at a generation boundary.
-/// cand/cand_cost are per-generation scratch (fully rewritten before being
-/// read) and need no saving.  Per-generation Philox streams are derived
-/// statelessly from (seed, generation, phase, thread), so no RNG state is
-/// captured either.
+/// cand mirrors curr there and cand_cost is per-generation scratch, so
+/// neither needs saving.  best_seq holds every thread's personal best,
+/// with the rows deferred on the device (best_is_curr) written out.
+/// Per-generation Philox streams are derived statelessly from (seed,
+/// generation, phase, thread), so no RNG state is captured either.
 struct SaBuffers {
   std::vector<JobId> curr;
   std::vector<JobId> best_seq;
@@ -58,6 +59,12 @@ struct SaDeviceState {
   sim::DeviceBuffer<Cost> cand_cost;
   sim::DeviceBuffer<Cost> best_cost;
   sim::DeviceBuffer<std::int64_t> packed_best;
+  /// Per-thread scratch of the chain kernels (raw::ChainRows::touched).
+  sim::DeviceBuffer<std::uint32_t> touched;
+  /// Per-thread flag: the personal best is the current row, and its
+  /// best_seq row is stale.  Set when an accepted move improves the best;
+  /// the row is written out only when a later accepted move does not.
+  sim::DeviceBuffer<std::uint8_t> best_is_curr;
 
   SaDeviceState(sim::Device& device, const Instance& instance,
                 std::uint32_t ensemble)
@@ -68,7 +75,10 @@ struct SaDeviceState {
         curr_cost(device, ensemble),
         cand_cost(device, ensemble),
         best_cost(device, ensemble),
-        packed_best(device, 1) {}
+        packed_best(device, 1),
+        touched(device, static_cast<std::size_t>(ensemble) *
+                            raw::kTouchedStride),
+        best_is_curr(device, ensemble) {}
 };
 
 class ParallelSaEngine final
@@ -98,6 +108,9 @@ class ParallelSaEngine final
           ensemble, n, budget_.seed, params_.vshape_init ? &vseed : nullptr);
       state_->curr.CopyFromHost(init);
       state_->best_seq.CopyFromHost(init);
+      // cand == curr at every generation boundary (raw::ChainRows); the
+      // host copies charge nothing, like a checkpoint restore.
+      detail::CopyIn(init, state_->cand);
     }
 
     // Pool views over the device buffers: same row geometry the host
@@ -138,7 +151,9 @@ class ParallelSaEngine final
     Cost* d_curr_cost = state_->curr_cost.data();
     Cost* d_cand_cost = state_->cand_cost.data();
     Cost* d_best_cost = state_->best_cost.data();
-    const raw::ChainRows rows{d_curr, d_cand, d_curr_cost, d_cand_cost, n};
+    std::uint8_t* d_best_is_curr = state_->best_is_curr.data();
+    const raw::ChainRows rows{d_curr, d_cand, d_curr_cost, d_cand_cost,
+                              state_->touched.data(), n};
     const CandidatePoolView cand_pool =
         detail::DeviceView(d_cand, d_cand_cost, n, ensemble);
 
@@ -179,18 +194,23 @@ class ParallelSaEngine final
             [=](sim::ThreadCtx& t) {
               const std::uint64_t tid = t.global_thread();
               if (tid >= ensemble) return;
-              if (!raw::MetropolisAccept(t, rows, tid, seed, g, temp)) {
-                return;
+              const bool accepted =
+                  raw::MetropolisAccept(t, rows, tid, seed, g, temp);
+              // psa also tracks each thread's personal best.  The modeled
+              // kernel copies an improving candidate into it (charged n).
+              // Here the copy is deferred while the best is the current
+              // row, and made from curr once an accepted move leaves it.
+              if (accepted) {
+                if (d_cand_cost[tid] < d_best_cost[tid]) {
+                  d_best_cost[tid] = d_cand_cost[tid];
+                  d_best_is_curr[tid] = 1;
+                  t.charge(static_cast<std::uint64_t>(n));
+                } else if (d_best_is_curr[tid] != 0) {
+                  raw::CopyRow(d_best + tid * n, d_curr + tid * n, n);
+                  d_best_is_curr[tid] = 0;
+                }
               }
-              // psa also tracks each thread's personal best.
-              const Cost e_new = d_cand_cost[tid];
-              if (e_new < d_best_cost[tid]) {
-                d_best_cost[tid] = e_new;
-                const JobId* cnd = d_cand + tid * n;
-                JobId* bst = d_best + tid * n;
-                for (std::int32_t k = 0; k < n; ++k) bst[k] = cnd[k];
-                t.charge(static_cast<std::uint64_t>(n));
-              }
+              raw::CommitMove(t, rows, tid, accepted);
             });
       }
 
@@ -222,6 +242,13 @@ class ParallelSaEngine final
   void SaveBuffers(SaBuffers& b) const {
     detail::CopyOut(state_->curr, b.curr);
     detail::CopyOut(state_->best_seq, b.best_seq);
+    const std::size_t n = static_cast<std::size_t>(state_->problem.n());
+    const std::uint8_t* flags = state_->best_is_curr.data();
+    for (std::size_t t = 0; t < state_->best_is_curr.size(); ++t) {
+      if (flags[t] != 0) {
+        std::copy_n(b.curr.begin() + t * n, n, b.best_seq.begin() + t * n);
+      }
+    }
     detail::CopyOut(state_->curr_cost, b.curr_cost);
     detail::CopyOut(state_->best_cost, b.best_cost);
     b.packed_best = *state_->packed_best.data();
@@ -235,14 +262,21 @@ class ParallelSaEngine final
     detail::CopyIn(b.best_cost, state_->best_cost);
     *state_->packed_best.data() = b.packed_best;
     temperature_ = b.temperature;
+    state_->best_is_curr.Fill(0);
+    detail::CopyIn(b.curr, state_->cand);
   }
 
-  /// Downloads the winner — Figure 9's single D2H.
+  /// Downloads the winner — Figure 9's single D2H.  A winner whose best
+  /// is deferred (best_is_curr) is downloaded from its curr row: the same
+  /// bytes the modeled device reads from best_seq.
   void ReadBest(GpuRunResult& result) {
     const std::int64_t packed = detail::DownloadPacked(state_->packed_best);
+    const std::uint32_t winner = raw::UnpackThread(packed);
     result.best_cost = raw::UnpackCost(packed);
-    result.best = detail::DownloadRow(state_->best_seq, state_->problem.n(),
-                                      raw::UnpackThread(packed));
+    result.best = detail::DownloadRow(
+        state_->best_is_curr.data()[winner] != 0 ? state_->curr
+                                                  : state_->best_seq,
+        state_->problem.n(), winner);
   }
 
  private:

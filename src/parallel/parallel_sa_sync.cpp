@@ -20,8 +20,9 @@ namespace {
 /// State at a temperature-level boundary.  Every level ends with the
 /// broadcast that overwrites all current states, so curr/curr_cost (plus
 /// the host-tracked best and the AtomicMin accumulator) are the whole
-/// ensemble state; cand and the per-level buffers are scratch.  The
-/// temperature is a pure function of the level index — no accumulator.
+/// ensemble state; cand mirrors curr and the per-level buffers are
+/// scratch.  The temperature is a pure function of the level index — no
+/// accumulator.
 struct SyncBuffers {
   std::vector<JobId> curr;
   std::vector<Cost> curr_cost;
@@ -51,6 +52,8 @@ struct SaSyncDeviceState {
   sim::DeviceBuffer<std::int64_t> packed_level;
   sim::DeviceBuffer<std::int64_t> packed_best;
   sim::DeviceBuffer<std::int64_t> distance_sum;
+  /// Per-thread scratch of the chain kernels (raw::ChainRows::touched).
+  sim::DeviceBuffer<std::uint32_t> touched;
 
   SaSyncDeviceState(sim::Device& device, const Instance& instance,
                     std::uint32_t ensemble)
@@ -62,7 +65,9 @@ struct SaSyncDeviceState {
         cand_cost(device, ensemble),
         packed_level(device, 1),
         packed_best(device, 1),
-        distance_sum(device, 1) {}
+        distance_sum(device, 1),
+        touched(device, static_cast<std::size_t>(ensemble) *
+                            raw::kTouchedStride) {}
 };
 
 class ParallelSaSyncEngine final
@@ -88,6 +93,9 @@ class ParallelSaSyncEngine final
       const std::vector<JobId> init =
           detail::MakeInitialSequences(ensemble, n, budget_.seed);
       state_->curr.CopyFromHost(init);
+      // cand == curr at every level boundary (raw::ChainRows); the host
+      // copies charge nothing, like a checkpoint restore.
+      detail::CopyIn(init, state_->cand);
     }
 
     const CandidatePoolView curr_pool = detail::DeviceView(
@@ -112,7 +120,8 @@ class ParallelSaSyncEngine final
     std::int64_t* d_packed_best = state_->packed_best.data();
     std::int64_t* d_distance = state_->distance_sum.data();
     const Cost bound = state_->problem.cost_upper_bound();
-    const raw::ChainRows rows{d_curr, d_cand, d_curr_cost, d_cand_cost, n};
+    const raw::ChainRows rows{d_curr, d_cand, d_curr_cost, d_cand_cost,
+                              state_->touched.data(), n};
     const CandidatePoolView cand_pool =
         detail::DeviceView(d_cand, d_cand_cost, n, ensemble);
 
@@ -150,7 +159,9 @@ class ParallelSaSyncEngine final
               [=](sim::ThreadCtx& t) {
                 const std::uint64_t tid = t.global_thread();
                 if (tid >= ensemble) return;
-                raw::MetropolisAccept(t, rows, tid, seed, g, temp);
+                raw::CommitMove(
+                    t, rows, tid,
+                    raw::MetropolisAccept(t, rows, tid, seed, g, temp));
               });
         }
         device_.Synchronize();
@@ -170,10 +181,7 @@ class ParallelSaSyncEngine final
                          if (tid >= ensemble) return;
                          const std::int64_t packed = *d_packed_level;
                          if (raw::UnpackThread(packed) != tid) return;
-                         const JobId* src = d_curr + tid * n;
-                         for (std::int32_t i = 0; i < n; ++i) {
-                           d_bcast[i] = src[i];
-                         }
+                         raw::CopyRow(d_bcast, d_curr + tid * n, n);
                          sim::AtomicMin(d_packed_best, packed);
                          t.charge(static_cast<std::uint64_t>(n));
                        });
@@ -203,6 +211,8 @@ class ParallelSaSyncEngine final
       }
 
       // --- broadcast s_min to every thread (Fig 8's state exchange) -------
+      // The modeled kernel writes curr (charged n); the simulator also
+      // writes cand, which keeps cand == curr (raw::ChainRows).
       {
         sim::LaunchOptions opts;
         opts.name = "sync_broadcast";
@@ -212,10 +222,8 @@ class ParallelSaSyncEngine final
                          if (tid >= ensemble) return;
                          const Cost best =
                              raw::UnpackCost(*d_packed_level);
-                         JobId* cur = d_curr + tid * n;
-                         for (std::int32_t i = 0; i < n; ++i) {
-                           cur[i] = d_bcast[i];
-                         }
+                         raw::CopyRow(d_curr + tid * n, d_bcast, n);
+                         raw::CopyRow(d_cand + tid * n, d_bcast, n);
                          d_curr_cost[tid] = best;
                          t.charge(static_cast<std::uint64_t>(n));
                        });
@@ -259,6 +267,7 @@ class ParallelSaSyncEngine final
     detail::CopyIn(b.curr, state_->curr);
     detail::CopyIn(b.curr_cost, state_->curr_cost);
     *state_->packed_best.data() = b.packed_best;
+    detail::CopyIn(b.curr, state_->cand);
   }
 
   /// The best broadcast state is tracked on the host, so a run with at

@@ -30,6 +30,61 @@ TEST(Device, ThreadIndexingCoversGridExactlyOnce) {
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
+TEST(Device, PlainLaunchGivesEachThreadItsIndicesAndCharge) {
+  // A plain launch runs a block's threads on one reused context.  Each
+  // thread must still see its own indices and report only its own charge,
+  // on 3-D blocks and 1-D ones, serially and over two host workers.
+  for (const Dim3 block : {Dim3{4, 3, 2}, Dim3{24}}) {
+    for (const unsigned workers : {1u, 2u}) {
+      Device gpu;
+      gpu.set_worker_threads(workers);
+      const Dim3 grid{2, 2};
+      const std::size_t total = grid.count() * block.count();
+      std::vector<Dim3> thread_seen(total, Dim3{0, 0, 0});
+      std::vector<Dim3> block_seen(total, Dim3{0, 0, 0});
+      std::vector<int> hits(total, 0);
+      LaunchOptions opts;
+      opts.name = "plain";
+      gpu.Launch(grid, block, opts, [&](ThreadCtx& t) {
+        const std::uint64_t tid = t.global_thread();
+        if (tid >= total) {
+          ADD_FAILURE() << "global_thread() " << tid << " out of range";
+          return;
+        }
+        EXPECT_EQ(t.charged(), 0u);
+        thread_seen[tid] = t.thread_idx;
+        block_seen[tid] = t.block_idx;
+        ++hits[tid];
+        t.charge(tid * tid + 1);
+      });
+      std::uint64_t sum = 0;
+      std::uint64_t max = 0;
+      for (std::size_t tid = 0; tid < total; ++tid) {
+        EXPECT_EQ(hits[tid], 1) << tid;
+        const std::size_t lt = tid % block.count();
+        const std::size_t lb = tid / block.count();
+        EXPECT_EQ(thread_seen[tid].x, lt % block.x) << tid;
+        EXPECT_EQ(thread_seen[tid].y, lt / block.x % block.y) << tid;
+        EXPECT_EQ(thread_seen[tid].z, lt / block.x / block.y) << tid;
+        EXPECT_EQ(block_seen[tid].x, lb % grid.x) << tid;
+        EXPECT_EQ(block_seen[tid].y, lb / grid.x) << tid;
+        EXPECT_EQ(block_seen[tid].z, 0u) << tid;
+        sum += tid * tid + 1;
+        max = std::max<std::uint64_t>(max, tid * tid + 1);
+      }
+      const KernelRecord* rec = gpu.profiler().Find("plain");
+      ASSERT_NE(rec, nullptr);
+      EXPECT_EQ(rec->work_units, sum);
+      // The modeled time is a function of the sum and the maximum.
+      const TimingModel model(gpu.properties());
+      EXPECT_EQ(rec->sim_time_s,
+                model.KernelSeconds(LaunchCharge{grid, block, sum, max, 0}));
+      EXPECT_NE(rec->sim_time_s,
+                model.KernelSeconds(LaunchCharge{grid, block, sum, sum, 0}));
+    }
+  }
+}
+
 TEST(Device, LaunchValidationRejectsBadGeometry) {
   Device gpu(GeForceGT560M());
   EXPECT_THROW(gpu.Launch({1}, {2048}, [](ThreadCtx&) {}), GpuError);

@@ -52,6 +52,26 @@ TEST(DeviceBuffer, AllocationIsAccountedAndReleased) {
   EXPECT_EQ(gpu.allocated_bytes(), 0u);
 }
 
+TEST(DeviceBuffer, StartsZeroedAndMovesItsMapping) {
+  Device gpu;
+  DeviceBuffer<std::int64_t> a(gpu, 100000);  // many pages
+  std::int64_t* storage = a.data();
+  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(storage[i], 0) << i;
+  storage[99999] = 7;
+  DeviceBuffer<std::int64_t> b = std::move(a);
+  EXPECT_EQ(b.data(), storage);
+  DeviceBuffer<std::int64_t> c(gpu, 3);
+  c = std::move(b);  // unmaps and releases c's own three elements
+  EXPECT_EQ(c.data(), storage);
+  EXPECT_EQ(c.data()[99999], 7);
+  EXPECT_EQ(gpu.allocated_bytes(), 800000u);
+  DeviceBuffer<int> empty(gpu, 0);
+  std::vector<int> none;
+  empty.CopyFromHost(none);
+  empty.CopyToHost(none);
+  EXPECT_EQ(empty.size(), 0u);
+}
+
 TEST(DeviceBuffer, GlobalMemoryExhaustionThrows) {
   DeviceProperties props = TinyDevice();
   props.global_mem = 1024;
