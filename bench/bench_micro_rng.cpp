@@ -1,9 +1,11 @@
 /// \file bench_micro_rng.cpp
 /// \brief RNG microbenchmarks: Philox4x32-10 (the cuRAND stand-in) vs
-/// xoshiro256**, plus the paper's integer->[0,1] normalization and the
-/// perturbation operator.
+/// xoshiro256**, one draw at a time and in bulk (Philox4x32::Fill), plus
+/// the paper's integer->[0,1] normalization and the perturbation operator.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/sequence.hpp"
 #include "rng/philox.hpp"
@@ -17,6 +19,20 @@ void BM_Philox4x32(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Philox4x32);
+
+void BM_PhiloxFill(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  cdd::rng::Philox4x32 rng(42, 7);
+  std::vector<std::uint32_t> out(count);
+  for (auto _ : state) {
+    rng.Fill(out.data(), count);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(count));
+}
+BENCHMARK(BM_PhiloxFill)->Arg(3)->Arg(64)->Arg(4096);
 
 void BM_PhiloxUniformFloat(benchmark::State& state) {
   cdd::rng::Philox4x32 rng(42, 7);
@@ -68,7 +84,7 @@ void BM_FullFisherYates(benchmark::State& state) {
     benchmark::DoNotOptimize(seq.data());
   }
 }
-BENCHMARK(BM_FullFisherYates)->Arg(50)->Arg(1000);
+BENCHMARK(BM_FullFisherYates)->Arg(50)->Arg(500)->Arg(1000);
 
 }  // namespace
 

@@ -27,8 +27,8 @@
 ///   bench_serve_loadgen --dup-frac 0.5        # cache-friendly traffic
 ///   bench_serve_loadgen --socket --watermarks 8:32 --json BENCH_serve.json
 ///   bench_serve_loadgen --smoke               # deterministic assertions
-///   bench_serve_loadgen --pool-backends host,pinned,device,numa \
-///       --engine dpso --sizes 50,200,500 --dup-frac 0
+///   bench_serve_loadgen --pool-backends host,pinned,device,numa
+///       --engine dpso --sizes 50,200,500 --dup-frac 0   # one command line
 
 #include <unistd.h>
 

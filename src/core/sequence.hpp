@@ -9,6 +9,7 @@
 /// there with the Fisher–Yates algorithm while every other job keeps its
 /// position; that operator is PartialFisherYates() below.
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <random>  // std::uniform_random_bit_generator
@@ -34,24 +35,47 @@ void ValidateSequence(std::span<const JobId> seq, std::size_t n);
 /// Uniformly random integer in [0, bound) from a 64-bit generator, using
 /// Lemire's multiply-shift rejection-free mapping (bias is below 2^-32 for
 /// every bound that occurs here; the statistical tests in tests/rng cover
-/// this helper).
-template <std::uniform_random_bit_generator Rng>
-inline std::uint32_t UniformBelow(Rng& rng, std::uint32_t bound) {
-  const std::uint64_t x = static_cast<std::uint32_t>(rng());
-  return static_cast<std::uint32_t>((x * bound) >> 32);
+/// this helper).  ScaleBelow() is that mapping applied to one 32-bit draw.
+inline std::uint32_t ScaleBelow(std::uint32_t draw, std::uint32_t bound) {
+  return static_cast<std::uint32_t>((std::uint64_t{draw} * bound) >> 32);
 }
 
-/// Fisher–Yates shuffle of the whole range (Cormen et al. [14]).
 template <std::uniform_random_bit_generator Rng>
+inline std::uint32_t UniformBelow(Rng& rng, std::uint32_t bound) {
+  return ScaleBelow(static_cast<std::uint32_t>(rng()), bound);
+}
+
+/// A generator that also writes many 32-bit draws at once, as many calls
+/// of operator() would (rng::Philox4x32::Fill).  The shuffles take their
+/// draws this way.
+template <class Rng>
+concept BulkGenerator =
+    std::uniform_random_bit_generator<Rng> &&
+    requires(Rng& rng, std::uint32_t* out, std::size_t count) {
+      rng.Fill(out, count);
+    };
+
+/// Fisher–Yates shuffle of the whole range (Cormen et al. [14]).  The
+/// draws come 64 at a time through Fill; they and the result are those of
+/// one UniformBelow() call per position.
+template <BulkGenerator Rng>
 inline void FisherYates(std::span<JobId> seq, Rng& rng) {
-  for (std::size_t i = seq.size(); i > 1; --i) {
-    const std::uint32_t j = UniformBelow(rng, static_cast<std::uint32_t>(i));
-    std::swap(seq[i - 1], seq[j]);
+  constexpr std::size_t kChunk = 64;
+  std::uint32_t draws[kChunk];
+  std::size_t i = seq.size();
+  while (i > 1) {
+    const std::size_t take = std::min(i - 1, kChunk);
+    rng.Fill(draws, take);
+    for (std::size_t k = 0; k < take; ++k, --i) {
+      const std::uint32_t j =
+          ScaleBelow(draws[k], static_cast<std::uint32_t>(i));
+      std::swap(seq[i - 1], seq[j]);
+    }
   }
 }
 
 /// Returns a uniformly random permutation of {0, ..., n-1}.
-template <std::uniform_random_bit_generator Rng>
+template <BulkGenerator Rng>
 inline Sequence RandomSequence(std::size_t n, Rng& rng) {
   Sequence seq = IdentitySequence(n);
   FisherYates(std::span<JobId>(seq), rng);
@@ -65,7 +89,7 @@ inline Sequence RandomSequence(std::size_t n, Rng& rng) {
 /// \p scratch must provide at least \p pert elements of JobId storage and
 /// \p pert elements of position storage; the overload below allocates.
 /// With pert >= seq.size() this degenerates to a full shuffle.
-template <std::uniform_random_bit_generator Rng>
+template <BulkGenerator Rng>
 inline void PartialFisherYates(std::span<JobId> seq, std::uint32_t pert,
                                Rng& rng, std::span<std::uint32_t> positions,
                                std::span<JobId> values) {
@@ -93,7 +117,7 @@ inline void PartialFisherYates(std::span<JobId> seq, std::uint32_t pert,
 }
 
 /// Allocating convenience overload of PartialFisherYates().
-template <std::uniform_random_bit_generator Rng>
+template <BulkGenerator Rng>
 inline void PartialFisherYates(std::span<JobId> seq, std::uint32_t pert,
                                Rng& rng) {
   std::vector<std::uint32_t> positions(pert);

@@ -34,9 +34,17 @@ struct Dim3 {
   friend constexpr bool operator==(const Dim3&, const Dim3&) = default;
 };
 
+/// "(x,y,z)".  Appended piece by piece: GCC 12 flags the chained
+/// operator+ form with a false -Wrestrict.
 inline std::string ToString(const Dim3& d) {
-  return "(" + std::to_string(d.x) + "," + std::to_string(d.y) + "," +
-         std::to_string(d.z) + ")";
+  std::string s = "(";
+  s += std::to_string(d.x);
+  s += ',';
+  s += std::to_string(d.y);
+  s += ',';
+  s += std::to_string(d.z);
+  s += ')';
+  return s;
 }
 
 }  // namespace cdd::sim

@@ -26,7 +26,8 @@ class DpsoEngine final
       : SerialEngine(params.budget, /*stream=*/0xd9500ULL),
         objective_(objective),
         params_(params),
-        lease_(params.pool, objective.size(), params.swarm) {
+        lease_(params.pool, objective.size(), params.swarm),
+        marks_(objective.size()) {
     const ElapsedTimer timer(loop_.elapsed);
     const std::size_t n = objective_.size();
 
@@ -69,23 +70,23 @@ class DpsoEngine final
   void Generation() {
     CandidatePool& pool = *lease_;
     RunResult& result = loop_.result;
+    const std::span<std::uint8_t> marks(marks_);
     pool.Clear();
     for (Particle& p : state_) {
       // w (+) F1: swap velocity.
       if (rng_.NextUniform() < params_.w) {
         RandomSwap(std::span<JobId>(p.position), rng_);
       }
-      // c1 (+) F2: one-point crossover with the particle best.
+      // c1 (+) F2: one-point crossover with the particle best, in place.
       if (rng_.NextUniform() < params_.c1) {
-        OnePointCrossover(p.position, p.best, rng_, scratch_);
-        p.position.swap(scratch_);
+        OnePointCrossover(std::span<JobId>(p.position), p.best, rng_, marks);
       }
       // c2 (+) F3: two-point crossover with the swarm best.  p.best and
       // result.best are read-only within a generation (personal bests
       // and g(t) update below), so staging the evaluation is order-safe.
       if (rng_.NextUniform() < params_.c2) {
-        TwoPointCrossover(p.position, result.best, rng_, scratch_);
-        p.position.swap(scratch_);
+        TwoPointCrossover(std::span<JobId>(p.position), result.best, rng_,
+                          marks);
       }
       pool.Append(p.position);
     }
@@ -112,7 +113,7 @@ class DpsoEngine final
   SequenceObjective objective_;
   DpsoParams params_;
   PoolLease lease_;
-  Sequence scratch_;  ///< crossover output buffer (contents never read)
+  std::vector<std::uint8_t> marks_;  ///< crossover mark table (n bytes)
 };
 
 }  // namespace

@@ -8,43 +8,72 @@
 ///   F3 — two-point crossover with the swarm's best position.
 /// Both crossovers preserve permutation validity: positions taken from the
 /// first parent keep their place, every remaining job enters in the order it
-/// appears in the second parent.
+/// appears in the second parent.  They work in place on the first parent,
+/// on the host (meta/dpso.cpp) and in the simulated device kernel
+/// (par::raw::TwoPointCrossoverRaw) alike.
 
+#include <cstddef>
+#include <cstdint>
 #include <random>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "core/sequence.hpp"
 
 namespace cdd::meta {
 
-/// One-point crossover: child = p1[0..cut) ++ (jobs missing, in p2 order).
-/// \p cut must be in [0, n].  Writes into \p child (resized to n).
-void OnePointCrossover(std::span<const JobId> p1, std::span<const JobId> p2,
-                       std::size_t cut, Sequence& child);
+/// In-place two-point crossover (F3): \p row keeps [a, b) where it is and
+/// the gaps [0, a) then [b, n) get \p donor's remaining jobs in donor
+/// order.  Every donor job is written (branchless), but the write index
+/// only advances past a job the kept segment lacks.  Both rows are
+/// permutations of 0..n-1 and must not alias, a <= b <= n, and \p used is
+/// n bytes of scratch whose contents on entry do not matter.
+inline void TwoPointCrossover(std::span<JobId> row,
+                              std::span<const JobId> donor, std::size_t a,
+                              std::size_t b, std::span<std::uint8_t> used) {
+  // Pointer-width indices: a 32-bit unsigned one must wrap, which costs
+  // the fill loop two extra instructions per job.
+  const std::size_t n = row.size();
+  for (std::size_t i = 0; i < n; ++i) used[i] = 0;
+  for (std::size_t k = a; k < b; ++k) used[row[k]] = 1;
+  std::size_t i = 0;  // donor scan, resumed by the second gap
+  const auto fill = [&](std::size_t w, std::size_t end) {
+    for (; w < end; ++i) {
+      const JobId v = donor[i];
+      row[w] = v;
+      w += !used[v];
+    }
+  };
+  fill(0, a);
+  fill(b, n);
+}
 
-/// Two-point crossover: child keeps p1[a..b) in place; all other positions
-/// are filled left to right with the remaining jobs in p2 order.
-/// Requires 0 <= a <= b <= n.
-void TwoPointCrossover(std::span<const JobId> p1, std::span<const JobId> p2,
-                       std::size_t a, std::size_t b, Sequence& child);
+/// In-place one-point crossover (F2): \p row keeps its first \p cut jobs
+/// and its tail gets \p donor's remaining jobs — the two-point crossover
+/// with a = 0.
+inline void OnePointCrossover(std::span<JobId> row,
+                              std::span<const JobId> donor, std::size_t cut,
+                              std::span<std::uint8_t> used) {
+  TwoPointCrossover(row, donor, 0, cut, used);
+}
 
-/// Randomized convenience wrappers drawing the cut points uniformly.
+/// Randomized forms drawing the cut points uniformly: one draw for F2;
+/// two for F3, swapped into order.
 template <std::uniform_random_bit_generator Rng>
-void OnePointCrossover(std::span<const JobId> p1, std::span<const JobId> p2,
-                       Rng& rng, Sequence& child) {
-  const auto n = static_cast<std::uint32_t>(p1.size());
-  OnePointCrossover(p1, p2, UniformBelow(rng, n + 1), child);
+void OnePointCrossover(std::span<JobId> row, std::span<const JobId> donor,
+                       Rng& rng, std::span<std::uint8_t> used) {
+  const auto n = static_cast<std::uint32_t>(row.size());
+  OnePointCrossover(row, donor, UniformBelow(rng, n + 1), used);
 }
 
 template <std::uniform_random_bit_generator Rng>
-void TwoPointCrossover(std::span<const JobId> p1, std::span<const JobId> p2,
-                       Rng& rng, Sequence& child) {
-  const auto n = static_cast<std::uint32_t>(p1.size());
+void TwoPointCrossover(std::span<JobId> row, std::span<const JobId> donor,
+                       Rng& rng, std::span<std::uint8_t> used) {
+  const auto n = static_cast<std::uint32_t>(row.size());
   std::uint32_t a = UniformBelow(rng, n + 1);
   std::uint32_t b = UniformBelow(rng, n + 1);
   if (a > b) std::swap(a, b);
-  TwoPointCrossover(p1, p2, a, b, child);
+  TwoPointCrossover(row, donor, a, b, used);
 }
 
 }  // namespace cdd::meta

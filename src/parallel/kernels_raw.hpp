@@ -15,6 +15,7 @@
 #include "core/sequence.hpp"
 #include "core/types.hpp"
 #include "cudasim/device.hpp"
+#include "meta/ops.hpp"
 #include "rng/philox.hpp"
 
 namespace cdd::par::raw {
@@ -80,32 +81,16 @@ inline std::uint32_t PerturbRaw(JobId* seq, std::int32_t n,
   return pert;
 }
 
-/// In-place two-point crossover (DPSO's F3): \p row keeps [a, b) where it
-/// is and the gaps [0, a) then [b, n) get \p donor's remaining jobs in
-/// donor order.  Every donor job is written (branchless), but the write
-/// index only advances past a job the kept segment lacks.  Both rows are
-/// permutations of 0..n-1 and must not alias, a <= b <= n, and \p used is
-/// n bytes of per-thread scratch.
+/// In-place crossovers (DPSO's F3 and F2) on raw rows: meta's
+/// TwoPointCrossover and OnePointCrossover, with \p used n bytes of
+/// per-thread scratch.
 inline void TwoPointCrossoverRaw(std::int32_t n, JobId* row,
                                  const JobId* donor, std::uint32_t a,
                                  std::uint32_t b, std::uint8_t* used) {
-  for (std::int32_t i = 0; i < n; ++i) used[i] = 0;
-  for (std::uint32_t k = a; k < b; ++k) used[row[k]] = 1;
-  std::int32_t i = 0;  // donor scan, resumed by the second gap
-  const auto fill = [&](std::int32_t w, std::int32_t end) {
-    for (; w < end; ++i) {
-      const JobId v = donor[i];
-      row[w] = v;
-      w += !used[v];
-    }
-  };
-  fill(0, static_cast<std::int32_t>(a));
-  fill(static_cast<std::int32_t>(b), n);
+  const auto size = static_cast<std::size_t>(n);
+  meta::TwoPointCrossover({row, size}, {donor, size}, a, b, {used, size});
 }
 
-/// In-place one-point crossover (DPSO's F2): \p row keeps its first \p cut
-/// jobs and its tail gets \p donor's remaining jobs — the two-point
-/// crossover with a = 0.
 inline void OnePointCrossoverRaw(std::int32_t n, JobId* row,
                                  const JobId* donor, std::uint32_t cut,
                                  std::uint8_t* used) {

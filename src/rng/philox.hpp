@@ -14,6 +14,7 @@
 /// on.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -82,10 +83,37 @@ class Xoshiro256 {
   std::array<std::uint64_t, 4> state_{};
 };
 
+inline constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u;
+inline constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57u;
+inline constexpr std::uint32_t kPhiloxW0 = 0x9E3779B9u;  // golden ratio
+inline constexpr std::uint32_t kPhiloxW1 = 0xBB67AE85u;  // sqrt(3) - 1
+
 /// Philox4x32-10 block function: encrypts a 128-bit counter under a 64-bit
-/// key producing four 32-bit outputs.  Exposed for the test vectors.
-std::array<std::uint32_t, 4> Philox4x32Block(
-    std::array<std::uint32_t, 4> counter, std::array<std::uint32_t, 2> key);
+/// key producing four 32-bit outputs.  Inline: the generators call it once
+/// per four draws.
+inline std::array<std::uint32_t, 4> Philox4x32Block(
+    std::array<std::uint32_t, 4> ctr, std::array<std::uint32_t, 2> key) {
+  for (int round = 0; round < 10; ++round) {
+    const std::uint64_t p0 = std::uint64_t{kPhiloxM0} * ctr[0];
+    const std::uint64_t p1 = std::uint64_t{kPhiloxM1} * ctr[2];
+    ctr = {static_cast<std::uint32_t>(p1 >> 32) ^ ctr[1] ^ key[0],
+           static_cast<std::uint32_t>(p1),
+           static_cast<std::uint32_t>(p0 >> 32) ^ ctr[3] ^ key[1],
+           static_cast<std::uint32_t>(p0)};
+    key[0] += kPhiloxW0;
+    key[1] += kPhiloxW1;
+  }
+  return ctr;
+}
+
+/// Writes the blocks for counters (counter[0] + k, counter[1..3]) into
+/// out[4k .. 4k + 4) with AVX2 when the host has it, for as many whole
+/// groups of eight as fit in \p blocks without carrying out of
+/// counter[0]; advances counter[0] past them and returns how many blocks
+/// it wrote (a multiple of 8, 0 without AVX2).
+std::size_t Philox4x32BlocksWide(std::array<std::uint32_t, 4>& counter,
+                                 std::array<std::uint32_t, 2> key,
+                                 std::uint32_t* out, std::size_t blocks);
 
 /// \brief Philox4x32-10 stream generator.
 ///
@@ -110,11 +138,37 @@ class Philox4x32 {
 
   result_type operator()() {
     if (index_ == 4) {
-      block_ = Philox4x32Block(counter_, key_);
-      AdvanceCounter();
+      NextBlock();
       index_ = 0;
     }
     return block_[index_++];
+  }
+
+  /// Writes the next \p count outputs to \p out and leaves the generator
+  /// where \p count calls of operator() would: every later draw is the
+  /// same.  Whole blocks come from Philox4x32BlocksWide where it applies;
+  /// the rest, including any stretch that would carry out of the low
+  /// counter word, block by block.
+  void Fill(std::uint32_t* out, std::size_t count) {
+    for (; count > 0 && index_ < 4; --count) *out++ = block_[index_++];
+    if (count == 0) return;
+    std::size_t blocks = count / 4;
+    count %= 4;
+    if (blocks >= 8) {
+      const std::size_t wide =
+          Philox4x32BlocksWide(counter_, key_, out, blocks);
+      out += 4 * wide;
+      blocks -= wide;
+    }
+    for (; blocks > 0; --blocks) {
+      NextBlock();
+      for (unsigned k = 0; k < 4; ++k) *out++ = block_[k];
+    }
+    if (count > 0) {
+      NextBlock();
+      index_ = 0;
+      for (; count > 0; --count) *out++ = block_[index_++];
+    }
   }
 
   /// Jumps to absolute position \p n in the stream (counts 32-bit outputs).
@@ -122,8 +176,7 @@ class Philox4x32 {
   void Seek(std::uint64_t n) {
     counter_[0] = static_cast<std::uint32_t>(n / 4);
     counter_[1] = static_cast<std::uint32_t>((n / 4) >> 32);
-    block_ = Philox4x32Block(counter_, key_);
-    AdvanceCounter();
+    NextBlock();
     index_ = static_cast<unsigned>(n % 4);
   }
 
@@ -139,6 +192,11 @@ class Philox4x32 {
   float NextUniform() { return ToUniformFloat((*this)()); }
 
  private:
+  void NextBlock() {
+    block_ = Philox4x32Block(counter_, key_);
+    AdvanceCounter();
+  }
+
   void AdvanceCounter() {
     if (++counter_[0] == 0 && ++counter_[1] == 0 && ++counter_[2] == 0) {
       ++counter_[3];

@@ -80,12 +80,12 @@ struct ServiceConfig {
   /// appends one JSONL run manifest here — the record tools/sched_replay
   /// re-executes and verifies bit-identically.  Truncated and failed runs
   /// are never recorded: a manifest always describes a reproducible run.
-  std::string manifest_path;
+  std::string manifest_path{};
   /// Candidate-pool placement for request-scoped pools ("host", "pinned",
   /// "device", "numa").  Empty defers to CDD_POOL_BACKEND (then "host");
   /// an unknown name makes the constructor throw std::invalid_argument.
   /// Placement never changes results — only the modeled transfer cost.
-  std::string pool_backend;
+  std::string pool_backend{};
   /// Block-execution backend for the private simulated devices the device
   /// engines run on ("serial", "host-parallel"); see
   /// sim::exec::ActiveExecBackend.  Empty defers to CDD_EXEC_BACKEND —
@@ -95,7 +95,7 @@ struct ServiceConfig {
   /// cores), counted in the `exec_clamped` metric.  An explicit setting
   /// here is honored as-is; an unknown name makes the constructor throw
   /// std::invalid_argument.  Execution placement never changes results.
-  std::string exec_backend;
+  std::string exec_backend{};
   /// Test seam: when non-null, overrides `pool_backend` entirely and every
   /// request-scoped pool allocates through this allocator (e.g. an
   /// always-failing one to exercise the host-fallback path).  Must outlive

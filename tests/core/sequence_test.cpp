@@ -54,6 +54,26 @@ TEST(Sequence, FisherYatesIsUniformOnThreeElements) {
   }
 }
 
+TEST(Sequence, FisherYatesMatchesOneDrawAtATime) {
+  // Philox hands FisherYates its draws in bulk; the shuffle must be the
+  // one-UniformBelow-per-position loop, and leave the generator where that
+  // loop leaves it.
+  rng::Philox4x32 bulk(2024, 5);
+  rng::Philox4x32 single = bulk;
+  for (std::size_t n = 0; n <= 300; ++n) {
+    Sequence got = IdentitySequence(n);
+    FisherYates(std::span<JobId>(got), bulk);
+    Sequence expected = IdentitySequence(n);
+    for (std::size_t i = n; i > 1; --i) {
+      const std::uint32_t j =
+          UniformBelow(single, static_cast<std::uint32_t>(i));
+      std::swap(expected[i - 1], expected[j]);
+    }
+    ASSERT_EQ(got, expected) << "n=" << n;
+    ASSERT_EQ(bulk(), single()) << "n=" << n;
+  }
+}
+
 TEST(Sequence, PartialFisherYatesMovesOnlySelectedPositions) {
   rng::Philox4x32 rng(99);
   for (int trial = 0; trial < 200; ++trial) {

@@ -12,57 +12,70 @@
 namespace cdd::meta {
 namespace {
 
+/// The crossovers work in place: the child overwrites a copy of p1.
+Sequence OnePoint(const Sequence& p1, const Sequence& p2, std::uint32_t cut) {
+  Sequence child = p1;
+  std::vector<std::uint8_t> used(p1.size());
+  OnePointCrossover(std::span<JobId>(child), p2, cut,
+                    std::span<std::uint8_t>(used));
+  return child;
+}
+
+Sequence TwoPoint(const Sequence& p1, const Sequence& p2, std::uint32_t a,
+                  std::uint32_t b) {
+  Sequence child = p1;
+  std::vector<std::uint8_t> used(p1.size());
+  TwoPointCrossover(std::span<JobId>(child), p2, a, b,
+                    std::span<std::uint8_t>(used));
+  return child;
+}
+
 TEST(Crossover, OnePointKeepsPrefixAndFillsFromDonor) {
   const Sequence p1{0, 1, 2, 3, 4};
   const Sequence p2{4, 3, 2, 1, 0};
-  Sequence child;
-  OnePointCrossover(p1, p2, /*cut=*/2, child);
   // Prefix {0,1} from p1; remaining jobs {4,3,2} in p2 order.
-  EXPECT_EQ(child, (Sequence{0, 1, 4, 3, 2}));
+  EXPECT_EQ(OnePoint(p1, p2, /*cut=*/2), (Sequence{0, 1, 4, 3, 2}));
 }
 
 TEST(Crossover, OnePointEdgeCuts) {
   const Sequence p1{0, 1, 2};
   const Sequence p2{2, 1, 0};
-  Sequence child;
-  OnePointCrossover(p1, p2, 0, child);
-  EXPECT_EQ(child, p2);  // nothing from p1
-  OnePointCrossover(p1, p2, 3, child);
-  EXPECT_EQ(child, p1);  // everything from p1
+  EXPECT_EQ(OnePoint(p1, p2, 0), p2);  // nothing from p1
+  EXPECT_EQ(OnePoint(p1, p2, 3), p1);  // everything from p1
 }
 
 TEST(Crossover, TwoPointKeepsSegmentInPlace) {
   const Sequence p1{0, 1, 2, 3, 4};
   const Sequence p2{4, 3, 2, 1, 0};
-  Sequence child;
-  TwoPointCrossover(p1, p2, /*a=*/1, /*b=*/3, child);
   // Segment {1,2} stays at positions 1..2; {4,3,0} fill 0,3,4 in p2 order.
-  EXPECT_EQ(child, (Sequence{4, 1, 2, 3, 0}));
+  EXPECT_EQ(TwoPoint(p1, p2, /*a=*/1, /*b=*/3), (Sequence{4, 1, 2, 3, 0}));
 }
 
 TEST(Crossover, TwoPointEdgeSegments) {
   const Sequence p1{0, 1, 2};
   const Sequence p2{2, 0, 1};
-  Sequence child;
-  TwoPointCrossover(p1, p2, 0, 0, child);  // empty segment
-  EXPECT_EQ(child, p2);
-  TwoPointCrossover(p1, p2, 0, 3, child);  // full segment
-  EXPECT_EQ(child, p1);
+  EXPECT_EQ(TwoPoint(p1, p2, 0, 0), p2);  // empty segment
+  EXPECT_EQ(TwoPoint(p1, p2, 0, 3), p1);  // full segment
 }
 
-/// Property: both crossovers always produce valid permutations.
+/// Property: both crossovers always produce valid permutations, whatever
+/// the mark table held before the call.
 class CrossoverSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CrossoverSweep, ChildrenAreAlwaysPermutations) {
   const std::uint32_t n = GetParam();
   rng::Philox4x32 rng(n * 7919);
-  Sequence child;
+  std::vector<std::uint8_t> used(n, 1);
   for (int trial = 0; trial < 100; ++trial) {
     const Sequence p1 = RandomSequence(n, rng);
     const Sequence p2 = RandomSequence(n, rng);
-    OnePointCrossover(p1, p2, rng, child);
+    Sequence child = p1;
+    OnePointCrossover(std::span<JobId>(child), p2, rng,
+                      std::span<std::uint8_t>(used));
     ASSERT_TRUE(IsPermutation(child)) << "one-point n=" << n;
-    TwoPointCrossover(p1, p2, rng, child);
+    child = p1;
+    TwoPointCrossover(std::span<JobId>(child), p2, rng,
+                      std::span<std::uint8_t>(used));
     ASSERT_TRUE(IsPermutation(child)) << "two-point n=" << n;
   }
 }

@@ -73,6 +73,49 @@ TEST(Philox, SeekIsRandomAccess) {
   }
 }
 
+/// Fill(count) from \p start against count calls of operator() from a
+/// copy of it, then a few more draws to show both left the same state.
+void ExpectFillMatchesCalls(const Philox4x32& start, std::size_t count) {
+  Philox4x32 bulk = start;
+  Philox4x32 single = start;
+  std::vector<std::uint32_t> got(count + 1, 0xdeadbeefu);
+  bulk.Fill(got.data(), count);
+  for (std::size_t k = 0; k < count; ++k) {
+    ASSERT_EQ(got[k], single()) << "count " << count << " draw " << k;
+  }
+  ASSERT_EQ(got[count], 0xdeadbeefu) << "count " << count << " overran";
+  for (int k = 0; k < 9; ++k) {
+    ASSERT_EQ(bulk(), single()) << "count " << count << " after " << k;
+  }
+}
+
+TEST(Philox, FillMatchesSuccessiveCalls) {
+  // Seeds and streams with high words set, from every offset in a block.
+  for (const std::uint64_t seed : {0ull, 7ull, 0x9e3779b97f4a7c15ull}) {
+    for (const std::uint64_t stream : {0ull, 3ull, 0xfedcba9876543210ull}) {
+      for (unsigned used = 0; used < 4; ++used) {
+        Philox4x32 start(seed, stream);
+        for (unsigned k = 0; k < used; ++k) start();
+        for (std::size_t count = 0; count <= 130; ++count) {
+          ExpectFillMatchesCalls(start, count);
+        }
+      }
+    }
+  }
+  // Seeked to within a few blocks of the low counter word's carry (block
+  // 2^32 - 1 - back), at every offset, and past 2^32 blocks.
+  for (std::uint64_t back = 0; back < 40; ++back) {
+    for (std::uint64_t offset = 0; offset < 4; ++offset) {
+      Philox4x32 start(0x0123456789abcdefull, 0xfedcba9876543210ull);
+      start.Seek(4 * (0xffffffffull - back) + offset);
+      ExpectFillMatchesCalls(start, 130);
+      Philox4x32 high(11, 12);
+      high.Seek((5ull << 34) + 4 * back + offset);
+      ExpectFillMatchesCalls(high, 130);
+    }
+  }
+}
+
 TEST(Philox, UniformFloatInHalfOpenUnitInterval) {
   Philox4x32 rng(2718);
   for (int i = 0; i < 100000; ++i) {
