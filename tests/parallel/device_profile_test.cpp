@@ -2,13 +2,13 @@
 ///
 /// The golden manifests pin answers (best cost, evaluations, trajectory)
 /// but not modeled time.  These tests pin, for psa, psa-sync and pdpso on
-/// one fixed instance, every kernel's launch count, work units and exact
-/// modeled seconds, plus the H2D/D2H byte totals and the device clock, so
-/// a change that speeds up the simulator's host side cannot silently move
-/// a simulated statistic.  Serial and host-parallel block execution must
-/// both reproduce the values exactly.  Only a deliberate change to the
-/// timing model or to a kernel's charges re-pins them, from the table a
-/// mismatch prints.
+/// one fixed instance, and for psa with the tree reduction ablation, every
+/// kernel's launch count, work units and exact modeled seconds, plus the
+/// H2D/D2H byte totals and the device clock, so a change that speeds up
+/// the simulator's host side cannot silently move a simulated statistic.
+/// Serial and host-parallel block execution must both reproduce the
+/// values exactly.  Only a deliberate change to the timing model or to a
+/// kernel's charges re-pins them, from the table a mismatch prints.
 
 #include <gtest/gtest.h>
 
@@ -105,6 +105,27 @@ TEST_P(DeviceProfilePin, Psa) {
                      {"sa_seed_best", 1, 768, 5.8051612903225814e-06},
                  },
                  123532, 88, 0.0036756997849462384});
+}
+
+TEST_P(DeviceProfilePin, PsaTreeReduction) {
+  // The tree reduction ablation on a non-power-of-two block, so the
+  // guarded fold rounds (and their charges) are pinned as well.
+  ParallelSaParams p;
+  p.config = LaunchConfig::ForEnsemble(48, 24);
+  p.budget.iterations = 30;
+  p.budget.seed = 5;
+  p.temp_samples = 200;
+  p.reduction = detail::ReductionKind::kTree;
+  RunParallelSa(gpu_, PinInstance(), p);
+  ExpectProfile(gpu_,
+                {{
+                     {"sa_acceptance", 30, 32260, 0.00041570322580645146},
+                     {"sa_fitness", 31, 63984, 0.0004233200000000003},
+                     {"sa_perturbation", 30, 36000, 0.00030096774193548394},
+                     {"sa_reduction", 30, 7320, 0.00019227096774193552},
+                     {"sa_seed_best", 1, 48, 5.2012903225806452e-06},
+                 },
+                 8332, 88, 0.0015888665591397863});
 }
 
 TEST_P(DeviceProfilePin, PsaSync) {
