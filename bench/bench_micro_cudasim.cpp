@@ -1,7 +1,8 @@
 /// \file bench_micro_cudasim.cpp
 /// \brief GPU-simulator microbenchmarks: host-side cost of kernel launch,
-/// fiber barriers, atomic reduction and the paper's fitness launch — the
-/// simulator's own overheads, kept separate from the modeled device time.
+/// phased (barrier) launches, atomic reduction and the paper's fitness
+/// launch — the simulator's own overheads, kept separate from the modeled
+/// device time.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 namespace {
 
 using cdd::sim::Device;
+using cdd::sim::KernelFn;
 using cdd::sim::LaunchOptions;
 using cdd::sim::ThreadCtx;
 
@@ -31,43 +33,45 @@ void BM_EmptyKernelLaunch(benchmark::State& state) {
 }
 BENCHMARK(BM_EmptyKernelLaunch)->Arg(1)->Arg(4)->Arg(16);
 
-void BM_CooperativeBarrierKernel(benchmark::State& state) {
+void BM_PhasedBarrierKernel(benchmark::State& state) {
+  // A 64-thread kernel with <arg> barriers, i.e. <arg> + 1 empty phases:
+  // the host cost of the phase loop itself.
   Device gpu;
   const auto barriers = static_cast<int>(state.range(0));
-  LaunchOptions opts;
-  opts.cooperative = true;
+  const std::vector<KernelFn> phases(static_cast<std::size_t>(barriers) + 1,
+                                     [](ThreadCtx&) {});
   for (auto _ : state) {
-    gpu.Launch({1}, {64}, opts, [barriers](ThreadCtx& t) {
-      for (int i = 0; i < barriers; ++i) t.syncthreads();
-    });
+    gpu.LaunchPhases({1}, {64}, LaunchOptions{}, phases);
   }
   state.SetItemsProcessed(state.iterations() * 64 * barriers);
 }
-BENCHMARK(BM_CooperativeBarrierKernel)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_PhasedBarrierKernel)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_FitnessShapedLaunch(benchmark::State& state) {
-  // A cooperative launch of the paper's fitness geometry (Section VI-A):
-  // 4 blocks x 192 threads stage a vector in shared memory behind one
-  // barrier, so every simulated thread is a fiber that is armed, yields
-  // once and finishes.  The fitness launch itself no longer runs fibers
-  // (BM_LaunchFitness); this measures what a user kernel with one
-  // barrier costs.  The argument is the block-execution worker cap
-  // (1 = serial).
+  // A two-phase launch of the paper's fitness geometry (Section VI-A):
+  // 4 blocks x 192 threads stage a vector in shared memory, and after the
+  // barrier each thread reads its neighbour's entry.  The fitness launch
+  // itself has one phase (BM_LaunchFitness); this measures what a user
+  // kernel with one barrier costs.  The argument is the block-execution
+  // worker cap (1 = serial).
   Device gpu;
   gpu.set_worker_threads(static_cast<unsigned>(state.range(0)));
   LaunchOptions opts;
-  opts.cooperative = true;
   opts.shared_bytes = 192 * sizeof(std::int64_t);
   std::int64_t checksum = 0;
+  const KernelFn phases[] = {
+      [](ThreadCtx& t) {
+        t.shared_as<std::int64_t>()[t.linear_thread()] =
+            static_cast<std::int64_t>(t.global_thread());
+      },
+      [&checksum](ThreadCtx& t) {
+        const std::uint32_t lane = t.linear_thread();
+        const std::int64_t neighbour =
+            t.shared_as<std::int64_t>()[(lane + 1) % 192];
+        if (lane == 0 && t.linear_block() == 0) checksum += neighbour;
+      }};
   for (auto _ : state) {
-    gpu.Launch({4}, {192}, opts, [&checksum](ThreadCtx& t) {
-      auto* staged = t.shared_as<std::int64_t>();
-      const std::uint32_t lane = t.linear_thread();
-      staged[lane] = static_cast<std::int64_t>(t.global_thread());
-      t.syncthreads();
-      const std::int64_t neighbour = staged[(lane + 1) % 192];
-      if (lane == 0 && t.linear_block() == 0) checksum += neighbour;
-    });
+    gpu.LaunchPhases({4}, {192}, opts, phases);
     benchmark::DoNotOptimize(checksum);
   }
   state.SetItemsProcessed(state.iterations() * 4 * 192);
@@ -149,15 +153,15 @@ void BM_AtomicMinReduction(benchmark::State& state) {
 }
 BENCHMARK(BM_AtomicMinReduction);
 
-void BM_NonCooperativeThreadLoop(benchmark::State& state) {
-  // Baseline for the fiber overhead: same geometry without barriers.
+void BM_OnePhaseThreadLoop(benchmark::State& state) {
+  // Baseline for BM_PhasedBarrierKernel: same geometry, one phase.
   Device gpu;
   for (auto _ : state) {
     gpu.Launch({1}, {64}, [](ThreadCtx& t) { t.charge(1); });
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_NonCooperativeThreadLoop);
+BENCHMARK(BM_OnePhaseThreadLoop);
 
 }  // namespace
 

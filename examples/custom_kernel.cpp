@@ -5,7 +5,8 @@
 /// The kernel evaluates every *cyclic rotation* of a base sequence in
 /// parallel — one rotation per simulated CUDA thread — staging the penalty
 /// arrays in shared memory behind a barrier (the same pattern as the
-/// paper's fitness kernel) and reducing the winner with an atomic minimum.
+/// paper's fitness kernel; the barrier splits the launch into two phases)
+/// and reducing the winner with an atomic minimum.
 ///
 ///   ./examples/custom_kernel [--jobs 192] [--seed 3]
 
@@ -69,36 +70,40 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>((n + 191) / 192), 1, 1};
   sim::LaunchOptions opts;
   opts.name = "rotation_eval";
-  opts.cooperative = true;
   opts.shared_bytes =
       2 * static_cast<std::size_t>(n) * sizeof(Cost);
 
-  gpu.Launch(grid, block, opts, [=](sim::ThreadCtx& t) {
-    // Stage alpha/beta into shared memory (strided, then barrier).
-    Cost* s_alpha = t.shared_as<Cost>();
-    Cost* s_beta = s_alpha + n;
-    const auto tpb = static_cast<std::int32_t>(t.block_dim.count());
-    for (std::int32_t i = static_cast<std::int32_t>(t.linear_thread());
-         i < n; i += tpb) {
-      s_alpha[i] = p_alpha[i];
-      s_beta[i] = p_beta[i];
-    }
-    t.syncthreads();
-
-    const auto r = static_cast<std::int32_t>(t.global_thread());
-    if (r >= n) return;
-    // Build rotation r of the base sequence in this thread's scratch row.
-    JobId* mine = p_scratch + static_cast<std::size_t>(r) * n;
-    for (std::int32_t i = 0; i < n; ++i) {
-      mine[i] = p_base[(i + r) % n];
-    }
-    const raw::EvalResult res =
-        raw::EvalCdd(n, d, mine, p_proc, s_alpha, s_beta);
-    sim::AtomicMin(p_best,
-                   raw::EvalResult{res.cost, 0, 0}.cost << 20 |
-                       static_cast<std::int64_t>(r));
-    t.charge(4 * static_cast<std::uint64_t>(n));
-  });
+  // The kernel has one barrier, so it is launched as two phases: every
+  // thread of a block finishes the first before any starts the second.
+  const sim::KernelFn phases[] = {
+      [=](sim::ThreadCtx& t) {
+        // Stage alpha/beta into shared memory (strided copies).
+        Cost* s_alpha = t.shared_as<Cost>();
+        Cost* s_beta = s_alpha + n;
+        const auto tpb = static_cast<std::int32_t>(t.block_dim.count());
+        for (std::int32_t i = static_cast<std::int32_t>(t.linear_thread());
+             i < n; i += tpb) {
+          s_alpha[i] = p_alpha[i];
+          s_beta[i] = p_beta[i];
+        }
+      },
+      [=](sim::ThreadCtx& t) {
+        const auto r = static_cast<std::int32_t>(t.global_thread());
+        if (r >= n) return;
+        // Build rotation r of the base sequence in this thread's scratch
+        // row and evaluate it against the staged penalties.
+        const Cost* s_alpha = t.shared_as<Cost>();
+        const Cost* s_beta = s_alpha + n;
+        JobId* mine = p_scratch + static_cast<std::size_t>(r) * n;
+        for (std::int32_t i = 0; i < n; ++i) {
+          mine[i] = p_base[(i + r) % n];
+        }
+        const raw::EvalResult res =
+            raw::EvalCdd(n, d, mine, p_proc, s_alpha, s_beta);
+        sim::AtomicMin(p_best, res.cost << 20 | static_cast<std::int64_t>(r));
+        t.charge(4 * static_cast<std::uint64_t>(n));
+      }};
+  gpu.LaunchPhases(grid, block, opts, phases);
   gpu.Synchronize();
 
   std::int64_t packed = 0;

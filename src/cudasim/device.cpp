@@ -1,14 +1,12 @@
 #include "cudasim/device.hpp"
 
 #include "cudasim/exec/host_pool.hpp"
-#include "cudasim/fiber.hpp"
 #include "cudasim/stream.hpp"
 #include "trace/tracer.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 namespace cdd::sim {
@@ -25,12 +23,12 @@ struct ThreadCtxAccess {
     ctx.shared_ = shared;
     ctx.shared_bytes_ = shared_bytes;
     ctx.work_ = 0;
-    ctx.fiber_ = nullptr;
     ctx.props_ = props;
   }
-  static void SetFiber(ThreadCtx& ctx, Fiber* fiber) { ctx.fiber_ = fiber; }
   static std::uint64_t Work(const ThreadCtx& ctx) { return ctx.work_; }
-  static void ResetWork(ThreadCtx& ctx) { ctx.work_ = 0; }
+  static void SetWork(ThreadCtx& ctx, std::uint64_t work) {
+    ctx.work_ = work;
+  }
 };
 
 namespace {
@@ -68,161 +66,79 @@ Dim3 UnlinearizeThread(Dim3 block, std::size_t lin) {
   return idx;
 }
 
-/// Per-worker scratch needed to execute blocks.
-struct WorkerState {
-  FiberPool* pool = nullptr;
-  const DeviceProperties* props = nullptr;
-  std::vector<ThreadCtx> ctxs;
-  std::vector<std::max_align_t> smem;
-};
-
 struct BlockResult {
   std::uint64_t total_work = 0;
   std::uint64_t max_work = 0;
 };
 
-/// Executes one block of a plain launch.  Its threads run one after
-/// another to completion, so they share one context: only the thread
-/// index and the charge change between threads (a 1-D block needs no
-/// unlinearizing).
-BlockResult RunPlainBlock(Dim3 grid, Dim3 block, Dim3 bidx,
-                          std::byte* smem_ptr, const LaunchOptions& opts,
-                          const KernelFn& kernel,
-                          const DeviceProperties* props) {
-  ThreadCtx ctx;
-  ThreadCtxAccess::Init(ctx, Dim3{}, bidx, block, grid, smem_ptr,
-                        opts.shared_bytes, props);
-  const bool one_d = block.y == 1 && block.z == 1;
-  BlockResult res;
-  for (std::size_t t = 0; t < block.count(); ++t) {
-    ctx.thread_idx = one_d ? Dim3{static_cast<std::uint32_t>(t), 0, 0}
-                           : UnlinearizeThread(block, t);
-    ThreadCtxAccess::ResetWork(ctx);
-    kernel(ctx);
-    const std::uint64_t w = ThreadCtxAccess::Work(ctx);
-    res.total_work += w;
-    res.max_work = std::max(res.max_work, w);
-  }
-  return res;
-}
-
-/// Executes one block and returns its charge aggregates.
-BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
-                        const LaunchOptions& opts, const KernelFn& kernel,
-                        WorkerState& ws) {
-  const std::size_t tpb = block.count();
-  const Dim3 bidx = UnlinearizeBlock(grid, linear_block);
-
-  // Zeroed dynamic shared memory for this block.
-  const std::size_t smem_cells =
-      (opts.shared_bytes + sizeof(std::max_align_t) - 1) /
-      sizeof(std::max_align_t);
-  if (ws.smem.size() < smem_cells) ws.smem.resize(smem_cells);
-  if (smem_cells > 0) {
-    std::memset(ws.smem.data(), 0, smem_cells * sizeof(std::max_align_t));
-  }
-  std::byte* smem_ptr = reinterpret_cast<std::byte*>(ws.smem.data());
-
-  if (!opts.cooperative) {
-    return RunPlainBlock(grid, block, bidx, smem_ptr, opts, kernel,
-                         ws.props);
-  }
-
-  if (ws.ctxs.size() < tpb) ws.ctxs.resize(tpb);
-  for (std::size_t t = 0; t < tpb; ++t) {
-    ThreadCtxAccess::Init(ws.ctxs[t], UnlinearizeThread(block, t), bidx,
-                          block, grid, smem_ptr, opts.shared_bytes,
-                          ws.props);
-  }
-
-  auto& fibers = ws.pool->Acquire(tpb);
-  for (std::size_t t = 0; t < tpb; ++t) {
-    ThreadCtx& ctx = ws.ctxs[t];
-    ThreadCtxAccess::SetFiber(ctx, &fibers[t]);
-    fibers[t].Reset([&kernel, &ctx]() { kernel(ctx); });
-  }
-  std::size_t finished = 0;
-  while (finished < tpb) {
-    std::size_t yielded = 0;
-    for (std::size_t t = 0; t < tpb; ++t) {
-      if (fibers[t].done()) continue;
-      if (fibers[t].Resume()) {
-        ++yielded;
-      } else {
-        fibers[t].RethrowIfFailed();
-        ++finished;
-      }
-    }
-    if (yielded > 0 && finished > 0) {
-      throw GpuError(
-          "__syncthreads divergence in block " + ToString(bidx) +
-          ": some threads exited while others wait at a barrier");
-    }
-  }
-
-  BlockResult res;
-  for (std::size_t t = 0; t < tpb; ++t) {
-    const std::uint64_t w = ThreadCtxAccess::Work(ws.ctxs[t]);
-    res.total_work += w;
-    res.max_work = std::max(res.max_work, w);
-  }
-  return res;
+std::size_t SharedCells(std::size_t bytes) {
+  return (bytes + sizeof(std::max_align_t) - 1) / sizeof(std::max_align_t);
 }
 
 /// The calling thread's persistent block-execution scratch, used by the
 /// sequential and the host-parallel paths alike.  Pool workers are
-/// process-lifetime threads, so keeping WorkerState (and one FiberPool per
-/// requested stack size) thread-local makes the steady state of every
-/// launch allocation-free: fibers, contexts and shared memory are all
-/// reused across launches and across devices, for any stack size.  The
-/// scratch is busy for a whole block, so a kernel body must not itself
-/// launch (the simulator models no dynamic parallelism).
-WorkerState& ThreadWorkerState(const DeviceProperties& props,
-                               std::size_t fiber_stack_bytes) {
-  struct TlsState {
-    WorkerState ws;
-    std::unordered_map<std::size_t, FiberPool> pools;
-  };
-  thread_local TlsState tls;
-  auto it = tls.pools.find(fiber_stack_bytes);
-  if (it == tls.pools.end()) {
-    it = tls.pools
-             .emplace(std::piecewise_construct,
-                      std::forward_as_tuple(fiber_stack_bytes),
-                      std::forward_as_tuple(fiber_stack_bytes))
-             .first;
-  }
-  tls.ws.pool = &it->second;
-  tls.ws.props = &props;
-  return tls.ws;
-}
+/// process-lifetime threads, so keeping it thread-local makes the steady
+/// state of every launch allocation-free.  It is sized once, on a thread's
+/// first launch, to the device's per-block limits (which ValidateLaunch
+/// enforces), so no later launch regrows it.  The scratch is busy for a
+/// whole block, so a kernel body must not itself launch (the simulator
+/// models no dynamic parallelism).
+struct BlockScratch {
+  std::vector<std::uint64_t> work;  ///< per-thread charge, over all phases
+  std::vector<std::max_align_t> smem;
+};
 
-/// Executes one block on the calling thread's scratch.
-BlockResult RunBlockHere(Dim3 grid, Dim3 block, std::size_t linear_block,
-                         const LaunchOptions& opts, const KernelFn& kernel,
-                         const DeviceProperties& props) {
-  WorkerState& ws = ThreadWorkerState(props, opts.fiber_stack_bytes);
-  try {
-    return RunOneBlock(grid, block, linear_block, opts, kernel, ws);
-  } catch (...) {
-    // Sibling fibers of the failing block remain suspended; drop them so
-    // this thread's pool stays usable for future launches.
-    ws.pool->Clear();
-    throw;
+/// Executes one block and returns its charge aggregates.  Phase by phase,
+/// the block's threads run one after another to completion, so they share
+/// one context: only the thread index and the charge change between
+/// threads (a 1-D block needs no unlinearizing).  An exception leaves
+/// nothing behind that the next launch would trip over.
+BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
+                        const LaunchOptions& opts,
+                        std::span<const KernelFn> phases,
+                        const DeviceProperties& props) {
+  thread_local BlockScratch scratch;
+  if (scratch.work.size() < props.max_threads_per_block) {
+    scratch.work.resize(props.max_threads_per_block);
   }
+  if (scratch.smem.size() < SharedCells(props.shared_mem_per_block)) {
+    scratch.smem.resize(SharedCells(props.shared_mem_per_block));
+  }
+
+  // Zeroed dynamic shared memory for this block, kept across its phases.
+  if (opts.shared_bytes > 0) {
+    std::memset(scratch.smem.data(), 0,
+                SharedCells(opts.shared_bytes) * sizeof(std::max_align_t));
+  }
+  const std::size_t tpb = block.count();
+  std::uint64_t* work = scratch.work.data();
+  std::fill_n(work, tpb, std::uint64_t{0});
+
+  ThreadCtx ctx;
+  ThreadCtxAccess::Init(ctx, Dim3{}, UnlinearizeBlock(grid, linear_block),
+                        block, grid,
+                        reinterpret_cast<std::byte*>(scratch.smem.data()),
+                        opts.shared_bytes, &props);
+  const bool one_d = block.y == 1 && block.z == 1;
+  for (const KernelFn& phase : phases) {
+    for (std::size_t t = 0; t < tpb; ++t) {
+      ctx.thread_idx = one_d ? Dim3{static_cast<std::uint32_t>(t), 0, 0}
+                             : UnlinearizeThread(block, t);
+      ThreadCtxAccess::SetWork(ctx, work[t]);
+      phase(ctx);
+      work[t] = ThreadCtxAccess::Work(ctx);
+    }
+  }
+
+  BlockResult res;
+  for (std::size_t t = 0; t < tpb; ++t) {
+    res.total_work += work[t];
+    res.max_work = std::max(res.max_work, work[t]);
+  }
+  return res;
 }
 
 }  // namespace
-
-void ThreadCtx::syncthreads() {
-  if (fiber_ == nullptr) {
-    if (block_dim.count() == 1) return;  // trivially synchronized
-    throw GpuError(
-        "syncthreads() called in a non-cooperative launch; set "
-        "LaunchOptions::cooperative");
-  }
-  fiber_->Yield();
-}
 
 Device::Device(DeviceProperties props)
     : props_(std::move(props)), model_(props_) {}
@@ -266,17 +182,18 @@ void Device::ValidateLaunch(Dim3 grid, Dim3 block,
 
 double Device::ExecuteLaunch(Dim3 grid, Dim3 block,
                              const LaunchOptions& opts,
-                             const KernelFn& kernel) {
+                             std::span<const KernelFn> phases) {
   ValidateLaunch(grid, block, opts.shared_bytes);
+  if (phases.empty()) throw GpuError("launch: no kernel phases");
 
   std::uint64_t total_work = 0;
   std::uint64_t max_work = 0;
   const unsigned cap = worker_threads();
   const auto wall_start = std::chrono::steady_clock::now();
   if (cap <= 1 || grid.count() <= 1) {
-    RunBlocksSequential(grid, block, opts, kernel, total_work, max_work);
+    RunBlocksSequential(grid, block, opts, phases, total_work, max_work);
   } else {
-    RunBlocksParallel(grid, block, opts, kernel, cap, total_work,
+    RunBlocksParallel(grid, block, opts, phases, cap, total_work,
                       max_work);
   }
   const std::chrono::duration<double> wall =
@@ -291,10 +208,10 @@ double Device::ExecuteLaunch(Dim3 grid, Dim3 block,
   return seconds;
 }
 
-void Device::Launch(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-                    const KernelFn& kernel) {
+void Device::LaunchPhases(Dim3 grid, Dim3 block, const LaunchOptions& opts,
+                          std::span<const KernelFn> phases) {
   const double start = sim_time_s_;
-  const double seconds = ExecuteLaunch(grid, block, opts, kernel);
+  const double seconds = ExecuteLaunch(grid, block, opts, phases);
   sim_time_s_ = start + seconds;
   if (trace::Enabled()) {
     trace::Complete(trace::InternName(opts.name), SimNs(start),
@@ -307,7 +224,8 @@ void Device::LaunchAsync(Stream& stream, Dim3 grid, Dim3 block,
   if (stream.device_ != this) {
     throw GpuError("LaunchAsync: stream belongs to another device");
   }
-  const double seconds = ExecuteLaunch(grid, block, opts, kernel);
+  const double seconds = ExecuteLaunch(
+      grid, block, opts, std::span<const KernelFn>(&kernel, 1));
   const double start = std::max(stream.ready_at_, sim_time_s_);
   stream.ready_at_ = start + seconds;
   if (trace::Enabled()) {
@@ -318,11 +236,11 @@ void Device::LaunchAsync(Stream& stream, Dim3 grid, Dim3 block,
 
 void Device::RunBlocksSequential(Dim3 grid, Dim3 block,
                                  const LaunchOptions& opts,
-                                 const KernelFn& kernel,
+                                 std::span<const KernelFn> phases,
                                  std::uint64_t& total_work,
                                  std::uint64_t& max_work) {
   for (std::size_t b = 0; b < grid.count(); ++b) {
-    const BlockResult r = RunBlockHere(grid, block, b, opts, kernel, props_);
+    const BlockResult r = RunOneBlock(grid, block, b, opts, phases, props_);
     total_work += r.total_work;
     max_work = std::max(max_work, r.max_work);
   }
@@ -330,7 +248,8 @@ void Device::RunBlocksSequential(Dim3 grid, Dim3 block,
 
 void Device::RunBlocksParallel(Dim3 grid, Dim3 block,
                                const LaunchOptions& opts,
-                               const KernelFn& kernel, unsigned cap,
+                               std::span<const KernelFn> phases,
+                               unsigned cap,
                                std::uint64_t& total_work,
                                std::uint64_t& max_work) {
   // Blocks fan out over the process-wide persistent pool; each worker's
@@ -341,7 +260,7 @@ void Device::RunBlocksParallel(Dim3 grid, Dim3 block,
   std::vector<BlockResult> results(grid.count());
   exec::HostThreadPool::Instance().ParallelFor(
       grid.count(), cap, [&](std::size_t b) {
-        results[b] = RunBlockHere(grid, block, b, opts, kernel, props_);
+        results[b] = RunOneBlock(grid, block, b, opts, phases, props_);
       });
   for (const BlockResult& r : results) {
     total_work += r.total_work;

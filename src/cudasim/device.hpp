@@ -8,11 +8,13 @@
 ///   sim::DeviceBuffer<int> data(gpu, 1024);            // cudaMalloc
 ///   data.CopyFromHost(host_span);                      // cudaMemcpy H2D
 ///   gpu.Launch({4}, {192}, opts, [&](sim::ThreadCtx& t) {  // kernel<<<4,192>>>
-///     auto* smem = t.shared_as<int>();
 ///     ...
-///     t.syncthreads();
 ///     t.charge(n);                                     // timing model input
 ///   });
+///   const sim::KernelFn phases[] = {                   // split at its barrier:
+///       [&](sim::ThreadCtx& t) { /* stage into t.shared_as<int>() */ },
+///       [&](sim::ThreadCtx& t) { /* read other threads' entries */ }};
+///   gpu.LaunchPhases({4}, {192}, opts, phases);
 ///   gpu.Synchronize();                                 // cudaDeviceSynchronize
 ///   data.CopyToHost(host_span);                        // cudaMemcpy D2H
 ///
@@ -23,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,10 +39,11 @@
 namespace cdd::sim {
 
 class Device;
-class Fiber;
 class Stream;
 
-/// Per-simulated-thread view handed to the kernel body.
+/// Per-simulated-thread view handed to the kernel body.  A launch runs
+/// the threads of a block one after another on one reused context, so a
+/// kernel must not keep a reference to its context after it returns.
 class ThreadCtx {
  public:
   Dim3 thread_idx;  ///< threadIdx
@@ -62,12 +66,9 @@ class ThreadCtx {
            linear_thread();
   }
 
-  /// Block-wide barrier (__syncthreads).  Only valid in cooperative
-  /// launches; throws GpuError otherwise (a real GPU would hang or corrupt).
-  void syncthreads();
-
-  /// Start of this block's shared memory (zero-initialized per block; note
-  /// that real CUDA leaves shared memory uninitialized).
+  /// Start of this block's shared memory (zero-initialized once per block
+  /// and kept across the block's phases; note that real CUDA leaves shared
+  /// memory uninitialized).
   std::byte* shared() const { return shared_; }
   std::size_t shared_bytes() const { return shared_bytes_; }
   template <typename T>
@@ -94,6 +95,7 @@ class ThreadCtx {
     work_ += Scaled(units, props_->constant_cost_factor);
   }
 
+  /// This thread's charge so far, summed over the launch's phases.
   std::uint64_t charged() const { return work_; }
 
  private:
@@ -105,27 +107,19 @@ class ThreadCtx {
                                       0.5);
   }
 
-  Fiber* fiber_ = nullptr;  // null in non-cooperative launches
   std::byte* shared_ = nullptr;
   std::size_t shared_bytes_ = 0;
   std::uint64_t work_ = 0;
   const DeviceProperties* props_ = nullptr;
 };
 
-/// Kernel body: invoked once per simulated thread.
+/// Kernel body (or one phase of it): invoked once per simulated thread.
 using KernelFn = std::function<void(ThreadCtx&)>;
 
 /// Per-launch options (the <<<grid, block, smem>>> extras).
 struct LaunchOptions {
   std::string name = "kernel";   ///< profiler key
   std::size_t shared_bytes = 0;  ///< dynamic shared memory per block
-  /// Cooperative launches run block threads as fibers and support
-  /// syncthreads(); non-cooperative launches run threads as a plain loop
-  /// (faster) and forbid barriers.  A plain launch reuses one ThreadCtx
-  /// for all threads of a block, so a kernel must not keep a reference to
-  /// its context after it returns.
-  bool cooperative = false;
-  std::size_t fiber_stack_bytes = 64 * 1024;
 };
 
 /// A simulated GPU device.
@@ -145,15 +139,30 @@ class Device {
 
   const DeviceProperties& properties() const { return props_; }
 
-  /// Launches \p kernel on a grid x block geometry.  Throws GpuError for
-  /// configurations the device cannot run.
+  /// Launches \p kernel on a grid x block geometry: the one-phase case
+  /// of LaunchPhases.  Throws GpuError for configurations the device
+  /// cannot run.
   void Launch(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-              const KernelFn& kernel);
+              const KernelFn& kernel) {
+    LaunchPhases(grid, block, opts, std::span<const KernelFn>(&kernel, 1));
+  }
 
   /// Convenience overload with default options.
   void Launch(Dim3 grid, Dim3 block, const KernelFn& kernel) {
     Launch(grid, block, LaunchOptions{}, kernel);
   }
+
+  /// Launches a kernel that is split at its barriers into \p phases (the
+  /// loop fission of MCUDA, Stratton et al., LCPC 2008): each block runs
+  /// phase k for every thread, in linear thread order, before any of its
+  /// threads starts phase k + 1, so every block-wide barrier of the CUDA
+  /// kernel is a phase boundary.  Shared memory and each thread's charge
+  /// carry over from phase to phase; a value a thread keeps across a
+  /// barrier lives in shared or global memory, and a thread that returns
+  /// early returns from its current phase only.  Throws GpuError for an
+  /// empty phase list and for configurations the device cannot run.
+  void LaunchPhases(Dim3 grid, Dim3 block, const LaunchOptions& opts,
+                    std::span<const KernelFn> phases);
 
   /// Launches \p kernel on \p stream: execution is immediate (and
   /// identical to Launch), but the modeled time accrues to the stream's
@@ -212,15 +221,16 @@ class Device {
   friend class Stream;
 
   /// Executes all blocks and returns the modeled kernel seconds (shared by
-  /// Launch and LaunchAsync).
+  /// LaunchPhases and LaunchAsync).
   double ExecuteLaunch(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-                       const KernelFn& kernel);
+                       std::span<const KernelFn> phases);
 
   void RunBlocksSequential(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-                           const KernelFn& kernel, std::uint64_t& total_work,
+                           std::span<const KernelFn> phases,
+                           std::uint64_t& total_work,
                            std::uint64_t& max_work);
   void RunBlocksParallel(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-                         const KernelFn& kernel, unsigned cap,
+                         std::span<const KernelFn> phases, unsigned cap,
                          std::uint64_t& total_work,
                          std::uint64_t& max_work);
 

@@ -8,10 +8,10 @@
 namespace cdd::sim {
 
 /// Thrown for the conditions a real CUDA runtime reports through
-/// cudaGetLastError (invalid launch configuration, out-of-bounds shared
-/// memory request) and for the conditions that are undefined behaviour on a
-/// real device but detectable here (barrier divergence, syncthreads in a
-/// non-cooperative launch).
+/// cudaGetLastError (invalid launch configuration, over-size shared
+/// memory request, exhausted device memory, out-of-range copies) and for
+/// launches the simulator cannot express (an empty phase list, a stream
+/// of another device).
 class GpuError : public std::runtime_error {
  public:
   explicit GpuError(const std::string& what) : std::runtime_error(what) {}

@@ -16,8 +16,9 @@
 ///                  thread (the default: deterministic, zero overhead,
 ///                  right for single-core hosts and for debugging).
 ///   kHostParallel  blocks are scheduled over the process-wide persistent
-///                  worker pool (exec::HostThreadPool) — one fiber bundle
-///                  per block, chunked round-robin over block indices.
+///                  worker pool (exec::HostThreadPool) — a block runs
+///                  whole on one worker, blocks chunked round-robin over
+///                  block indices.
 ///                  This is the paper's actual execution mode: 768 chains
 ///                  spread across every available core.
 ///

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/eval_raw.hpp"
 #include "core/eval_simd.hpp"
@@ -92,10 +93,10 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
       (controllable ? 3 : 1) * static_cast<std::uint64_t>(n);
   const std::uint64_t penalty_units = 2 * static_cast<std::uint64_t>(n);
 
-  // A plain (non-cooperative) launch: no thread waits at a barrier.  The
-  // shared-memory request of the paper's staging phase stays on the
-  // launch, so the 48 KiB capacity check and the timing model see the
-  // launch a real device would run.
+  // A one-phase launch: no thread waits at a barrier.  The shared-memory
+  // request of the paper's staging phase stays on the launch, so the
+  // 48 KiB capacity check and the timing model see the launch a real
+  // device would run.
   sim::LaunchOptions opts;
   opts.name = kernel_name;
   opts.shared_bytes = use_shared ? shared_bytes : 0;
@@ -154,7 +155,7 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
         }
         if (use_shared) {
           // Section VI-A stages alpha/beta into shared memory with
-          // disjoint strided copies behind one __syncthreads.  Only its
+          // disjoint strided copies behind one barrier.  Only its
           // charge is simulated: the batch evaluation above reads the
           // global vectors, so no thread would read the staged copy.
           t.charge(staging_units);
@@ -219,39 +220,42 @@ void LaunchReduction(sim::Device& device, const LaunchConfig& config,
     return;
   }
 
-  // Tree variant: stage keys in shared memory, fold pairwise behind
-  // barriers (log2(blockDim) rounds), one atomic per *block*.
+  // Tree variant, split at its barriers into phases: stage the keys in
+  // shared memory, fold them pairwise (one phase per round), then one
+  // atomic per *block*.  The fold width is blockDim rounded up to a power
+  // of two, so odd block sizes fold correctly (reads beyond tpb are
+  // guarded).
   sim::LaunchOptions opts;
   opts.name = kernel_name;
-  opts.cooperative = true;
   opts.shared_bytes = config.block_size * sizeof(std::int64_t);
-  device.Launch(
-      config.grid(), config.block(), opts, [=](sim::ThreadCtx& t) {
-        std::int64_t* keys = t.shared_as<std::int64_t>();
-        const std::uint32_t lt = t.linear_thread();
-        const auto tpb = static_cast<std::uint32_t>(t.block_dim.count());
-        const std::uint64_t tid = t.global_thread();
-        keys[lt] = tid < ensemble
-                       ? raw::PackCostThread(
-                             costs[tid], static_cast<std::uint32_t>(tid))
-                       : std::numeric_limits<std::int64_t>::max();
-        t.syncthreads();
-        // Round stride up to a power of two so odd block sizes fold
-        // correctly (reads beyond tpb are guarded).
-        std::uint32_t stride = 1;
-        while (stride < tpb) stride <<= 1;
-        for (stride >>= 1; stride > 0; stride >>= 1) {
-          if (lt < stride && lt + stride < tpb) {
-            keys[lt] = std::min(keys[lt], keys[lt + stride]);
-          }
-          t.syncthreads();
-          t.charge_shared(1);
-        }
-        if (lt == 0) {
-          sim::AtomicMin(packed_best, keys[0]);
-          t.charge(2);
-        }
-      });
+  const std::uint32_t tpb = config.block_size;
+  std::vector<sim::KernelFn> phases;
+  phases.emplace_back([=](sim::ThreadCtx& t) {
+    const std::uint64_t tid = t.global_thread();
+    t.shared_as<std::int64_t>()[t.linear_thread()] =
+        tid < ensemble
+            ? raw::PackCostThread(costs[tid], static_cast<std::uint32_t>(tid))
+            : std::numeric_limits<std::int64_t>::max();
+  });
+  std::uint32_t width = 1;
+  while (width < tpb) width <<= 1;
+  for (std::uint32_t stride = width >> 1; stride > 0; stride >>= 1) {
+    phases.emplace_back([=](sim::ThreadCtx& t) {
+      std::int64_t* keys = t.shared_as<std::int64_t>();
+      const std::uint32_t lt = t.linear_thread();
+      if (lt < stride && lt + stride < tpb) {
+        keys[lt] = std::min(keys[lt], keys[lt + stride]);
+      }
+      t.charge_shared(1);
+    });
+  }
+  phases.emplace_back([=](sim::ThreadCtx& t) {
+    if (t.linear_thread() == 0) {
+      sim::AtomicMin(packed_best, t.shared_as<std::int64_t>()[0]);
+      t.charge(2);
+    }
+  });
+  device.LaunchPhases(config.grid(), config.block(), opts, phases);
 }
 
 std::int64_t DownloadPacked(const sim::DeviceBuffer<std::int64_t>& packed) {

@@ -180,8 +180,8 @@ enum class PenaltyMemory { kShared, kGlobal, kTexture };
 /// normally built over device buffers via DeviceView (thread t evaluates
 /// pool.row(t) into pool.costs[t]; pool.pinned may be null).  Penalty
 /// reads are charged as shared-memory staging (where it fits), read-only
-/// texture fetches, or direct global loads, per \p memory.  The launch is
-/// non-cooperative: the staging phase is modeled by its charge and its
+/// texture fetches, or direct global loads, per \p memory.  The launch has
+/// one phase: the staging phase is modeled by its charge and its
 /// shared-memory request, not executed.
 ///
 /// Transfer accounting: the view's backend tag decides whether the launch

@@ -9,7 +9,7 @@
 ///      sequence (per-thread Philox stream),
 ///   2. fitness      — evaluates the candidate with the O(n) algorithm of
 ///      Section IV, charged as reading alpha/beta from block shared
-///      memory (the paper stages them there behind a __syncthreads),
+///      memory (the paper stages them there behind a block barrier),
 ///   3. acceptance   — metropolis rule at the generation's temperature,
 ///      tracking each thread's personal best,
 ///   4. reduction    — atomicMin over packed (cost, thread) keys,

@@ -1,5 +1,5 @@
-/// Device runtime tests: launch geometry, shared memory + barriers,
-/// atomics, divergence detection, worker-pool equivalence.
+/// Device runtime tests: launch geometry, phased launches (shared memory
+/// and charges across barriers), atomics, worker-pool equivalence.
 
 #include "cudasim/device.hpp"
 
@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "cudasim/atomics.hpp"
@@ -92,29 +93,34 @@ TEST(Device, LaunchValidationRejectsBadGeometry) {
   LaunchOptions opts;
   opts.shared_bytes = 1 << 20;  // 1 MiB > 48 KiB limit
   EXPECT_THROW(gpu.Launch({1}, {32}, opts, [](ThreadCtx&) {}), GpuError);
+  EXPECT_THROW(gpu.LaunchPhases({1}, {32}, LaunchOptions{},
+                                std::span<const KernelFn>{}),
+               GpuError);  // no phases
   EXPECT_NO_THROW(gpu.Launch({1}, {1024}, [](ThreadCtx&) {}));
 }
 
 TEST(Device, SharedMemoryStagingWithBarrier) {
-  // Block-cooperative pattern of the paper's fitness kernel: every thread
-  // stages one element, synchronizes, then reads an element staged by a
-  // *different* thread.
+  // Block-wide staging pattern of the paper's fitness kernel, split at its
+  // barrier: every thread stages one element in phase 0, then reads an
+  // element staged by a *different* thread in phase 1.
   Device gpu;
   constexpr std::uint32_t kThreads = 64;
   std::vector<int> out(kThreads * 2, -1);
   int* results = out.data();
 
   LaunchOptions opts;
-  opts.cooperative = true;
   opts.shared_bytes = kThreads * sizeof(int);
-  gpu.Launch({2}, {kThreads}, opts, [results](ThreadCtx& t) {
-    int* smem = t.shared_as<int>();
-    const std::uint32_t lt = t.linear_thread();
-    smem[lt] = static_cast<int>(lt) * 10;
-    t.syncthreads();
-    // Read the neighbour's value: impossible without the barrier.
-    results[t.global_thread()] = smem[(lt + 1) % kThreads];
-  });
+  const KernelFn phases[] = {
+      [](ThreadCtx& t) {
+        const std::uint32_t lt = t.linear_thread();
+        t.shared_as<int>()[lt] = static_cast<int>(lt) * 10;
+      },
+      [results](ThreadCtx& t) {
+        // Read the neighbour's value: impossible without the barrier.
+        const std::uint32_t lt = t.linear_thread();
+        results[t.global_thread()] = t.shared_as<int>()[(lt + 1) % kThreads];
+      }};
+  gpu.LaunchPhases({2}, {kThreads}, opts, phases);
 
   for (std::uint32_t b = 0; b < 2; ++b) {
     for (std::uint32_t i = 0; i < kThreads; ++i) {
@@ -125,118 +131,131 @@ TEST(Device, SharedMemoryStagingWithBarrier) {
 }
 
 TEST(Device, MultipleBarriersStayInLockstep) {
+  // Ten phases (five rounds of "thread 0 bumps, everyone checks"): every
+  // thread must observe the same round count, and the threads of a phase
+  // run in linear order.
   Device gpu;
   constexpr std::uint32_t kThreads = 32;
   std::vector<int> counter(1, 0);
   std::vector<int> observed(kThreads, -1);
+  std::vector<std::uint32_t> order;
   int* cnt = counter.data();
   int* obs = observed.data();
 
-  LaunchOptions opts;
-  opts.cooperative = true;
-  gpu.Launch({1}, {kThreads}, opts, [cnt, obs](ThreadCtx& t) {
-    for (int phase = 0; phase < 5; ++phase) {
+  std::vector<KernelFn> phases;
+  for (int round = 0; round < 5; ++round) {
+    phases.emplace_back([cnt, &order](ThreadCtx& t) {
       if (t.linear_thread() == 0) *cnt += 1;
-      t.syncthreads();
-      // Every thread must observe the same phase count.
-      if (*cnt != phase + 1) obs[t.linear_thread()] = phase;
-      t.syncthreads();
-    }
-  });
+      order.push_back(t.linear_thread());
+    });
+    phases.emplace_back([cnt, obs, round](ThreadCtx& t) {
+      if (*cnt != round + 1) obs[t.linear_thread()] = round;
+    });
+  }
+  gpu.LaunchPhases({1}, {kThreads}, LaunchOptions{}, phases);
   for (const int o : observed) EXPECT_EQ(o, -1);
+  ASSERT_EQ(order.size(), 5u * kThreads);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i % kThreads) << i;
+  }
 }
 
-TEST(Device, BarrierDivergenceIsDetected) {
+TEST(Device, SharedMemoryIsZeroedPerBlockAndKeptAcrossPhases) {
+  // Each block starts from zeroed shared memory, whatever the previous
+  // block (on this host thread) left there; within a block, an entry
+  // written in phase 0 survives an untouched phase 1 into phase 2.
   Device gpu;
+  gpu.set_worker_threads(1);
+  constexpr std::uint32_t kBlocks = 3;
+  constexpr std::uint32_t kThreads = 8;
+  std::vector<int> dirty(kBlocks, 0);
+  std::vector<int> seen(kBlocks * kThreads, 0);
+  int* d = dirty.data();
+  int* out = seen.data();
   LaunchOptions opts;
-  opts.cooperative = true;
-  EXPECT_THROW(
-      gpu.Launch({1}, {4}, opts,
-                 [](ThreadCtx& t) {
-                   if (t.linear_thread() == 0) return;  // thread 0 exits
-                   t.syncthreads();  // others wait forever -> UB, detected
-                 }),
-      GpuError);
+  opts.shared_bytes = kThreads * sizeof(int);
+  const KernelFn phases[] = {
+      [d](ThreadCtx& t) {
+        int* smem = t.shared_as<int>();
+        if (smem[t.linear_thread()] != 0) d[t.linear_block()] = 1;
+        smem[t.linear_thread()] = static_cast<int>(t.global_thread()) + 7;
+      },
+      [](ThreadCtx&) {},
+      [out](ThreadCtx& t) {
+        out[t.global_thread()] = t.shared_as<int>()[t.linear_thread()];
+      }};
+  gpu.LaunchPhases({kBlocks}, {kThreads}, opts, phases);
+  for (const int x : dirty) EXPECT_EQ(x, 0);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], static_cast<int>(i) + 7) << i;
+  }
 }
 
-TEST(Device, SyncthreadsOutsideCooperativeLaunchThrows) {
-  Device gpu;
-  EXPECT_THROW(
-      gpu.Launch({1}, {4}, [](ThreadCtx& t) { t.syncthreads(); }),
-      GpuError);
-  // Single-thread blocks are trivially synchronized.
-  EXPECT_NO_THROW(
-      gpu.Launch({2}, {1}, [](ThreadCtx& t) { t.syncthreads(); }));
+TEST(Device, ChargesAccumulateAcrossPhases) {
+  // A thread's charge is its total over all phases: a kernel that charges
+  // in two phases must cost exactly what a one-phase kernel charging the
+  // same per-thread totals costs (work units and modeled seconds), both
+  // serially and over two host workers.  Thread t charges t + 1 in phase 0
+  // and 3 * t in phase 1 (so the maximum is thread 31's, not thread 0's).
+  for (const unsigned workers : {1u, 2u}) {
+    Device gpu;
+    gpu.set_worker_threads(workers);
+    const Dim3 grid{4};
+    const Dim3 block{32};
+    LaunchOptions two;
+    two.name = "two_phases";
+    const KernelFn phases[] = {
+        [](ThreadCtx& t) {
+          EXPECT_EQ(t.charged(), 0u);
+          t.charge(t.linear_thread() + 1);
+        },
+        [](ThreadCtx& t) {
+          EXPECT_EQ(t.charged(), t.linear_thread() + 1u);
+          t.charge(3 * t.linear_thread());
+        }};
+    gpu.LaunchPhases(grid, block, two, phases);
+    LaunchOptions one;
+    one.name = "one_phase";
+    gpu.Launch(grid, block, one, [](ThreadCtx& t) {
+      t.charge(4 * t.linear_thread() + 1);
+    });
+    const KernelRecord* split = gpu.profiler().Find("two_phases");
+    const KernelRecord* whole = gpu.profiler().Find("one_phase");
+    ASSERT_NE(split, nullptr);
+    ASSERT_NE(whole, nullptr);
+    EXPECT_EQ(split->work_units, whole->work_units);
+    EXPECT_EQ(split->sim_time_s, whole->sim_time_s);
+    // 4 blocks x sum over t < 32 of (4t + 1), and a maximum of 125.
+    EXPECT_EQ(whole->work_units, 4u * (4u * 496u + 32u));
+    const TimingModel model(gpu.properties());
+    EXPECT_EQ(whole->sim_time_s,
+              model.KernelSeconds(
+                  LaunchCharge{grid, block, whole->work_units, 125, 0}));
+    // A runner that kept a per-phase maximum (93) would model less time.
+    EXPECT_NE(split->sim_time_s,
+              model.KernelSeconds(
+                  LaunchCharge{grid, block, whole->work_units, 93, 0}));
+  }
 }
 
 TEST(Device, KernelExceptionPropagatesAndDeviceStaysUsable) {
   Device gpu;
-  LaunchOptions opts;
-  opts.cooperative = true;
-  EXPECT_THROW(gpu.Launch({1}, {8}, opts,
-                          [](ThreadCtx& t) {
-                            if (t.linear_thread() == 3) {
-                              throw std::runtime_error("boom");
-                            }
-                            t.syncthreads();
-                          }),
+  const KernelFn failing[] = {
+      [](ThreadCtx&) {},
+      [](ThreadCtx& t) {
+        if (t.linear_thread() == 3) throw std::runtime_error("boom");
+      },
+      [](ThreadCtx&) { ADD_FAILURE() << "phase after a throw ran"; }};
+  EXPECT_THROW(gpu.LaunchPhases({1}, {8}, LaunchOptions{}, failing),
                std::runtime_error);
   // The device must survive for the next launch.
   std::vector<int> ok(8, 0);
   int* data = ok.data();
-  EXPECT_NO_THROW(gpu.Launch({1}, {8}, opts, [data](ThreadCtx& t) {
-    data[t.linear_thread()] = 1;
-    t.syncthreads();
-  }));
+  const KernelFn phases[] = {
+      [data](ThreadCtx& t) { data[t.linear_thread()] = 1; },
+      [](ThreadCtx&) {}};
+  EXPECT_NO_THROW(gpu.LaunchPhases({1}, {8}, LaunchOptions{}, phases));
   EXPECT_EQ(std::accumulate(ok.begin(), ok.end(), 0), 8);
-}
-
-TEST(Device, CustomFiberStackSizeOnTheSerialPath) {
-  // A body that needs more than the default 64 KiB of stack runs with a
-  // larger fiber_stack_bytes, launch after launch, interleaved with
-  // default-size launches and a failing one.
-  Device gpu;
-  gpu.set_worker_threads(1);
-  LaunchOptions big;
-  big.cooperative = true;
-  big.fiber_stack_bytes = 256 * 1024;
-  LaunchOptions small;
-  small.cooperative = true;
-  constexpr std::uint32_t kThreads = 8;
-  std::vector<long long> sums(kThreads, 0);
-  long long* out = sums.data();
-  const auto deep = [out](ThreadCtx& t) {
-    volatile unsigned char buffer[96 * 1024];
-    for (std::size_t i = 0; i < sizeof buffer; ++i) {
-      buffer[i] = static_cast<unsigned char>(i + t.linear_thread());
-    }
-    t.syncthreads();
-    long long sum = 0;
-    for (std::size_t i = 0; i < sizeof buffer; i += 4096) sum += buffer[i];
-    out[t.linear_thread()] = sum;
-  };
-  for (int round = 0; round < 3; ++round) {
-    gpu.Launch({2}, {kThreads}, big, deep);
-    gpu.Launch({2}, {kThreads}, small,
-               [](ThreadCtx& t) { t.syncthreads(); });
-  }
-  EXPECT_THROW(gpu.Launch({1}, {kThreads}, big,
-                          [](ThreadCtx& t) {
-                            t.syncthreads();
-                            if (t.linear_thread() == 2) {
-                              throw std::runtime_error("boom");
-                            }
-                          }),
-               std::runtime_error);
-  std::fill(sums.begin(), sums.end(), 0);
-  gpu.Launch({1}, {kThreads}, big, deep);
-  for (std::uint32_t i = 0; i < kThreads; ++i) {
-    long long expected = 0;
-    for (std::size_t j = 0; j < 96 * 1024; j += 4096) {
-      expected += static_cast<unsigned char>(j + i);
-    }
-    EXPECT_EQ(sums[i], expected) << "thread " << i;
-  }
 }
 
 TEST(Device, AtomicsAreCorrectUnderContention) {
@@ -268,21 +287,23 @@ TEST(Device, AtomicCasAndExchange) {
 }
 
 TEST(Device, WorkerCountDoesNotChangeResults) {
-  // Same kernel, 1 vs 4 workers: identical output buffers (block-level
-  // determinism — the algorithms only write thread-private rows).
+  // Same two-phase kernel, 1 vs 4 workers: identical output buffers
+  // (block-level determinism — the algorithms only write thread-private
+  // rows).
   const auto run = [](unsigned workers) {
     Device gpu;
     gpu.set_worker_threads(workers);
     std::vector<std::uint64_t> out(16 * 32, 0);
     std::uint64_t* data = out.data();
-    LaunchOptions opts;
-    opts.cooperative = true;
-    gpu.Launch({16}, {32}, opts, [data](ThreadCtx& t) {
-      const std::uint64_t tid = t.global_thread();
-      data[tid] = tid * 2654435761u;
-      t.syncthreads();
-      data[tid] ^= t.linear_block();
-    });
+    const KernelFn phases[] = {
+        [data](ThreadCtx& t) {
+          const std::uint64_t tid = t.global_thread();
+          data[tid] = tid * 2654435761u;
+        },
+        [data](ThreadCtx& t) {
+          data[t.global_thread()] ^= t.linear_block();
+        }};
+    gpu.LaunchPhases({16}, {32}, LaunchOptions{}, phases);
     return out;
   };
   EXPECT_EQ(run(1), run(4));

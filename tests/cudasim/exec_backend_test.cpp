@@ -1,6 +1,6 @@
 /// Execution-backend tests: selection plumbing, serial vs host-parallel
 /// bit-identity of kernel results AND modeled time (the virtual-clock
-/// separation), cooperative kernels under real threads, deterministic
+/// separation), phased kernels under real threads, deterministic
 /// error propagation.  The suite name is in the TSan CI regex: these
 /// tests double as the data-race harness for exec::HostThreadPool.
 
@@ -110,7 +110,7 @@ TEST(ExecBackend, ReductionAndModeledTimeAreBitIdenticalToSerial) {
   }
 }
 
-TEST(ExecBackend, CooperativeKernelMatchesSerialAcrossManyBlocks) {
+TEST(ExecBackend, PhasedKernelMatchesSerialAcrossManyBlocks) {
   const auto run = [](unsigned workers) {
     Device gpu;
     gpu.set_worker_threads(workers);
@@ -119,16 +119,18 @@ TEST(ExecBackend, CooperativeKernelMatchesSerialAcrossManyBlocks) {
     std::vector<int> out(kBlocks * kThreads, -1);
     int* results = out.data();
     LaunchOptions opts;
-    opts.cooperative = true;
     opts.shared_bytes = kThreads * sizeof(int);
-    gpu.Launch({kBlocks}, {kThreads}, opts, [results](ThreadCtx& t) {
-      int* smem = t.shared_as<int>();
-      const std::uint32_t lt = t.linear_thread();
-      smem[lt] = static_cast<int>(t.global_thread());
-      t.syncthreads();
-      results[t.global_thread()] = smem[(lt + 5) % kThreads];
-      t.syncthreads();
-    });
+    const KernelFn phases[] = {
+        [](ThreadCtx& t) {
+          t.shared_as<int>()[t.linear_thread()] =
+              static_cast<int>(t.global_thread());
+        },
+        [results](ThreadCtx& t) {
+          results[t.global_thread()] =
+              t.shared_as<int>()[(t.linear_thread() + 5) % kThreads];
+        },
+        [](ThreadCtx&) {}};
+    gpu.LaunchPhases({kBlocks}, {kThreads}, opts, phases);
     return out;
   };
   const std::vector<int> serial = run(1);
