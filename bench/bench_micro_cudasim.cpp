@@ -93,8 +93,8 @@ struct FitnessRows {
         seqs(gpu, static_cast<std::size_t>(kEnsemble) * n),
         costs(gpu, kEnsemble) {
     gpu.set_worker_threads(1);
-    seqs.CopyFromHost(
-        cdd::par::detail::MakeInitialSequences(kEnsemble, n, 11));
+    cdd::par::detail::WriteInitialSequences({seqs.data(), seqs.size()}, n,
+                                            11);
   }
 };
 

@@ -10,12 +10,6 @@
 /// travels through the TCP front-end (serve/net), so the sweep measures
 /// the full wire path: framing, the epoll loop, and response fan-out.
 ///
-/// A second mode sweeps the candidate-pool *placement* instead of the
-/// worker count (experiment: results/exp_pool_backends.txt): one run per
-/// pool backend, same traffic, reporting engine evaluations/sec plus the
-/// pool-handoff counters — zero-copy lending means every host-side
-/// placement avoids both staged copies a device round trip would cost.
-///
 /// --smoke replaces the sweep with three deterministic overload/coalesce
 /// assertions (the CI gate for the serve scale-out path): single-flight
 /// duplicates receive one bit-identical solve, overload sheds the
@@ -27,8 +21,6 @@
 ///   bench_serve_loadgen --dup-frac 0.5        # cache-friendly traffic
 ///   bench_serve_loadgen --socket --watermarks 8:32 --json BENCH_serve.json
 ///   bench_serve_loadgen --smoke               # deterministic assertions
-///   bench_serve_loadgen --pool-backends host,pinned,device,numa
-///       --engine dpso --sizes 50,200,500 --dup-frac 0   # one command line
 
 #include <unistd.h>
 
@@ -51,7 +43,6 @@
 #include "benchutil/stats.hpp"
 #include "benchutil/table.hpp"
 #include "common/fake_engines.hpp"
-#include "core/pool_allocator.hpp"
 #include "orlib/biskup_feldmann.hpp"
 #include "rng/philox.hpp"
 #include "serve/net/client.hpp"
@@ -72,12 +63,9 @@ struct SweepResult {
   double p99_ms = 0.0;
   double hit_rate = 0.0;
   std::uint64_t rejected = 0;
-  std::uint64_t shed = 0;            ///< kShedOverload answers (watermarks)
-  std::uint64_t coalesced = 0;       ///< duplicates joined onto a flight
-  std::uint64_t evaluations = 0;     ///< objective calls across responses
-  std::uint64_t pool_handoffs = 0;   ///< request pools lent to engines
-  std::uint64_t staging_copies = 0;  ///< modeled copies the placement cost
-  std::uint64_t preemptions = 0;     ///< priority preemptions at Step edges
+  std::uint64_t shed = 0;         ///< kShedOverload answers (watermarks)
+  std::uint64_t coalesced = 0;    ///< duplicates joined onto a flight
+  std::uint64_t preemptions = 0;  ///< priority preemptions at Step edges
 };
 
 struct SweepSetup {
@@ -86,7 +74,6 @@ struct SweepSetup {
   std::size_t requests = 1000;
   double dup_frac = 0.25;
   std::uint64_t seed = 1;
-  std::string pool_backend;
   std::uint64_t preempt_slice = 0;
   bool socket = false;            ///< drive through the TCP front-end
   std::size_t shed_low = 0;       ///< admission watermarks (0 = off)
@@ -99,7 +86,6 @@ SweepResult RunSweep(const SweepSetup& setup,
   config.workers = setup.workers;
   config.queue_capacity = std::max<std::size_t>(2 * setup.clients, 16);
   config.cache_capacity = 4096;
-  config.pool_backend = setup.pool_backend;
   config.preempt_slice = setup.preempt_slice;
   config.shed_low_watermark = setup.shed_low;
   config.shed_high_watermark = setup.shed_high;
@@ -113,7 +99,6 @@ SweepResult RunSweep(const SweepSetup& setup,
   }
 
   std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> evaluations{0};
   const auto t_start = std::chrono::steady_clock::now();
 
   const auto client = [&](unsigned client_id) {
@@ -134,10 +119,7 @@ SweepResult RunSweep(const SweepSetup& setup,
       for (;;) {
         const serve::SolveResponse response =
             wire ? wire->Call(request) : service.Submit(request).get();
-        if (response.status !=
-            serve::SolveStatus::kRejectedQueueFull) {
-          evaluations.fetch_add(response.result.evaluations,
-                                std::memory_order_relaxed);
+        if (response.status != serve::SolveStatus::kRejectedQueueFull) {
           break;
         }
         std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -173,24 +155,10 @@ SweepResult RunSweep(const SweepSetup& setup,
       service.metrics().counter("rejected_queue_full").value();
   result.shed = service.metrics().counter("shed_overload").value();
   result.coalesced = service.metrics().counter("coalesced_joins").value();
-  result.evaluations = evaluations.load(std::memory_order_relaxed);
-  result.pool_handoffs = service.metrics().counter("pool_handoffs").value();
-  result.staging_copies =
-      service.metrics().counter("pool_staging_copies").value();
   result.preemptions = service.metrics().counter("preemptions").value();
   front_end.reset();  // stop the listener before draining the service
   service.Shutdown();
   return result;
-}
-
-std::vector<std::string> SplitCsv(const std::string& list) {
-  std::vector<std::string> out;
-  std::stringstream stream(list);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -467,10 +435,6 @@ int main(int argc, char** argv) {
                  "assertions\n"
                  "           (single-flight, shed order, manifest parity) "
                  "and exit\n"
-                 "       --pool-backends LIST   sweep candidate-pool "
-                 "placement\n"
-                 "           (host,pinned,device,numa) instead of the "
-                 "worker count\n"
                  "       --trace   enable runtime tracing during the sweep\n"
                  "                 (measures instrumentation overhead)\n"
                  "       --priorities L   spread requests over priority "
@@ -503,8 +467,6 @@ int main(int argc, char** argv) {
       args.GetUintList("sizes", {20, 50});
   const auto gens = static_cast<std::uint64_t>(args.GetInt("gens", 200));
   const std::string engine = args.GetString("engine", "sa");
-  const std::vector<std::string> pool_backends =
-      SplitCsv(args.GetString("pool-backends", ""));
   const auto priority_levels = static_cast<std::uint32_t>(
       std::max(1, static_cast<int>(args.GetInt("priorities", 1))));
   const auto preempt_slice =
@@ -561,48 +523,6 @@ int main(int argc, char** argv) {
   setup.socket = socket;
   setup.shed_low = shed_low;
   setup.shed_high = shed_high;
-
-  if (!pool_backends.empty()) {
-    // Placement sweep: same traffic, one service per pool backend.  Each
-    // lent pool on a host-side placement avoids the two staged copies
-    // (H2D + D2H) a device round trip would model.
-    setup.workers = worker_sweep.empty() ? 2 : worker_sweep[0];
-    std::cout << "=== Candidate-pool placement sweep (" << clients
-              << " clients, " << setup.workers << " workers, " << requests
-              << " requests/sweep, " << engine << "/" << gens << " gens, "
-              << 100.0 * dup_frac << "% duplicate offers) ===\n";
-    benchutil::TextTable table({"pool backend", "req/s", "evals/s",
-                                "p50 [ms]", "p95 [ms]", "handoffs",
-                                "staged copies", "copies avoided",
-                                "cache hit %"});
-    for (const std::string& backend : pool_backends) {
-      core::PoolBackend parsed = core::PoolBackend::kHost;
-      if (!core::ParsePoolBackend(backend, &parsed)) {
-        std::cerr << "error: unknown pool backend '" << backend << "'\n";
-        return 1;
-      }
-      setup.pool_backend = backend;
-      const SweepResult r = RunSweep(setup, pool);
-      const std::uint64_t avoided = 2 * r.pool_handoffs - r.staging_copies;
-      table.AddRow(
-          {backend,
-           benchutil::FmtDouble(
-               static_cast<double>(r.requests) / r.wall_seconds, 1),
-           benchutil::FmtDouble(
-               static_cast<double>(r.evaluations) / r.wall_seconds, 0),
-           benchutil::FmtDouble(r.p50_ms, 2),
-           benchutil::FmtDouble(r.p95_ms, 2),
-           std::to_string(r.pool_handoffs),
-           std::to_string(r.staging_copies), std::to_string(avoided),
-           benchutil::FmtDouble(100.0 * r.hit_rate, 1)});
-    }
-    std::cout << table.ToString();
-    std::cout << "\nNote: placement never changes results (the golden "
-                 "manifest replays bit-identically under every backend); "
-                 "it changes only where pool memory lives and what the "
-                 "transfer model charges for each engine handoff.\n";
-    return 0;
-  }
 
   std::cout << "=== Serving baseline: closed-loop load generator ("
             << clients << " clients, " << requests << " requests/sweep, "

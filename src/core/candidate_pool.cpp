@@ -84,7 +84,7 @@ CandidatePool::CandidatePool(std::size_t n, std::size_t capacity,
   }
 
   // Deterministic initial contents (what the std::vector storage used to
-  // guarantee) — also the first-touch pass for the NUMA backend.
+  // guarantee).
   std::memset(seqs_, 0, rows_bytes);
   std::memset(shadow_, 0, rows_bytes);
   std::memset(costs_, 0, costs_bytes);

@@ -21,15 +21,15 @@
 ///    into the shadow rows and flip with SwapBuffers(), an O(1) exchange.
 ///
 /// Memory model (PR 6): the pool does not own vectors; it borrows one
-/// contiguous block from a core::PoolAllocator — pageable host, pinned
-/// host, simulated-device-resident, or NUMA first-touch (see
-/// pool_allocator.hpp).  The backend changes *placement and transfer
-/// cost*, never layout or results: stride, alignment and contents are
-/// identical across backends, so every engine trajectory is bit-identical
-/// under any CDD_POOL_BACKEND value.  If the requested allocator fails,
-/// construction falls back to the default host backend (recorded in
-/// core::GlobalPoolStats().fallbacks; backend() then reports kHost) and
-/// only throws std::bad_alloc when the host allocator fails too.
+/// contiguous block from a core::PoolAllocator — pageable host or
+/// simulated-device-resident (see pool_allocator.hpp).  The backend
+/// changes *placement and transfer cost*, never layout or results:
+/// stride, alignment and contents are identical across backends, so
+/// every engine trajectory is bit-identical under any CDD_POOL_BACKEND
+/// value.  If the requested allocator fails, construction falls back to
+/// the default host backend (recorded in core::GlobalPoolStats().fallbacks;
+/// backend() then reports kHost) and only throws std::bad_alloc when the
+/// host allocator fails too.
 ///
 /// Thread-safety: a CandidatePool is a single-owner object — exactly one
 /// thread may mutate it (Append/Clear/SwapBuffers/row writes) at a time,

@@ -31,7 +31,7 @@ struct EnvVar {
 inline constexpr EnvVar kEvalBackendEnv{"CDD_EVAL_BACKEND",
                                         "scalar or simd"};
 inline constexpr EnvVar kPoolBackendEnv{"CDD_POOL_BACKEND",
-                                        "host, pinned, device or numa"};
+                                        "host or device"};
 inline constexpr EnvVar kExecBackendEnv{"CDD_EXEC_BACKEND",
                                         "serial or host-parallel"};
 inline constexpr EnvVar kExecWorkersEnv{"CDD_EXEC_WORKERS",

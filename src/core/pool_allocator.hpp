@@ -1,6 +1,6 @@
 #pragma once
 /// \file pool_allocator.hpp
-/// \brief Multi-backend memory allocators for candidate pools.
+/// \brief Host and device placements for candidate pools.
 ///
 /// Every CandidatePool borrows its storage block from a PoolAllocator
 /// instead of owning std::vectors, so the *placement* of the evaluation
@@ -9,32 +9,23 @@
 ///
 ///   kHost    64-byte-aligned pageable host memory (the default; what the
 ///            plain std::vector pools of PR 4/5 effectively were).
-///   kPinned  page-locked host memory: the allocation is mlock()ed
-///            (best-effort; allocation still succeeds when RLIMIT_MEMLOCK
-///            denies the lock) and registered with the simulator's
-///            pinned-host registry, so the transfer-cost model treats it
-///            as DMA-able — device access needs no staging copy.
 ///   kDevice  simulated device-resident storage: pools live "on the GPU".
 ///            Kernels (par::detail::LaunchFitness) touch the rows for
 ///            free; *host* access is what requires a staging copy now.
-///   kNuma    NUMA-aware placement: numa_alloc_local() when libnuma is
-///            present at build time (CDD_HAVE_NUMA), otherwise aligned
-///            host memory whose pages are faulted in by the allocating
-///            thread (first-touch — the same local-node placement policy
-///            the kernel applies, minus the hard binding).
 ///
-/// Backend selection mirrors the cpu_features idiom of PR 5: the
-/// CDD_POOL_BACKEND environment variable ("host" | "pinned" | "device" |
-/// "numa") is resolved exactly once per process into ActivePoolBackend();
-/// unknown values fall back to kHost.  serve::ServiceConfig::pool_backend
-/// overrides the environment per service instance.
+/// Backend selection mirrors the cpu_features idiom: the
+/// CDD_POOL_BACKEND environment variable ("host" | "device") is resolved
+/// exactly once per process into ActivePoolBackend(); any other value is
+/// an error that names the variable (core::ReadEnv).
+/// serve::ServiceConfig::pool_backend overrides the environment per
+/// service instance.
 ///
-/// All four backends hand out interchangeable memory: same 64-byte
-/// alignment, same stride rules, same contents — so the engine results are
-/// bit-identical across backends by construction (the golden manifest
-/// replays under every CDD_POOL_BACKEND value; CI pins this).  What
-/// changes is the *transfer-cost model* (TransferCost below): which side
-/// of a host/device handoff pays a staging copy.
+/// Both backends hand out the same memory — one aligned allocator that
+/// carries its tag — so the engine results are bit-identical across
+/// backends by construction (the goldens replay under every
+/// CDD_POOL_BACKEND value; CI pins this).  What changes is the
+/// *transfer-cost model* (TransferCost below): which side of a
+/// host/device handoff pays a staging copy.
 ///
 /// Thread-safety: allocators returned by PoolAllocatorFor() are
 /// process-lifetime singletons whose Allocate/Deallocate are safe to call
@@ -50,12 +41,10 @@ namespace cdd::core {
 /// Where a candidate pool's storage lives (see the file comment).
 enum class PoolBackend : std::uint8_t {
   kHost = 0,  ///< pageable aligned host memory (default)
-  kPinned,    ///< page-locked (mlock) host memory, DMA-able
   kDevice,    ///< simulated device-resident memory
-  kNuma,      ///< NUMA first-touch local placement
 };
 
-/// Stable lower-case name ("host" | "pinned" | "device" | "numa").
+/// Stable lower-case name ("host" | "device").
 std::string_view ToString(PoolBackend backend);
 
 /// Parses a backend name; returns false (and leaves \p out untouched) on
@@ -71,8 +60,7 @@ struct PoolTransferCost {
   /// device-resident pools.
   bool host_staging = false;
   /// Device (simulated kernel) access requires an H2D staging copy —
-  /// true for pageable host memory (kHost, kNuma); false for kPinned
-  /// (DMA-able page-locked memory) and kDevice (already resident).
+  /// true only for pageable host memory.
   bool device_staging = false;
 };
 
@@ -87,9 +75,6 @@ struct PoolAllocStats {
   /// CandidatePool constructions that fell back to the host backend after
   /// their requested allocator failed (see CandidatePool's fallback rule).
   std::atomic<std::uint64_t> fallbacks{0};
-  /// Pinned allocations where mlock() was denied (allocation succeeded,
-  /// pages are not actually locked; the backend tag is kept).
-  std::atomic<std::uint64_t> pinned_degraded{0};
 };
 
 PoolAllocStats& GlobalPoolStats();
@@ -123,18 +108,5 @@ PoolBackend ActivePoolBackend();
 
 /// Shorthand for PoolAllocatorFor(ActivePoolBackend()).
 PoolAllocator& ActivePoolAllocator();
-
-/// True when \p ptr lies inside a live pinned-host (kPinned) allocation —
-/// the simulator's "cudaHostRegister" ledger.  The transfer paths use
-/// this to decide whether host memory is DMA-able without a bounce copy.
-bool IsPinnedHost(const void* ptr);
-
-/// Bytes currently allocated by the simulated device-resident backend
-/// (the "GPU global memory" footprint of kDevice pools).
-std::size_t DeviceResidentBytes();
-
-/// True when this binary was built against libnuma (kNuma allocates with
-/// numa_alloc_local); false means kNuma uses the first-touch fallback.
-bool NumaAvailable();
 
 }  // namespace cdd::core

@@ -45,12 +45,12 @@ meta::EngineOutput ToEngineOutput(GpuRunResult gpu) {
   return out;
 }
 
-std::vector<JobId> MakeInitialSequences(std::uint32_t ensemble,
-                                        std::int32_t n, std::uint64_t seed,
-                                        const Sequence* base) {
-  std::vector<JobId> host(static_cast<std::size_t>(ensemble) * n);
+void WriteInitialSequences(std::span<JobId> rows, std::int32_t n,
+                           std::uint64_t seed, const Sequence* base) {
+  const auto ensemble =
+      static_cast<std::uint32_t>(rows.size() / static_cast<std::size_t>(n));
   for (std::uint32_t t = 0; t < ensemble; ++t) {
-    JobId* row = host.data() + static_cast<std::size_t>(t) * n;
+    JobId* row = rows.data() + static_cast<std::size_t>(t) * n;
     rng::Philox4x32 rng =
         raw::MakeStream(seed, /*generation=*/0, raw::RngPhase::kInit, t);
     if (base == nullptr) {
@@ -65,7 +65,6 @@ std::vector<JobId> MakeInitialSequences(std::uint32_t ensemble,
       }
     }
   }
-  return host;
 }
 
 void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
@@ -114,13 +113,12 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
   assert(pool.current() &&
          "LaunchFitness: stale CandidatePoolView (pool swapped buffers)");
 
-  // Staging model: pageable host pools (kHost/kNuma) bounce their rows to
-  // the device before the kernel and their results back after it; pinned
-  // host pools are DMA-able in place and device-resident pools are
-  // already there, so neither fires a transfer.  The copies are modeled
-  // (the simulator shares one address space); what matters is that the
-  // H2D/D2H events and their modeled time land on the device ledger
-  // exactly when a real GPU would pay them.
+  // Staging model: pageable host pools (kHost) bounce their rows to the
+  // device before the kernel and their results back after it;
+  // device-resident pools are already there and fire no transfer.  The
+  // copies are modeled (the simulator shares one address space); what
+  // matters is that the H2D/D2H events and their modeled time land on the
+  // device ledger exactly when a real GPU would pay them.
   const core::PoolTransferCost transfer = pool.transfer_cost();
   if (transfer.device_staging) {
     device.RecordH2D(static_cast<std::size_t>(pool.count) * pool.stride *

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/candidate_pool.hpp"
@@ -38,7 +40,8 @@ void CopyOut(const sim::DeviceBuffer<T>& buffer, std::vector<T>& host) {
 /// when the snapshot does not fit the buffer (a checkpoint of another
 /// launch geometry or instance).
 template <typename T>
-void CopyIn(const std::vector<T>& host, sim::DeviceBuffer<T>& buffer) {
+void CopyIn(std::span<const std::type_identity_t<T>> host,
+            sim::DeviceBuffer<T>& buffer) {
   if (host.size() != buffer.size()) {
     throw std::invalid_argument("Restore: foreign checkpoint");
   }
@@ -139,9 +142,11 @@ class DeviceEngine
   std::optional<GpuRunResult> finish_cache_;
 };
 
-/// Fills \p host with `ensemble` initial sequences of length n, one per
-/// thread, drawn from the thread's private init stream.  The layout is
-/// row-major: thread t owns host[t*n .. t*n + n).
+/// Fills \p rows with rows.size() / n initial sequences of length n, one
+/// per thread, drawn from the thread's private init stream.  The layout is
+/// row-major: thread t owns rows[t*n .. t*n + n).  The device engines pass
+/// their first device buffer and meter its upload with Device::RecordH2D,
+/// so the ensemble never takes a host-heap round trip.
 ///
 /// Without \p base every row is an independent uniform permutation (the
 /// paper's default).  With \p base (e.g. the V-shape constructive seed),
@@ -149,9 +154,9 @@ class DeviceEngine
 /// by a small Fisher-Yates shuffle from its own stream — "the initial
 /// configuration ... can be the same or different for all chains"
 /// (Section V-A).
-std::vector<JobId> MakeInitialSequences(std::uint32_t ensemble,
-                                        std::int32_t n, std::uint64_t seed,
-                                        const Sequence* base = nullptr);
+void WriteInitialSequences(std::span<JobId> rows, std::int32_t n,
+                           std::uint64_t seed,
+                           const Sequence* base = nullptr);
 
 /// Builds a kDevice-tagged CandidatePoolView over raw device buffers
 /// (dense rows, stride == n) — the geometry LaunchFitness consumes.  The
@@ -185,10 +190,10 @@ enum class PenaltyMemory { kShared, kGlobal, kTexture };
 /// shared-memory request, not executed.
 ///
 /// Transfer accounting: the view's backend tag decides whether the launch
-/// models staging copies.  kDevice and kPinned views are consumed in
-/// place (zero-copy — resident or DMA-able); pageable host views (kHost,
-/// kNuma) charge one H2D for the rows before the kernel and one D2H for
-/// the results after it, metered on \p device like every other transfer.
+/// models staging copies.  kDevice views are consumed in place
+/// (zero-copy — already resident); pageable kHost views charge one H2D
+/// for the rows before the kernel and one D2H for the results after it,
+/// metered on \p device like every other transfer.
 void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
                    const LaunchConfig& config, const CandidatePoolView& pool,
                    const char* kernel_name,

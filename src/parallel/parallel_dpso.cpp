@@ -1,6 +1,7 @@
 #include "parallel/parallel_dpso.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "cudasim/atomics.hpp"
 #include "core/vshape.hpp"
@@ -70,9 +71,10 @@ class ParallelDpsoEngine final
     {
       Sequence vseed;
       if (params_.vshape_init) vseed = VShapeSeed(instance);
-      const std::vector<JobId> init = detail::MakeInitialSequences(
-          ensemble, n, budget_.seed, params_.vshape_init ? &vseed : nullptr);
-      state_->pos.CopyFromHost(init);
+      const std::span<JobId> init(state_->pos.data(), state_->pos.size());
+      detail::WriteInitialSequences(
+          init, n, budget_.seed, params_.vshape_init ? &vseed : nullptr);
+      device_.RecordH2D(state_->pos.bytes());  // the rows' upload
       state_->pbest.CopyFromHost(init);
     }
 

@@ -1,6 +1,7 @@
 #include "parallel/parallel_sa.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "core/vshape.hpp"
@@ -104,9 +105,10 @@ class ParallelSaEngine final
     {
       Sequence vseed;
       if (params_.vshape_init) vseed = VShapeSeed(instance);
-      const std::vector<JobId> init = detail::MakeInitialSequences(
-          ensemble, n, budget_.seed, params_.vshape_init ? &vseed : nullptr);
-      state_->curr.CopyFromHost(init);
+      const std::span<JobId> init(state_->curr.data(), state_->curr.size());
+      detail::WriteInitialSequences(
+          init, n, budget_.seed, params_.vshape_init ? &vseed : nullptr);
+      device_.RecordH2D(state_->curr.bytes());  // the rows' upload
       state_->best_seq.CopyFromHost(init);
       // cand == curr at every generation boundary (raw::ChainRows); the
       // host copies charge nothing, like a checkpoint restore.

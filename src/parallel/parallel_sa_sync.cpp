@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -90,9 +91,9 @@ class ParallelSaSyncEngine final
         raw::PackCostThread(state_->problem.cost_upper_bound(), 0));
 
     {
-      const std::vector<JobId> init =
-          detail::MakeInitialSequences(ensemble, n, budget_.seed);
-      state_->curr.CopyFromHost(init);
+      const std::span<JobId> init(state_->curr.data(), state_->curr.size());
+      detail::WriteInitialSequences(init, n, budget_.seed);
+      device_.RecordH2D(state_->curr.bytes());  // the rows' upload
       // cand == curr at every level boundary (raw::ChainRows); the host
       // copies charge nothing, like a checkpoint restore.
       detail::CopyIn(init, state_->cand);

@@ -30,7 +30,7 @@ core::PoolAllocator* ResolvePoolAllocator(const ServiceConfig& config) {
   if (!core::ParsePoolBackend(config.pool_backend, &backend)) {
     throw std::invalid_argument("unknown pool backend '" +
                                 config.pool_backend +
-                                "' (expected host, pinned, device or numa)");
+                                "' (expected host or device)");
   }
   return &core::PoolAllocatorFor(backend);
 }
@@ -448,7 +448,7 @@ void SolverService::Process(Job&& job, unsigned slot, unsigned depth) {
     }
     // Every borrowing engine runs on the host, so a device-resident pool
     // costs one modeled H2D (rows in) plus one D2H (costs out) per
-    // handoff; host/pinned/numa placements are zero-copy.
+    // handoff; a host placement is zero-copy.
     if (core::TransferCost(request_pool->backend()).host_staging) {
       pool_staging_copies_->Increment(2);
       CDD_TRACE_INSTANT("serve.pool_stage_h2d");

@@ -81,8 +81,8 @@ struct ServiceConfig {
   /// re-executes and verifies bit-identically.  Truncated and failed runs
   /// are never recorded: a manifest always describes a reproducible run.
   std::string manifest_path{};
-  /// Candidate-pool placement for request-scoped pools ("host", "pinned",
-  /// "device", "numa").  Empty defers to CDD_POOL_BACKEND (then "host");
+  /// Candidate-pool placement for request-scoped pools ("host" or
+  /// "device").  Empty defers to CDD_POOL_BACKEND (then "host");
   /// an unknown name makes the constructor throw std::invalid_argument.
   /// Placement never changes results — only the modeled transfer cost.
   std::string pool_backend{};

@@ -96,14 +96,15 @@ TEST(EnvConfig, ParseEvalBackendAcceptsOnlyItsNames) {
 
 TEST(EnvConfig, ParsePoolBackendAcceptsOnlyItsNames) {
   for (const PoolBackend expected :
-       {PoolBackend::kHost, PoolBackend::kPinned, PoolBackend::kDevice,
-        PoolBackend::kNuma}) {
+       {PoolBackend::kHost, PoolBackend::kDevice}) {
     PoolBackend parsed = PoolBackend::kHost;
     EXPECT_TRUE(ParsePoolBackend(ToString(expected), &parsed));
     EXPECT_EQ(parsed, expected);
   }
   PoolBackend backend = PoolBackend::kDevice;
-  for (const std::string_view text : {"Host", "gpu", "host ", "numa,"}) {
+  // The retired placements are errors, not aliases of "host".
+  for (const std::string_view text :
+       {"Host", "gpu", "host ", "pinned", "numa", "numa,"}) {
     EXPECT_FALSE(ParsePoolBackend(text, &backend)) << "'" << text << "'";
   }
   for (const std::string_view text : kAlwaysBad) {

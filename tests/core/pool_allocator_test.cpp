@@ -1,6 +1,6 @@
 /// PoolAllocator backends: naming, alignment, transfer-cost model, the
-/// pinned-host registry, device-resident accounting, the CandidatePool
-/// host-fallback rule, capacity-0 clamping and PoolLease borrowing.
+/// CandidatePool host-fallback rule, capacity-0 clamping and PoolLease
+/// borrowing.
 
 #include "core/pool_allocator.hpp"
 
@@ -16,9 +16,8 @@
 namespace cdd::core {
 namespace {
 
-constexpr PoolBackend kAllBackends[] = {
-    PoolBackend::kHost, PoolBackend::kPinned, PoolBackend::kDevice,
-    PoolBackend::kNuma};
+constexpr PoolBackend kAllBackends[] = {PoolBackend::kHost,
+                                       PoolBackend::kDevice};
 
 TEST(PoolAllocator, ToStringParseRoundTrip) {
   for (const PoolBackend backend : kAllBackends) {
@@ -27,10 +26,10 @@ TEST(PoolAllocator, ToStringParseRoundTrip) {
         << ToString(backend);
     EXPECT_EQ(parsed, backend);
   }
-  PoolBackend untouched = PoolBackend::kPinned;
+  PoolBackend untouched = PoolBackend::kDevice;
   EXPECT_FALSE(ParsePoolBackend("bogus", &untouched));
   EXPECT_FALSE(ParsePoolBackend("", &untouched));
-  EXPECT_EQ(untouched, PoolBackend::kPinned);  // failure leaves *out alone
+  EXPECT_EQ(untouched, PoolBackend::kDevice);  // failure leaves *out alone
 }
 
 TEST(PoolAllocator, SingletonsMatchTheirBackend) {
@@ -68,43 +67,11 @@ TEST(PoolAllocator, EveryBackendHandsOutAlignedWritableMemory) {
 
 TEST(PoolAllocator, TransferCostMatrix) {
   // Pageable host memory: free for the CPU, staged for the device.
-  for (const PoolBackend pageable :
-       {PoolBackend::kHost, PoolBackend::kNuma}) {
-    EXPECT_FALSE(TransferCost(pageable).host_staging);
-    EXPECT_TRUE(TransferCost(pageable).device_staging);
-  }
-  // Page-locked memory is DMA-able: zero-copy on both sides.
-  EXPECT_FALSE(TransferCost(PoolBackend::kPinned).host_staging);
-  EXPECT_FALSE(TransferCost(PoolBackend::kPinned).device_staging);
+  EXPECT_FALSE(TransferCost(PoolBackend::kHost).host_staging);
+  EXPECT_TRUE(TransferCost(PoolBackend::kHost).device_staging);
   // Device-resident memory flips the cost: kernels free, host staged.
   EXPECT_TRUE(TransferCost(PoolBackend::kDevice).host_staging);
   EXPECT_FALSE(TransferCost(PoolBackend::kDevice).device_staging);
-}
-
-TEST(PoolAllocator, PinnedRegistryCoversLiveAllocationsOnly) {
-  PoolAllocator& pinned = PoolAllocatorFor(PoolBackend::kPinned);
-  const std::size_t bytes = 4096;
-  void* ptr = pinned.Allocate(bytes, 64);
-  ASSERT_NE(ptr, nullptr);
-  EXPECT_TRUE(IsPinnedHost(ptr));
-  // Interior pointers count — the registry tracks ranges, not bases.
-  EXPECT_TRUE(IsPinnedHost(static_cast<char*>(ptr) + bytes - 1));
-  EXPECT_FALSE(IsPinnedHost(static_cast<char*>(ptr) + bytes));
-  pinned.Deallocate(ptr, bytes);
-  EXPECT_FALSE(IsPinnedHost(ptr));  // unregistered on free
-
-  int stack_local = 0;
-  EXPECT_FALSE(IsPinnedHost(&stack_local));
-}
-
-TEST(PoolAllocator, DeviceResidentBytesTrackFootprint) {
-  PoolAllocator& device = PoolAllocatorFor(PoolBackend::kDevice);
-  const std::size_t before = DeviceResidentBytes();
-  void* ptr = device.Allocate(2048, 64);
-  ASSERT_NE(ptr, nullptr);
-  EXPECT_EQ(DeviceResidentBytes(), before + 2048);
-  device.Deallocate(ptr, 2048);
-  EXPECT_EQ(DeviceResidentBytes(), before);
 }
 
 TEST(PoolAllocator, GlobalStatsCountAllocations) {

@@ -10,6 +10,7 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -54,6 +55,22 @@ TEST(SolverService, UnknownBackendNamesFailConstruction) {
   ServiceConfig bad_exec;
   bad_exec.exec_backend = "bogus";
   EXPECT_THROW(SolverService{bad_exec}, std::invalid_argument);
+}
+
+TEST(SolverService, RetiredPoolBackendNamesTheTwoPlacements) {
+  // "numa" and "pinned" are not placements: the error lists the accepted
+  // names instead of aliasing "host".
+  ServiceConfig config;
+  config.pool_backend = "numa";
+  try {
+    SolverService service(config);
+    FAIL() << "constructor accepted pool_backend = numa";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("'numa'"), std::string::npos) << what;
+    EXPECT_NE(what.find("host"), std::string::npos) << what;
+    EXPECT_NE(what.find("device"), std::string::npos) << what;
+  }
 }
 
 TEST(SolverService, UnknownEngineRejectedImmediately) {

@@ -84,8 +84,8 @@ void PrintUsage() {
       "  --preempt-slice N   Step units between preemption checks; 0 =\n"
       "                      run-to-completion (default 0); slicing never\n"
       "                      changes results, only who waits\n"
-      "  --pool-backend B    request-pool placement: host|pinned|device|\n"
-      "                      numa (default CDD_POOL_BACKEND, then host)\n"
+      "  --pool-backend B    request-pool placement: host|device\n"
+      "                      (default CDD_POOL_BACKEND, then host)\n"
       "  --exec-backend B    block execution for device engines:\n"
       "                      serial|host-parallel (default\n"
       "                      CDD_EXEC_BACKEND with an oversubscription\n"
