@@ -1,7 +1,7 @@
 #pragma once
 /// \file atomics.hpp
-/// \brief Device atomics — the simulator's counterparts of atomicMin / \n
-/// atomicAdd / atomicCAS / atomicExch.
+/// \brief Device atomics — the simulator's counterparts of atomicMin and
+/// atomicAdd, the two the kernels use.
 ///
 /// Simulated threads of different blocks may run on different host threads,
 /// so "device global memory" accessed by atomics must really be atomic on
@@ -35,38 +35,6 @@ inline T AtomicMin(T* address, T value) {
                                     std::memory_order_relaxed)) {
   }
   return observed;
-}
-
-/// atomicMax: returns the previous value.
-template <typename T>
-  requires std::integral<T>
-inline T AtomicMax(T* address, T value) {
-  std::atomic_ref<T> ref(*address);
-  T observed = ref.load(std::memory_order_relaxed);
-  while (value > observed &&
-         !ref.compare_exchange_weak(observed, value,
-                                    std::memory_order_relaxed)) {
-  }
-  return observed;
-}
-
-/// atomicExch: returns the previous value.
-template <typename T>
-  requires std::integral<T>
-inline T AtomicExch(T* address, T value) {
-  return std::atomic_ref<T>(*address).exchange(value,
-                                               std::memory_order_relaxed);
-}
-
-/// atomicCAS: returns the previous value (CUDA semantics: the word is set
-/// to \p value only if it equals \p compare).
-template <typename T>
-  requires std::integral<T>
-inline T AtomicCas(T* address, T compare, T value) {
-  std::atomic_ref<T> ref(*address);
-  T expected = compare;
-  ref.compare_exchange_strong(expected, value, std::memory_order_relaxed);
-  return expected;
 }
 
 }  // namespace cdd::sim

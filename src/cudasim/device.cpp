@@ -1,7 +1,6 @@
 #include "cudasim/device.hpp"
 
 #include "cudasim/exec/host_pool.hpp"
-#include "cudasim/stream.hpp"
 #include "trace/tracer.hpp"
 
 #include <algorithm>
@@ -180,9 +179,8 @@ void Device::ValidateLaunch(Dim3 grid, Dim3 block,
   }
 }
 
-double Device::ExecuteLaunch(Dim3 grid, Dim3 block,
-                             const LaunchOptions& opts,
-                             std::span<const KernelFn> phases) {
+void Device::LaunchPhases(Dim3 grid, Dim3 block, const LaunchOptions& opts,
+                          std::span<const KernelFn> phases) {
   ValidateLaunch(grid, block, opts.shared_bytes);
   if (phases.empty()) throw GpuError("launch: no kernel phases");
 
@@ -205,29 +203,8 @@ double Device::ExecuteLaunch(Dim3 grid, Dim3 block,
   profiler_.RecordKernel(opts.name, grid.count(),
                          grid.count() * block.count(), total_work, seconds,
                          wall.count());
-  return seconds;
-}
-
-void Device::LaunchPhases(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-                          std::span<const KernelFn> phases) {
   const double start = sim_time_s_;
-  const double seconds = ExecuteLaunch(grid, block, opts, phases);
-  sim_time_s_ = start + seconds;
-  if (trace::Enabled()) {
-    trace::Complete(trace::InternName(opts.name), SimNs(start),
-                    SimNs(seconds), SimTrack());
-  }
-}
-
-void Device::LaunchAsync(Stream& stream, Dim3 grid, Dim3 block,
-                         const LaunchOptions& opts, const KernelFn& kernel) {
-  if (stream.device_ != this) {
-    throw GpuError("LaunchAsync: stream belongs to another device");
-  }
-  const double seconds = ExecuteLaunch(
-      grid, block, opts, std::span<const KernelFn>(&kernel, 1));
-  const double start = std::max(stream.ready_at_, sim_time_s_);
-  stream.ready_at_ = start + seconds;
+  sim_time_s_ += seconds;
   if (trace::Enabled()) {
     trace::Complete(trace::InternName(opts.name), SimNs(start),
                     SimNs(seconds), SimTrack());
@@ -270,31 +247,12 @@ void Device::RunBlocksParallel(Dim3 grid, Dim3 block,
 
 void Device::Synchronize() {
   // Functionally a no-op (launches are synchronous); charge the fence cost
-  // the paper pays after each generation's four kernels (Section VI-D),
-  // and join every live stream's timeline.
-  for (Stream* stream : streams_) {
-    sim_time_s_ = std::max(sim_time_s_, stream->ready_at_);
-  }
+  // the paper pays after each generation's four kernels (Section VI-D).
   if (trace::Enabled()) {
     trace::Complete("sync", SimNs(sim_time_s_),
                     SimNs(props_.launch_overhead_s), SimTrack());
   }
   sim_time_s_ += props_.launch_overhead_s;
-}
-
-Stream::Stream(Device& device) : device_(&device) {
-  ready_at_ = device.sim_time_s();
-  device.streams_.push_back(this);
-}
-
-Stream::~Stream() {
-  auto& streams = device_->streams_;
-  streams.erase(std::remove(streams.begin(), streams.end(), this),
-                streams.end());
-}
-
-void Stream::Synchronize() {
-  device_->sim_time_s_ = std::max(device_->sim_time_s_, ready_at_);
 }
 
 void Device::RegisterAlloc(std::size_t bytes, bool constant) {

@@ -27,7 +27,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "cudasim/device_props.hpp"
 #include "cudasim/dim3.hpp"
@@ -39,7 +38,6 @@
 namespace cdd::sim {
 
 class Device;
-class Stream;
 
 /// Per-simulated-thread view handed to the kernel body.  A launch runs
 /// the threads of a block one after another on one reused context, so a
@@ -89,10 +87,6 @@ class ThreadCtx {
   /// Work units served by the read-only texture path's spatial cache.
   void charge_texture(std::uint64_t units) {
     work_ += Scaled(units, props_->texture_cost_factor);
-  }
-  /// Work units served by the constant cache's broadcast.
-  void charge_constant(std::uint64_t units) {
-    work_ += Scaled(units, props_->constant_cost_factor);
   }
 
   /// This thread's charge so far, summed over the launch's phases.
@@ -164,18 +158,9 @@ class Device {
   void LaunchPhases(Dim3 grid, Dim3 block, const LaunchOptions& opts,
                     std::span<const KernelFn> phases);
 
-  /// Launches \p kernel on \p stream: execution is immediate (and
-  /// identical to Launch), but the modeled time accrues to the stream's
-  /// timeline, overlapping other streams and the default timeline.  The
-  /// kernel starts at max(stream.ready_at, current device clock).
-  void LaunchAsync(Stream& stream, Dim3 grid, Dim3 block,
-                   const LaunchOptions& opts, const KernelFn& kernel);
-
   /// cudaDeviceSynchronize.  Execution is already synchronous; this is the
   /// fence the paper calls out after the four kernel launches (Section VI-D)
-  /// and it charges the model's synchronization overhead.  When streams
-  /// are live, the device clock additionally advances past every stream's
-  /// ready_at (the overlap point of the stream model).
+  /// and it charges the model's synchronization overhead.
   void Synchronize();
 
   /// Accumulated simulated device-side seconds (kernels + transfers).
@@ -218,13 +203,6 @@ class Device {
   std::size_t allocated_bytes() const { return allocated_; }
 
  private:
-  friend class Stream;
-
-  /// Executes all blocks and returns the modeled kernel seconds (shared by
-  /// LaunchPhases and LaunchAsync).
-  double ExecuteLaunch(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-                       std::span<const KernelFn> phases);
-
   void RunBlocksSequential(Dim3 grid, Dim3 block, const LaunchOptions& opts,
                            std::span<const KernelFn> phases,
                            std::uint64_t& total_work,
@@ -242,7 +220,6 @@ class Device {
   unsigned workers_ = 0;  ///< 0 = derive the cap from exec_backend_
   std::size_t allocated_ = 0;
   std::size_t constant_allocated_ = 0;
-  std::vector<Stream*> streams_;  // live streams (non-owning)
 };
 
 }  // namespace cdd::sim

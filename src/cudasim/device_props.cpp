@@ -29,21 +29,6 @@ DeviceProperties GeForceGT560M() {
   return p;
 }
 
-DeviceProperties GenericKepler() {
-  DeviceProperties p;
-  p.name = "Generic Kepler-class (simulated)";
-  p.sm_count = 8;
-  p.cores_per_sm = 192;
-  p.warp_size = 32;
-  p.max_threads_per_block = 1024;
-  p.max_threads_per_sm = 2048;
-  p.max_blocks_per_sm = 16;
-  p.clock_hz = 1.0e9;
-  p.h2d_bandwidth = 12.0e9;
-  p.d2h_bandwidth = 12.0e9;
-  return p;
-}
-
 DeviceProperties TinyDevice() {
   DeviceProperties p;
   p.name = "Tiny test device";

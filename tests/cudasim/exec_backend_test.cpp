@@ -13,10 +13,12 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cudasim/atomics.hpp"
 #include "cudasim/device.hpp"
+#include "cudasim/memory.hpp"
 
 namespace cdd::sim {
 namespace {
@@ -194,6 +196,109 @@ TEST(ExecBackend, SkewedBlocksRunOnceAndLowestErrorWins) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "block 7");
   }
+}
+
+/// Everything one device run leaves behind that must not depend on the
+/// host threads that ran it: outputs, the virtual clock and the profiler
+/// records (wall time aside).
+struct DeviceRun {
+  std::vector<std::int64_t> best;
+  std::vector<std::uint64_t> out;
+  double sim_time_s = 0.0;
+  std::vector<std::string> names;
+  std::vector<std::uint64_t> counts;
+  std::vector<double> modeled_s;
+};
+
+/// Drives one device through a generation-shaped loop: an upload, a
+/// reduction into one AtomicMin cell, a two-phase shared-memory kernel,
+/// a download and the synchronize fence.  \p seed makes two devices'
+/// inputs differ, so a result that crossed devices would show.
+DeviceRun DriveDevice(unsigned workers, std::uint64_t seed) {
+  constexpr std::uint32_t kBlocks = 16;
+  constexpr std::uint32_t kThreads = 32;
+  constexpr std::uint64_t kRounds = 100;
+  Device gpu;
+  gpu.set_worker_threads(workers);
+  DeviceBuffer<std::uint64_t> buf(gpu, kBlocks * kThreads);
+  std::vector<std::uint64_t> host(kBlocks * kThreads);
+  DeviceRun run;
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    for (std::size_t i = 0; i < host.size(); ++i) {
+      host[i] = ((seed + r) * 0x9e3779b97f4a7c15ull) ^ (i * 2654435761u);
+    }
+    buf.CopyFromHost(host);
+    std::uint64_t* data = buf.data();
+    std::int64_t best = std::numeric_limits<std::int64_t>::max();
+    std::int64_t* cell = &best;
+    LaunchOptions reduce;
+    reduce.name = "reduce";
+    gpu.Launch({kBlocks}, {kThreads}, reduce, [data, cell](ThreadCtx& t) {
+      const std::uint64_t tid = t.global_thread();
+      const auto cost = static_cast<std::int64_t>(data[tid] >> 24);
+      AtomicMin(cell, (cost << 20) | static_cast<std::int64_t>(tid));
+      t.charge(7 + data[tid] % 11);
+    });
+    LaunchOptions rotate;
+    rotate.name = "rotate";
+    rotate.shared_bytes = kThreads * sizeof(std::uint64_t);
+    const KernelFn phases[] = {
+        [data](ThreadCtx& t) {
+          t.shared_as<std::uint64_t>()[t.linear_thread()] =
+              data[t.global_thread()];
+          t.charge_shared(3);
+        },
+        [data](ThreadCtx& t) {
+          data[t.global_thread()] = t.shared_as<std::uint64_t>()[
+              (t.linear_thread() + 1) % kThreads] + t.linear_block();
+          t.charge(1 + t.linear_thread() % 5);
+        }};
+    gpu.LaunchPhases({kBlocks}, {kThreads}, rotate, phases);
+    buf.CopyToHost(host);
+    gpu.Synchronize();
+    run.best.push_back(best);
+    run.out.insert(run.out.end(), host.begin(), host.end());
+  }
+  run.sim_time_s = gpu.sim_time_s();
+  for (const auto& [name, rec] : gpu.profiler().kernels()) {
+    run.names.push_back(name);
+    run.counts.insert(run.counts.end(), {rec.launches, rec.blocks,
+                                         rec.threads, rec.work_units});
+    run.modeled_s.push_back(rec.sim_time_s);
+  }
+  const Profiler& prof = gpu.profiler();
+  run.counts.insert(run.counts.end(), {prof.h2d().count, prof.h2d().bytes,
+                                       prof.d2h().count, prof.d2h().bytes});
+  run.modeled_s.push_back(prof.h2d().sim_time_s);
+  run.modeled_s.push_back(prof.d2h().sim_time_s);
+  return run;
+}
+
+void ExpectSameRun(const DeviceRun& got, const DeviceRun& want,
+                   const std::string& who) {
+  EXPECT_EQ(got.best, want.best) << who;
+  EXPECT_EQ(got.out, want.out) << who;
+  EXPECT_EQ(got.sim_time_s, want.sim_time_s) << who;
+  EXPECT_EQ(got.names, want.names) << who;
+  EXPECT_EQ(got.counts, want.counts) << who;
+  EXPECT_EQ(got.modeled_s, want.modeled_s) << who;
+}
+
+TEST(ExecBackend, ConcurrentDevicesShareThePoolBitIdentically) {
+  // The serve layer runs one device per in-flight request, so several
+  // devices fan their blocks into the one HostThreadPool at once.  Each
+  // must come out exactly as if it had run alone and serially.
+  const DeviceRun serial_a = DriveDevice(1, 11);
+  const DeviceRun serial_b = DriveDevice(1, 29);
+  ASSERT_NE(serial_a.out, serial_b.out);
+  DeviceRun a;
+  DeviceRun b;
+  std::thread ta([&a] { a = DriveDevice(4, 11); });
+  std::thread tb([&b] { b = DriveDevice(4, 29); });
+  ta.join();
+  tb.join();
+  ExpectSameRun(a, serial_a, "device a");
+  ExpectSameRun(b, serial_b, "device b");
 }
 
 TEST(ExecBackend, BackendSelectionDoesNotChangeEngineResults) {

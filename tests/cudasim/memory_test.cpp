@@ -1,4 +1,4 @@
-/// Device memory tests: RAII accounting, transfer ledger, limits, events.
+/// Device memory tests: RAII accounting, transfer ledger, limits.
 
 #include "cudasim/memory.hpp"
 
@@ -104,16 +104,6 @@ TEST(ConstantBuffer, HoldsSymbolsAndRespectsLimit) {
   props.constant_mem = 8;
   Device small(props);
   EXPECT_THROW(ConstantBuffer<std::int64_t>(small, 2), GpuError);
-}
-
-TEST(Event, MeasuresSimulatedTimeBetweenLaunches) {
-  Device gpu;
-  Event start;
-  Event stop;
-  start.Record(gpu);
-  gpu.Launch({4}, {64}, [](ThreadCtx& t) { t.charge(5000); });
-  stop.Record(gpu);
-  EXPECT_GT(Event::ElapsedMs(start, stop), 0.0);
 }
 
 TEST(Device, ResetClockZeroesSimTimeOnly) {
