@@ -1,7 +1,6 @@
 #pragma once
 /// \file fake_engines.hpp
-/// \brief Deterministic stand-in engines for the serve-layer tests and the
-/// --smoke gates of bench_serve_loadgen.  Each
+/// \brief Deterministic stand-in engines for the serve-layer tests.  Each
 /// is a meta::Engine registered through EngineRegistry::RegisterFactory,
 /// so the service drives it exactly like a built-in engine; Step(0) is a
 /// no-op status query, as the lifecycle contract requires.

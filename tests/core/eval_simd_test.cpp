@@ -3,12 +3,15 @@
 /// behind the aarch64 build) must agree bit-for-bit with the scalar batch,
 /// the fused scalar row evaluator, the two-pass reference and — on small
 /// instances — the LP oracle, across full lane groups, scalar remainders
-/// and degenerate penalty corners.
+/// and degenerate penalty corners.  The dispatch entry points and both
+/// evaluators' EvaluateBatch are pinned to the same results at the
+/// paper's 768-candidate ensemble.
 
 #include "core/eval_simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -334,27 +337,76 @@ TEST(EvalSimdDispatch, BackendNamesAreConsistent) {
   }
 }
 
+using CddBatchFn = decltype(&raw::EvalCddBatchDispatch);
+using UcddcpBatchFn = decltype(&raw::EvalUcddcpBatchDispatch);
+
+/// One raw batch entry point over every row of \p v; unwritten rows keep
+/// the -1 sentinel.
+std::vector<Cost> RunBatch(CddBatchFn fn, const CddEvaluator& eval,
+                           const CandidatePoolView& v) {
+  std::vector<Cost> costs(v.count, -1);
+  fn(v.n, eval.due_date(), v.seqs, v.stride,
+     static_cast<std::int32_t>(v.count), eval.proc_data(), eval.alpha_data(),
+     eval.beta_data(), costs.data(), nullptr, nullptr);
+  return costs;
+}
+
+std::vector<Cost> RunBatch(UcddcpBatchFn fn, const UcddcpEvaluator& eval,
+                           const CandidatePoolView& v) {
+  std::vector<Cost> costs(v.count, -1);
+  fn(v.n, eval.due_date(), v.seqs, v.stride,
+     static_cast<std::int32_t>(v.count), eval.proc_data(),
+     eval.min_proc_data(), eval.alpha_data(), eval.beta_data(),
+     eval.gamma_data(), costs.data(), nullptr, nullptr);
+  return costs;
+}
+
+/// Every path an engine can score a pool through agrees bit for bit: the
+/// dispatching raw call, both explicit backends, the evaluator's
+/// EvaluateBatch and one Evaluate per row.
+template <class Evaluator, class BatchFn>
+void ExpectEveryPathAgrees(const Instance& instance, std::size_t batch,
+                           std::uint64_t seed, BatchFn dispatch,
+                           BatchFn simd, BatchFn scalar) {
+  const Evaluator eval(instance);
+  CandidatePool pool = RandomPool(instance.size(), batch, seed);
+  const std::vector<Cost> via_scalar = RunBatch(scalar, eval, pool.view());
+  EXPECT_EQ(RunBatch(simd, eval, pool.view()), via_scalar);
+  EXPECT_EQ(RunBatch(dispatch, eval, pool.view()), via_scalar);
+
+  std::fill(pool.costs().begin(), pool.costs().end(), Cost{-1});
+  eval.EvaluateBatch(pool);
+  EXPECT_EQ(std::vector<Cost>(pool.costs().begin(), pool.costs().end()),
+            via_scalar);
+  std::vector<Cost> per_row(batch);
+  for (std::size_t b = 0; b < batch; ++b) {
+    per_row[b] = eval.Evaluate(pool.row(b));
+  }
+  EXPECT_EQ(per_row, via_scalar);
+}
+
 TEST(EvalSimdDispatch, DispatchMatchesBothExplicitBackends) {
-  const Instance instance = testing::RandomCdd(40, 0.6, 7);
-  const CddEvaluator eval(instance);
-  CandidatePool pool = RandomPool(instance.size(), /*batch=*/11, 9);
-  const CandidatePoolView v = pool.view();
-  const auto n = static_cast<std::int32_t>(instance.size());
-  const auto count = static_cast<std::int32_t>(v.count);
-  std::vector<Cost> via_dispatch(pool.size());
-  std::vector<Cost> via_simd(pool.size());
-  std::vector<Cost> via_scalar(pool.size());
-  raw::EvalCddBatchDispatch(n, eval.due_date(), v.seqs, v.stride, count,
-                            eval.proc_data(), eval.alpha_data(),
-                            eval.beta_data(), via_dispatch.data());
-  raw::EvalCddBatchSimd(n, eval.due_date(), v.seqs, v.stride, count,
-                        eval.proc_data(), eval.alpha_data(),
-                        eval.beta_data(), via_simd.data());
-  raw::EvalCddBatch(n, eval.due_date(), v.seqs, v.stride, count,
-                    eval.proc_data(), eval.alpha_data(), eval.beta_data(),
-                    via_scalar.data());
-  EXPECT_EQ(via_simd, via_scalar);
-  EXPECT_EQ(via_dispatch, via_scalar);
+  // A short batch with a scalar remainder, then the paper's 768-chain
+  // ensemble at the three benchmark sizes: whole lane groups and no
+  // remainder, so the last lane group holds the batch's last rows.
+  struct Shape {
+    std::uint32_t n;
+    std::size_t batch;
+    std::uint64_t seed;
+  };
+  for (const Shape& s : {Shape{40, 11, 7}, Shape{50, 768, 51},
+                         Shape{200, 768, 201}, Shape{500, 768, 501}}) {
+    SCOPED_TRACE("n=" + std::to_string(s.n) +
+                 " batch=" + std::to_string(s.batch));
+    ExpectEveryPathAgrees<CddEvaluator>(
+        testing::RandomCdd(s.n, 0.6, s.seed), s.batch, s.seed + 2,
+        &raw::EvalCddBatchDispatch, &raw::EvalCddBatchSimd,
+        &raw::EvalCddBatch);
+    ExpectEveryPathAgrees<UcddcpEvaluator>(
+        testing::RandomUcddcp(s.n, 1.3, s.seed), s.batch, s.seed + 3,
+        &raw::EvalUcddcpBatchDispatch, &raw::EvalUcddcpBatchSimd,
+        &raw::EvalUcddcpBatch);
+  }
 }
 
 }  // namespace

@@ -99,6 +99,10 @@ TEST(ParallelSa, WorkerCountDoesNotChangeResult) {
   const GpuRunResult rp = RunParallelSa(par_dev, instance, SmallParams());
   EXPECT_EQ(rs.best_cost, rp.best_cost);
   EXPECT_EQ(rs.best, rp.best);
+  // The workers place blocks; the evaluation count and the modeled
+  // GT 560M clock stay those of the serial run.
+  EXPECT_EQ(rs.evaluations, rp.evaluations);
+  EXPECT_EQ(rs.device_seconds, rp.device_seconds);
 }
 
 TEST(ParallelSa, EnsembleInclusionProperty) {

@@ -73,19 +73,23 @@ TEST(ServiceAdmission, OverloadShedsLowestPriorityFirst) {
   }
 
   // The shed answers resolve synchronously: prio 1 and prio 0 on arrival,
-  // prio 2 displaced by the prio-6 arrival.
-  for (const std::size_t shed_index : {std::size_t{3}, std::size_t{4},
-                                       std::size_t{5}}) {
-    ASSERT_EQ(futures[shed_index].wait_for(std::chrono::seconds(0)),
+  // prio 2 displaced by the prio-6 arrival.  Only readiness is checked
+  // while the worker is parked: a get() on a future that is not ready
+  // would wait on the gate forever.
+  const std::size_t shed_indices[] = {3, 4, 5};
+  for (const std::size_t shed_index : shed_indices) {
+    EXPECT_EQ(futures[shed_index].wait_for(std::chrono::seconds(0)),
               std::future_status::ready)
         << "priority " << priorities[shed_index];
-    EXPECT_EQ(futures[shed_index].get().status,
-              SolveStatus::kShedOverload);
   }
   EXPECT_EQ(service.metrics().counter("shed_overload").value(), 3u);
 
   gate.Release();
   parked.get();
+  for (const std::size_t shed_index : shed_indices) {
+    EXPECT_EQ(futures[shed_index].get().status, SolveStatus::kShedOverload)
+        << "priority " << priorities[shed_index];
+  }
   // The survivors (priorities 6, 5, 4, 3) all complete.
   for (const std::size_t kept_index : {std::size_t{0}, std::size_t{1},
                                        std::size_t{2}, std::size_t{6}}) {

@@ -1,17 +1,22 @@
 /// Single-flight coalescing in the SolverService: concurrent duplicates
-/// attach to one in-flight solve and receive bit-identical results, and a
-/// leader that cannot deliver a full-budget run re-elects a waiter to
-/// solve instead of handing out a truncated result.
+/// attach to one in-flight solve and receive bit-identical results, in
+/// process and over the socket front end, and a leader that cannot
+/// deliver a full-budget run re-elects a waiter to solve instead of
+/// handing out a truncated result.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "common/fake_engines.hpp"
 #include "common/test_instances.hpp"
+#include "serve/net/client.hpp"
+#include "serve/net/front_end.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 
@@ -44,47 +49,75 @@ bool AwaitCounter(SolverService& service, const char* name,
   return true;
 }
 
+/// Submits \p request in process, or, when \p front_end is given, on a
+/// connection of its own through the socket front end.
+std::future<SolveResponse> Offer(SolverService& service,
+                                 const net::FrontEnd* front_end,
+                                 SolveRequest request) {
+  if (front_end == nullptr) return service.Submit(std::move(request));
+  return std::async(std::launch::async,
+                    [port = front_end->port(), request = std::move(request)] {
+                      net::BlockingClient wire("127.0.0.1", port);
+                      return wire.Call(request);
+                    });
+}
+
 TEST(ServiceCoalesce, WaitersReceiveTheLeadersBitIdenticalResult) {
-  Gate gate;
-  const EngineRegistry registry = BlockingRegistry(&gate);
-  ServiceConfig config;
-  config.workers = 1;
-  SolverService service(config, registry);
-  std::future<SolveResponse> parked = ParkWorker(service, gate);
+  // In process, then through the socket front end: the coalesced flag and
+  // the shared result must survive the wire.
+  for (const bool over_socket : {false, true}) {
+    SCOPED_TRACE(over_socket ? "socket" : "in-process");
+    Gate gate;
+    const EngineRegistry registry = BlockingRegistry(&gate);
+    ServiceConfig config;
+    config.workers = 1;
+    SolverService service(config, registry);
+    std::optional<net::FrontEnd> front_end;
+    if (over_socket) front_end.emplace(net::FrontEndConfig{}, service);
+    std::future<SolveResponse> parked = ParkWorker(service, gate);
 
-  SolveRequest duplicate;
-  duplicate.instance = cdd::testing::PaperExampleCdd();
-  duplicate.engine = "sa";
-  duplicate.options.generations = 300;
-  duplicate.options.seed = 7;
+    SolveRequest duplicate;
+    duplicate.instance = cdd::testing::PaperExampleCdd();
+    duplicate.engine = "sa";
+    duplicate.options.generations = 300;
+    duplicate.options.seed = 7;
 
-  std::vector<std::future<SolveResponse>> futures;
-  for (std::uint64_t i = 1; i <= 3; ++i) {
-    SolveRequest request = duplicate;
-    request.id = i;
-    futures.push_back(service.Submit(std::move(request)));
+    constexpr std::uint64_t kDuplicates = 4;
+    std::vector<std::future<SolveResponse>> futures;
+    for (std::uint64_t i = 1; i <= kDuplicates; ++i) {
+      SolveRequest request = duplicate;
+      request.id = i;
+      futures.push_back(Offer(service, front_end ? &*front_end : nullptr,
+                              std::move(request)));
+    }
+    // The worker is parked: the first duplicate led, the others joined.
+    // The gate opens before the check, so a failure cannot leave the
+    // worker parked under the service's destructor.
+    const bool joined =
+        AwaitCounter(service, "coalesced_joins", kDuplicates - 1);
+    gate.Release();
+    ASSERT_TRUE(joined);
+
+    std::vector<SolveResponse> responses;
+    for (auto& future : futures) responses.push_back(future.get());
+    parked.get();
+
+    unsigned coalesced = 0;
+    for (const SolveResponse& r : responses) {
+      EXPECT_EQ(r.status, SolveStatus::kOk);
+      if (r.coalesced) ++coalesced;
+      EXPECT_EQ(r.result.best, responses[0].result.best);
+      EXPECT_EQ(r.result.best_cost, responses[0].result.best_cost);
+      EXPECT_EQ(r.result.evaluations, responses[0].result.evaluations);
+    }
+    EXPECT_EQ(coalesced, kDuplicates - 1);
+    // Exactly one solve ran for the duplicated key (plus the blocker).
+    EXPECT_EQ(service.metrics().counter("completed").value(), 2u);
+    EXPECT_EQ(service.metrics().counter("coalesced_joins").value(),
+              kDuplicates - 1);
+    if (front_end) front_end->Stop();
+    service.Shutdown();
   }
-  // The worker is parked: the first duplicate led, the other two joined.
-  ASSERT_TRUE(AwaitCounter(service, "coalesced_joins", 2));
-  gate.Release();
-
-  std::vector<SolveResponse> responses;
-  for (auto& future : futures) responses.push_back(future.get());
-  parked.get();
-
-  unsigned coalesced = 0;
-  for (const SolveResponse& r : responses) {
-    EXPECT_EQ(r.status, SolveStatus::kOk);
-    if (r.coalesced) ++coalesced;
-    EXPECT_EQ(r.result.best, responses[0].result.best);
-    EXPECT_EQ(r.result.best_cost, responses[0].result.best_cost);
-    EXPECT_EQ(r.result.evaluations, responses[0].result.evaluations);
-  }
-  EXPECT_EQ(coalesced, 2u);
-  // Exactly one solve ran for the duplicated key (plus the blocker).
-  EXPECT_EQ(service.metrics().counter("completed").value(), 2u);
-  EXPECT_EQ(service.metrics().counter("coalesced_joins").value(), 2u);
-  service.Shutdown();
 }
 
 TEST(ServiceCoalesce, ExpiredLeaderReElectsAWaiter) {

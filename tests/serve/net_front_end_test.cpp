@@ -1,8 +1,9 @@
 /// The epoll socket front-end end-to-end: request/response round-trips
 /// over a real TCP connection, keep-alive reuse, per-frame errors that
 /// leave the connection usable, broken framing that answers once and
-/// closes, the max_conns accept cap, and pipelined replies drained
-/// through a small receive window.
+/// closes, the max_conns accept cap, pipelined replies drained through a
+/// small receive window, overload shedding in priority order on one
+/// pipelined connection, and manifests that match in-process recording.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -13,11 +14,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <future>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fake_engines.hpp"
 #include "common/test_instances.hpp"
 #include "serve/net/client.hpp"
 #include "serve/net/frame.hpp"
@@ -241,6 +249,122 @@ TEST(FrontEnd, PipelinedRepliesSurviveSmallReceiveWindow) {
   }
   front_end.Stop();
   service.Shutdown();
+}
+
+TEST(FrontEnd, PipelinedOverloadShedsLowestPriorityThenSolvesHighestFirst) {
+  // The admission order of ServiceAdmission.OverloadShedsLowestPriorityFirst
+  // on one pipelined connection: the priority must survive the wire, and
+  // the replies arrive in the order the lone worker answers them.
+  cdd::testing::Gate gate;
+  const EngineRegistry registry = cdd::testing::BlockingRegistry(&gate);
+  ServiceConfig config;
+  config.workers = 1;
+  config.queue_capacity = 8;
+  config.cache_capacity = 0;
+  config.shed_low_watermark = 1;
+  config.shed_high_watermark = 4;
+  SolverService service(config, registry);
+  FrontEnd front_end(FrontEndConfig{}, service);
+
+  SolveRequest blocker = SmallRequest(99);
+  blocker.engine = "block";
+  std::future<SolveResponse> parked = service.Submit(std::move(blocker));
+  while (gate.entered.load() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Fill to the high watermark with priorities 5..2, then offer two
+  // lower-priority requests (shed on arrival) and one higher-priority
+  // request (displaces the queued priority-2 victim).
+  const std::vector<int> priorities = {5, 4, 3, 2, 1, 0, 6};
+  std::map<std::uint64_t, int> priority_of;
+  BlockingClient client("127.0.0.1", front_end.port());
+  for (std::size_t i = 0; i < priorities.size(); ++i) {
+    SolveRequest request = SmallRequest(10 + i);
+    request.instance =
+        cdd::testing::RandomCdd(10, 0.5, /*seed=*/request.id);
+    request.priority = priorities[i];
+    priority_of[request.id] = priorities[i];
+    client.Send(request);
+  }
+
+  // With the worker parked nothing else can answer: the first three
+  // replies are the sheds, ids 14 (prio 1) and 15 (prio 0) on arrival and
+  // id 13 (prio 2) displaced by the prio-6 arrival.  Should fewer be
+  // shed, the gate opens so that the replies read below still arrive.
+  if (!AwaitCounter(service, "shed_overload", 3)) {
+    ADD_FAILURE() << "fewer than three requests were shed";
+    gate.Release();
+  }
+  std::vector<int> shed_priorities;
+  for (int i = 0; i < 3; ++i) {
+    const SolveResponse r = client.Receive();
+    EXPECT_EQ(r.status, SolveStatus::kShedOverload) << "id " << r.id;
+    shed_priorities.push_back(priority_of[r.id]);
+  }
+  std::sort(shed_priorities.begin(), shed_priorities.end());
+  EXPECT_EQ(shed_priorities, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(service.metrics().counter("shed_overload").value(), 3u);
+
+  gate.Release();
+  parked.get();
+  // The survivors solve highest priority first: 6, 5, 4, 3.
+  std::vector<std::uint64_t> completion_order;
+  for (int i = 0; i < 4; ++i) {
+    const SolveResponse r = client.Receive();
+    EXPECT_EQ(r.status, SolveStatus::kOk) << "id " << r.id;
+    completion_order.push_back(r.id);
+  }
+  EXPECT_EQ(completion_order, (std::vector<std::uint64_t>{16, 10, 11, 12}));
+  front_end.Stop();
+  service.Shutdown();
+}
+
+TEST(FrontEnd, ManifestMatchesInProcessRecording) {
+  // The replay guarantee through the wire: the same requests recorded
+  // behind the socket and in process leave byte-identical manifests.
+  std::vector<SolveRequest> requests;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    SolveRequest request = SmallRequest(i);
+    request.instance = cdd::testing::RandomCdd(20, 0.2 + 0.1 * (i % 4), i);
+    request.options.generations = 150;
+    request.options.seed = 5;
+    requests.push_back(std::move(request));
+  }
+  const std::string stem = ::testing::TempDir() + "/front_end_manifest." +
+                           std::to_string(::getpid());
+  const auto record = [&requests](const std::string& path,
+                                  bool over_socket) {
+    std::remove(path.c_str());
+    {  // the manifest is complete once the service is destroyed
+      ServiceConfig config;
+      config.workers = 1;
+      config.manifest_path = path;
+      SolverService service(config);
+      if (over_socket) {
+        FrontEnd front_end(FrontEndConfig{}, service);
+        BlockingClient client("127.0.0.1", front_end.port());
+        for (const SolveRequest& request : requests) {
+          EXPECT_EQ(client.Call(request).status, SolveStatus::kOk);
+        }
+        front_end.Stop();
+      } else {
+        for (const SolveRequest& request : requests) {
+          EXPECT_EQ(service.Submit(request).get().status, SolveStatus::kOk);
+        }
+      }
+      service.Shutdown();
+    }
+    std::ifstream in(path);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    std::remove(path.c_str());
+    return bytes.str();
+  };
+  const std::string in_process = record(stem + ".inproc.jsonl", false);
+  const std::string socket = record(stem + ".socket.jsonl", true);
+  EXPECT_FALSE(in_process.empty());
+  EXPECT_EQ(socket, in_process);
 }
 
 }  // namespace
