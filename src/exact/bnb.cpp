@@ -531,34 +531,12 @@ bool GenerateFrontier(const Ctx& ctx, Cost seed_cost, std::size_t target,
 // normalization, V-shape + warm-start seed, frontier split); Step processes
 // subtree roots in frontier order with nodes as the budget unit.  With one
 // worker the root loop is fully resumable — a Step slice can pause inside a
-// root and a checkpoint captures the live DFS continuation.  With several
-// workers the shared-incumbent ParallelFor cannot pause mid-flight, so the
+// root and the next slice continues the live DFS.  With several workers
+// the shared-incumbent ParallelFor cannot pause mid-flight, so the
 // first Step runs it to completion (preemption then lands after the run;
 // pass workers = 1 when slice-granular pausing matters more than speed).
 
 using Clock = std::chrono::steady_clock;
-
-struct BnbCheckpoint final : meta::EngineCheckpoint {
-  BnbCheckpoint(const Side& early_in, const Side& tardy_in)
-      : early(early_in), tardy(tardy_in) {}
-
-  std::size_t root = 0;
-  bool in_root = false;
-  std::int32_t depth = 0;
-  std::uint64_t unflushed = 0;
-  Side early;
-  Side tardy;
-  Time early_sum = 0;
-  Cost assigned = 0;
-  std::vector<Layer> layers;
-  std::vector<RootOutcome> outcomes;
-  Cost incumbent = kInfiniteCost;
-  std::uint64_t flushed_nodes = 0;
-  bool halted = false;
-  std::uint64_t dfs_consumed = 0;
-  meta::StepStatus status = meta::StepStatus::kRunning;
-  double elapsed = 0.0;
-};
 
 class BnbEngine final : public meta::Engine {
  public:
@@ -654,48 +632,6 @@ class BnbEngine final : public meta::Engine {
 
   Cost BestCost() const override {
     return incumbent_.load(std::memory_order_relaxed);
-  }
-
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
-    auto cp = std::make_unique<BnbCheckpoint>(dfs_->early, dfs_->tardy);
-    cp->root = root_;
-    cp->in_root = in_root_;
-    cp->depth = depth_;
-    cp->unflushed = unflushed_;
-    cp->early_sum = dfs_->early_sum;
-    cp->assigned = dfs_->assigned;
-    cp->layers = dfs_->layers;
-    cp->outcomes = outcomes_;
-    cp->incumbent = incumbent_.load(std::memory_order_relaxed);
-    cp->flushed_nodes = control_.nodes.load(std::memory_order_relaxed);
-    cp->halted = control_.halted.load(std::memory_order_relaxed);
-    cp->dfs_consumed = dfs_consumed_;
-    cp->status = status_;
-    cp->elapsed = elapsed_;
-    return cp;
-  }
-
-  void Restore(const meta::EngineCheckpoint& checkpoint) override {
-    const auto* cp = dynamic_cast<const BnbCheckpoint*>(&checkpoint);
-    if (cp == nullptr) {
-      throw std::invalid_argument("BnbEngine: foreign checkpoint");
-    }
-    root_ = cp->root;
-    in_root_ = cp->in_root;
-    depth_ = cp->depth;
-    unflushed_ = cp->unflushed;
-    dfs_->early = cp->early;
-    dfs_->tardy = cp->tardy;
-    dfs_->early_sum = cp->early_sum;
-    dfs_->assigned = cp->assigned;
-    dfs_->layers = cp->layers;
-    outcomes_ = cp->outcomes;
-    incumbent_.store(cp->incumbent, std::memory_order_relaxed);
-    control_.nodes.store(cp->flushed_nodes, std::memory_order_relaxed);
-    control_.halted.store(cp->halted, std::memory_order_relaxed);
-    dfs_consumed_ = cp->dfs_consumed;
-    status_ = cp->status;
-    elapsed_ = cp->elapsed;
   }
 
   meta::EngineOutput Finish() override {

@@ -124,8 +124,8 @@ BnbResult BranchAndBound(const Instance& instance,
 /// instance.problem() like BranchAndBound).  Construction runs the whole
 /// setup phase — guards, V-shape + warm-start seed, frontier split — and
 /// Step units are search-tree nodes.  With params.workers == 1 a Step
-/// slice can pause inside a subtree root and a checkpoint captures the
-/// live DFS continuation; with several workers the shared-incumbent
+/// slice can pause inside a subtree root and the next slice continues the
+/// live DFS; with several workers the shared-incumbent
 /// parallel sweep is not pausable, so the first Step runs it to
 /// completion.  Finish() maps the exact-tier record onto EngineOutput
 /// (best_cost = incumbent, evaluations = nodes expanded, stopped = not

@@ -15,8 +15,8 @@ struct Particle {
   Cost best_cost;
 };
 
-/// The checkpointed state is the whole swarm (positions and personal
-/// bests); the published swarm best lives in the loop's result.
+/// The search state is the whole swarm (positions and personal bests);
+/// the published swarm best lives in the loop's result.
 class DpsoEngine final
     : public SerialEngine<DpsoEngine, std::vector<Particle>> {
  public:

@@ -37,7 +37,7 @@ RunResult RunSerialDpso(const SequenceObjective& objective,
 
 /// Creates a resumable DPSO engine (see engine.hpp).  Construction runs
 /// the swarm initialization (one evaluation per particle); Step units are
-/// generations; the checkpoint carries the whole swarm.
+/// generations.
 std::unique_ptr<Engine> MakeDpsoEngine(const SequenceObjective& objective,
                                        const DpsoParams& params);
 

@@ -1,21 +1,15 @@
 #pragma once
 /// \file engine.hpp
-/// \brief Resumable engine lifecycle: Init -> Step -> Checkpoint/Restore
-/// -> Finish.
+/// \brief Resumable engine lifecycle: Init -> Step -> Finish.
 ///
 /// Every registered engine is an Engine object whose construction is the
 /// Init phase (instance + native parameters), whose search loop advances
-/// in caller-sized Step slices, and whose full search state — RNG stream
-/// position, current/best solutions, temperature/threshold/population
-/// state — can be captured into an opaque EngineCheckpoint and restored
-/// later.  The contract the property tests pin down:
+/// in caller-sized Step slices, and whose Finish returns the run record.
+/// The contract the property tests pin down:
 ///
 ///   * A run split across ANY sequence of Step slices is bit-identical to
 ///     an uninterrupted run: same best cost, same best sequence, same
 ///     evaluation count, same trajectory samples.
-///   * Checkpoint() at a Step boundary, further Steps, then Restore() and
-///     re-Stepping reproduces the run from the checkpoint bit-identically
-///     (speculative work is discarded without trace).
 ///   * Stepping never consumes randomness beyond what the equivalent
 ///     uninterrupted loop would, so the golden run manifests recorded
 ///     before this refactor still replay bit-for-bit.
@@ -26,23 +20,15 @@
 /// unit budget themselves.
 ///
 /// This lifecycle is what the racing portfolio (src/portfolio) and the
-/// serve layer's preemption build on: both pause engines only at Step
-/// boundaries, which are by construction checkpoint boundaries.
+/// serve layer's preemption build on: both pause an engine only at a Step
+/// boundary and keep it alive until they resume or finish it.
 
 #include <cstdint>
-#include <memory>
 
 #include "core/stop_token.hpp"
 #include "meta/result.hpp"
 
 namespace cdd::meta {
-
-/// Opaque deep copy of an engine's full search state.  Only meaningful to
-/// the engine type that produced it; Restore() on any other engine throws.
-class EngineCheckpoint {
- public:
-  virtual ~EngineCheckpoint() = default;
-};
 
 /// Outcome of a Step slice.
 enum class StepStatus {
@@ -93,18 +79,11 @@ class Engine {
   virtual std::uint64_t Remaining() const = 0;
 
   /// Best-so-far cost — the convergence counter the racing portfolio
-  /// compares at checkpoints.  Valid from construction on.
+  /// compares between rounds.  Valid from construction on.
   virtual Cost BestCost() const = 0;
 
-  /// Deep-copies the full search state.  Call only at Step boundaries.
-  virtual std::unique_ptr<EngineCheckpoint> Checkpoint() const = 0;
-
-  /// Restores a state captured by this engine type (same instance and
-  /// parameters).  Throws std::invalid_argument on a foreign checkpoint.
-  virtual void Restore(const EngineCheckpoint& checkpoint) = 0;
-
-  /// Finalizes and returns the run record.  Idempotent; the engine stays
-  /// restorable afterwards (Finish does not consume state).
+  /// Finalizes and returns the run record.  Idempotent (Finish does not
+  /// consume state).
   virtual EngineOutput Finish() = 0;
 };
 

@@ -14,7 +14,7 @@ struct Individual {
   Cost cost = 0;
 };
 
-/// The checkpointed state is the whole population.  The returned best is
+/// The search state is the whole population.  The returned best is
 /// derived from the population at Finish (as the original run did), so
 /// the loop's result carries no best snapshot.
 class EsEngine final

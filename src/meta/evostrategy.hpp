@@ -34,7 +34,7 @@ RunResult RunEvolutionStrategy(const SequenceObjective& objective,
                                const EsParams& params);
 
 /// Creates a resumable (mu + lambda)-ES engine (see engine.hpp).  Step
-/// units are generations; the checkpoint carries the whole population.
+/// units are generations.
 std::unique_ptr<Engine> MakeEsEngine(const SequenceObjective& objective,
                                      const EsParams& params);
 

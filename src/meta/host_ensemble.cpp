@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -14,14 +13,6 @@ namespace cdd::meta {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Ensemble state = one checkpoint per chain.  The merge is recomputed at
-/// Finish from the chains, so nothing else needs saving.
-struct HostEnsembleCheckpoint final : EngineCheckpoint {
-  std::vector<std::unique_ptr<EngineCheckpoint>> chains;
-  StepStatus status = StepStatus::kRunning;
-  double elapsed = 0.0;
-};
 
 class HostEnsembleEngine final : public Engine {
  public:
@@ -114,29 +105,6 @@ class HostEnsembleEngine final : public Engine {
       best = std::min(best, engine->BestCost());
     }
     return best;
-  }
-
-  std::unique_ptr<EngineCheckpoint> Checkpoint() const override {
-    auto cp = std::make_unique<HostEnsembleCheckpoint>();
-    cp->chains.reserve(engines_.size());
-    for (const auto& engine : engines_) {
-      cp->chains.push_back(engine->Checkpoint());
-    }
-    cp->status = status_;
-    cp->elapsed = elapsed_;
-    return cp;
-  }
-
-  void Restore(const EngineCheckpoint& checkpoint) override {
-    const auto* cp = dynamic_cast<const HostEnsembleCheckpoint*>(&checkpoint);
-    if (cp == nullptr || cp->chains.size() != engines_.size()) {
-      throw std::invalid_argument("HostEnsembleEngine: foreign checkpoint");
-    }
-    for (std::size_t c = 0; c < engines_.size(); ++c) {
-      engines_[c]->Restore(*cp->chains[c]);
-    }
-    status_ = cp->status;
-    elapsed_ = cp->elapsed;
   }
 
   EngineOutput Finish() override {

@@ -43,7 +43,7 @@ RunResult RunHostEnsembleSa(const SequenceObjective& objective,
 /// Creates a resumable host-ensemble engine (see engine.hpp): `chains`
 /// independent SA engines stepped in lockstep slices over host threads,
 /// deterministically merged at Finish.  Step units are SA iterations
-/// (applied to every chain); a checkpoint captures every chain's state.
+/// (applied to every chain).
 std::unique_ptr<Engine> MakeHostEnsembleEngine(
     const SequenceObjective& objective, const HostEnsembleParams& params);
 

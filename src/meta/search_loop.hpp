@@ -7,16 +7,13 @@
 /// the StopToken, run one native iteration, sample the trajectory, settle
 /// kDone/kStopped and account wall time.  SearchLoop owns that loop (run
 /// against the engine's SearchBudget, see engine.hpp) and the
-/// bookkeeping it updates (iteration, result, status, elapsed), which is
-/// also the common header of every checkpoint.  An engine supplies only
-/// these hooks (public members of \p Derived, resolved statically — the
-/// hot loop makes no indirect call):
+/// bookkeeping it updates (iteration, result, status, elapsed).  An engine
+/// supplies only these hooks (public members of \p Derived, resolved
+/// statically — the hot loop makes no indirect call):
 ///
 ///   * `BeginSlice()` — per-slice setup; returns the per-iteration body,
 ///     a callable `void(std::uint64_t i)` for the 0-based iteration i;
-///   * `TrajectorySample()` — the best-so-far cost at a sampling point;
-///   * `Save(State&) const` / `Load(const State&)` — its own search state.
-///     Load may throw std::invalid_argument before changing anything.
+///   * `TrajectorySample()` — the best-so-far cost at a sampling point.
 ///
 /// An optional `static constexpr const char* kTraceSpan` wraps every
 /// non-empty Step in a trace span of that name.
@@ -24,8 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <stdexcept>
 
 #include "meta/engine.hpp"
 #include "meta/result.hpp"
@@ -52,8 +47,7 @@ class ElapsedTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// What the loop updates, and what every checkpoint carries beside the
-/// engine's own state.
+/// What the loop updates.
 template <class Result>
 struct LoopState {
   std::uint64_t iteration = 0;  ///< next iteration to run (0-based)
@@ -64,8 +58,7 @@ struct LoopState {
 
 /// The loop core (see the file comment).  \p kPollStride is how often the
 /// StopToken is polled, in iterations.
-template <class Derived, class Result, class State,
-          std::uint64_t kPollStride = 1>
+template <class Derived, class Result, std::uint64_t kPollStride = 1>
 class SearchLoop : public Engine {
  public:
   StepStatus Step(std::uint64_t units) final {
@@ -86,24 +79,6 @@ class SearchLoop : public Engine {
                : 0;
   }
 
-  std::unique_ptr<EngineCheckpoint> Checkpoint() const final {
-    auto checkpoint = std::make_unique<Snapshot>();
-    checkpoint->loop = loop_;
-    self().Save(checkpoint->state);
-    return checkpoint;
-  }
-
-  void Restore(const EngineCheckpoint& checkpoint) final {
-    // Snapshot is a distinct type per Derived, so the cast rejects every
-    // other engine's checkpoint.
-    const auto* snapshot = dynamic_cast<const Snapshot*>(&checkpoint);
-    if (snapshot == nullptr) {
-      throw std::invalid_argument("Restore: foreign checkpoint");
-    }
-    self().Load(snapshot->state);
-    loop_ = snapshot->loop;
-  }
-
  protected:
   explicit SearchLoop(const SearchBudget& budget) : budget_(budget) {
     if (budget_.iterations == 0) loop_.status = StepStatus::kDone;
@@ -113,13 +88,7 @@ class SearchLoop : public Engine {
   LoopState<Result> loop_;
 
  private:
-  struct Snapshot final : EngineCheckpoint {
-    LoopState<Result> loop;
-    State state;
-  };
-
   Derived& self() { return static_cast<Derived&>(*this); }
-  const Derived& self() const { return static_cast<const Derived&>(*this); }
 
   StepStatus RunSlice(std::uint64_t units) {
     const ElapsedTimer timer(loop_.elapsed);
@@ -147,20 +116,11 @@ class SearchLoop : public Engine {
   }
 };
 
-/// Checkpointed state of a SerialEngine.
-template <class State>
-struct SerialState {
-  rng::Philox4x32 rng{0};
-  State search;
-};
-
 /// SearchLoop for the host engines: the search state is a plain value
-/// (`state_`) next to a Philox stream (`rng_`), both checkpointed by copy,
-/// and the result is the loop's RunResult.
+/// (`state_`) next to a Philox stream (`rng_`), and the result is the
+/// loop's RunResult.
 template <class Derived, class State, std::uint64_t kPollStride = 1>
-class SerialEngine
-    : public SearchLoop<Derived, RunResult, SerialState<State>,
-                        kPollStride> {
+class SerialEngine : public SearchLoop<Derived, RunResult, kPollStride> {
  public:
   Cost BestCost() const override { return this->loop_.result.best_cost; }
 
@@ -171,17 +131,10 @@ class SerialEngine
     return out;
   }
 
-  void Save(SerialState<State>& s) const { s = {rng_, state_}; }
-  void Load(const SerialState<State>& s) {
-    rng_ = s.rng;
-    state_ = s.search;
-  }
-
  protected:
   /// \p stream is the engine's Philox stream id under the budget's seed.
   SerialEngine(const SearchBudget& budget, std::uint64_t stream)
-      : SearchLoop<Derived, RunResult, SerialState<State>, kPollStride>(
-            budget),
+      : SearchLoop<Derived, RunResult, kPollStride>(budget),
         rng_(budget.seed, stream) {}
 
   rng::Philox4x32 rng_;

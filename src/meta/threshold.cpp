@@ -6,7 +6,7 @@ namespace cdd::meta {
 namespace {
 
 /// The decayed threshold is a host accumulator (threshold *= decay each
-/// iteration), so it is part of the checkpointed chain state.
+/// iteration), so it is part of the chain state.
 struct TaState : ChainState {
   double threshold = 0.0;
 };

@@ -40,7 +40,7 @@ RunResult RunThresholdAccepting(
     const std::optional<Sequence>& initial = std::nullopt);
 
 /// Creates a resumable TA engine (see engine.hpp).  Step units are TA
-/// iterations; the decaying threshold is part of the checkpoint.
+/// iterations.
 std::unique_ptr<Engine> MakeTaEngine(
     const SequenceObjective& objective, const TaParams& params,
     const std::optional<Sequence>& initial = std::nullopt);

@@ -4,13 +4,9 @@
 /// ensemble initialization, reduction helpers, device-engine
 /// bookkeeping).  Not part of the public API.
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <stdexcept>
-#include <type_traits>
-#include <vector>
 
 #include "core/candidate_pool.hpp"
 #include "core/sequence.hpp"
@@ -28,26 +24,6 @@ namespace cdd::par::detail {
 /// cost field of the packed reduction key.
 void RequirePackableCosts(const DeviceProblem& problem, const char* engine);
 
-/// Host snapshot of a whole device buffer.  Device "memory" is simulated
-/// host memory, so the copy charges no modeled transfer time: checkpoints
-/// are host bookkeeping, not part of the modeled run.
-template <typename T>
-void CopyOut(const sim::DeviceBuffer<T>& buffer, std::vector<T>& host) {
-  host.assign(buffer.data(), buffer.data() + buffer.size());
-}
-
-/// Inverse of CopyOut (same zero-cost rule).  Throws std::invalid_argument
-/// when the snapshot does not fit the buffer (a checkpoint of another
-/// launch geometry or instance).
-template <typename T>
-void CopyIn(std::span<const std::type_identity_t<T>> host,
-            sim::DeviceBuffer<T>& buffer) {
-  if (host.size() != buffer.size()) {
-    throw std::invalid_argument("Restore: foreign checkpoint");
-  }
-  std::copy(host.begin(), host.end(), buffer.data());
-}
-
 /// Checks a launch before a device engine allocates anything: the geometry
 /// must fit \p device, and every thread id must fit the packed (cost,
 /// thread) reduction key — ensemble at most 2^kThreadBits, since
@@ -60,31 +36,18 @@ void ValidateLaunch(const sim::Device& device, const LaunchConfig& config,
 /// The host-side record of a finished device run.
 meta::EngineOutput ToEngineOutput(GpuRunResult gpu);
 
-/// A device engine's checkpointed state: its buffer snapshot plus the
-/// modeled device time consumed up to the checkpoint.
-template <class Buffers>
-struct DeviceSnapshot {
-  Buffers buffers;
-  double consumed_device = 0.0;
-};
-
 /// meta::SearchLoop for the device engines (psa, pdpso, psa-sync), adding
 /// only the device clock.  Beyond the loop hooks (BeginSlice is
 /// `BeginDeviceSlice` here), \p Derived supplies
-///
-///   * `SaveBuffers(Buffers&) const` / `LoadBuffers(const Buffers&)` —
-///     host snapshots of its device buffers (CopyOut / CopyIn);
-///   * `ReadBest(GpuRunResult&)` — fills best/best_cost at Finish, charging
-///     whatever D2H a real device would pay.
-template <class Derived, class Buffers>
-class DeviceEngine
-    : public meta::SearchLoop<Derived, GpuRunResult,
-                              DeviceSnapshot<Buffers>> {
+/// `ReadBest(GpuRunResult&)`, which fills best/best_cost at Finish,
+/// charging whatever D2H a real device would pay.
+template <class Derived>
+class DeviceEngine : public meta::SearchLoop<Derived, GpuRunResult> {
  public:
   meta::EngineOutput Finish() override { return ToEngineOutput(FinishGpu()); }
 
   /// Full GPU result including the modeled clock (what the RunParallel*
-  /// functions return).  Memoized until the next Step/Restore, so repeated
+  /// functions return).  Memoized until the next Step, so repeated
   /// Finish calls stay idempotent: a second call must not charge a second
   /// modeled transfer.
   GpuRunResult FinishGpu() {
@@ -105,26 +68,11 @@ class DeviceEngine
     return static_cast<Derived&>(*this).BeginDeviceSlice();
   }
 
-  void Save(DeviceSnapshot<Buffers>& snapshot) const {
-    static_cast<const Derived&>(*this).SaveBuffers(snapshot.buffers);
-    snapshot.consumed_device = ConsumedDevice();
-  }
-
-  /// Device time consumed after the checkpoint was speculative work that
-  /// the restore discards: rebases the clock mark so FinishGpu reports the
-  /// checkpoint's consumption plus whatever runs from here on.
-  void Load(const DeviceSnapshot<Buffers>& snapshot) {
-    static_cast<Derived&>(*this).LoadBuffers(snapshot.buffers);
-    clock_at_start_ = device_.sim_time_s() - snapshot.consumed_device;
-    finish_cache_.reset();
-  }
-
  protected:
   /// Marks the device clock and validates the launch (ValidateLaunch).
   DeviceEngine(sim::Device& device, const LaunchConfig& config,
                const meta::SearchBudget& budget, const char* engine)
-      : meta::SearchLoop<Derived, GpuRunResult, DeviceSnapshot<Buffers>>(
-            budget),
+      : meta::SearchLoop<Derived, GpuRunResult>(budget),
         device_(device),
         clock_at_start_(device.sim_time_s()) {
     ValidateLaunch(device, config, engine);
@@ -138,7 +86,7 @@ class DeviceEngine
   sim::Device& device_;
 
  private:
-  double clock_at_start_;
+  const double clock_at_start_;
   std::optional<GpuRunResult> finish_cache_;
 };
 

@@ -134,7 +134,7 @@ inline constexpr std::uint32_t kTouchedStride = kMaxPert + 1;
 /// [t * kTouchedStride, (t + 1) * kTouchedStride) of touched.
 ///
 /// Invariant: cand == curr at every generation boundary.  The engines
-/// establish it wherever they rewrite whole rows (construction, restore,
+/// establish it wherever they rewrite whole rows (construction and
 /// psa-sync's broadcast); PerturbCandidate and CommitMove keep it.  Then
 /// a candidate differs from its current row only at the positions the
 /// perturbation touched, and the simulator copies just those.  The

@@ -14,18 +14,6 @@
 namespace cdd::par {
 namespace {
 
-/// Host snapshot of the swarm at a generation boundary.  used is
-/// per-thread crossover scratch (rewritten before read) and is skipped;
-/// per-generation Philox streams are stateless in (seed, generation).
-struct DpsoBuffers {
-  std::vector<JobId> pos;
-  std::vector<JobId> pbest;
-  std::vector<JobId> gbest;
-  std::vector<Cost> pos_cost;
-  std::vector<Cost> pbest_cost;
-  std::int64_t packed_best = 0;
-};
-
 /// Swarm state: positions, particle bests, swarm best, plus the per-thread
 /// job marks of the in-place crossovers ("local memory" scratch).
 struct DpsoDeviceState {
@@ -51,7 +39,7 @@ struct DpsoDeviceState {
 };
 
 class ParallelDpsoEngine final
-    : public detail::DeviceEngine<ParallelDpsoEngine, DpsoBuffers> {
+    : public detail::DeviceEngine<ParallelDpsoEngine> {
  public:
   static constexpr const char* kTraceSpan = "par.dpso";
 
@@ -214,24 +202,6 @@ class ParallelDpsoEngine final
 
   Cost BestCost() const override {
     return raw::UnpackCost(*state_->packed_best.data());
-  }
-
-  void SaveBuffers(DpsoBuffers& b) const {
-    detail::CopyOut(state_->pos, b.pos);
-    detail::CopyOut(state_->pbest, b.pbest);
-    detail::CopyOut(state_->gbest, b.gbest);
-    detail::CopyOut(state_->pos_cost, b.pos_cost);
-    detail::CopyOut(state_->pbest_cost, b.pbest_cost);
-    b.packed_best = *state_->packed_best.data();
-  }
-
-  void LoadBuffers(const DpsoBuffers& b) {
-    detail::CopyIn(b.pos, state_->pos);
-    detail::CopyIn(b.pbest, state_->pbest);
-    detail::CopyIn(b.gbest, state_->gbest);
-    detail::CopyIn(b.pos_cost, state_->pos_cost);
-    detail::CopyIn(b.pbest_cost, state_->pbest_cost);
-    *state_->packed_best.data() = b.packed_best;
   }
 
   void ReadBest(GpuRunResult& result) {

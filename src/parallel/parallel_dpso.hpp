@@ -41,7 +41,7 @@ GpuRunResult RunParallelDpso(sim::Device& device, const Instance& instance,
                              const ParallelDpsoParams& params);
 
 /// Creates a resumable parallel-DPSO engine on \p device (not owned).
-/// Step units are generations; a checkpoint snapshots the swarm buffers.
+/// Step units are generations.
 std::unique_ptr<meta::Engine> MakeParallelDpsoEngine(
     sim::Device& device, const Instance& instance,
     const ParallelDpsoParams& params);

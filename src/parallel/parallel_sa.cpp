@@ -17,21 +17,6 @@ namespace cdd::par {
 
 namespace {
 
-/// Host snapshot of the device-resident SA state at a generation boundary.
-/// cand mirrors curr there and cand_cost is per-generation scratch, so
-/// neither needs saving.  best_seq holds every thread's personal best,
-/// with the rows deferred on the device (best_is_curr) written out.
-/// Per-generation Philox streams are derived statelessly from (seed,
-/// generation, phase, thread), so no RNG state is captured either.
-struct SaBuffers {
-  std::vector<JobId> curr;
-  std::vector<JobId> best_seq;
-  std::vector<Cost> curr_cost;
-  std::vector<Cost> best_cost;
-  std::int64_t packed_best = 0;
-  double temperature = 0.0;
-};
-
 /// Checks the perturbation size before any device allocation and resolves
 /// the initial temperature on the host (Salamon rule, Section VI).
 double ValidateAndResolveT0(const Instance& instance,
@@ -83,7 +68,7 @@ struct SaDeviceState {
 };
 
 class ParallelSaEngine final
-    : public detail::DeviceEngine<ParallelSaEngine, SaBuffers> {
+    : public detail::DeviceEngine<ParallelSaEngine> {
  public:
   static constexpr const char* kTraceSpan = "par.sa";
 
@@ -111,8 +96,8 @@ class ParallelSaEngine final
       device_.RecordH2D(state_->curr.bytes());  // the rows' upload
       state_->best_seq.CopyFromHost(init);
       // cand == curr at every generation boundary (raw::ChainRows); the
-      // host copies charge nothing, like a checkpoint restore.
-      detail::CopyIn(init, state_->cand);
+      // host copy charges nothing (device memory is simulated).
+      std::ranges::copy(init, state_->cand.data());
     }
 
     // Pool views over the device buffers: same row geometry the host
@@ -239,33 +224,6 @@ class ParallelSaEngine final
     // packed_best already holds the ensemble minimum (kernel 4 keeps it
     // current every generation); reading it is host bookkeeping.
     return raw::UnpackCost(*state_->packed_best.data());
-  }
-
-  void SaveBuffers(SaBuffers& b) const {
-    detail::CopyOut(state_->curr, b.curr);
-    detail::CopyOut(state_->best_seq, b.best_seq);
-    const std::size_t n = static_cast<std::size_t>(state_->problem.n());
-    const std::uint8_t* flags = state_->best_is_curr.data();
-    for (std::size_t t = 0; t < state_->best_is_curr.size(); ++t) {
-      if (flags[t] != 0) {
-        std::copy_n(b.curr.begin() + t * n, n, b.best_seq.begin() + t * n);
-      }
-    }
-    detail::CopyOut(state_->curr_cost, b.curr_cost);
-    detail::CopyOut(state_->best_cost, b.best_cost);
-    b.packed_best = *state_->packed_best.data();
-    b.temperature = temperature_;
-  }
-
-  void LoadBuffers(const SaBuffers& b) {
-    detail::CopyIn(b.curr, state_->curr);
-    detail::CopyIn(b.best_seq, state_->best_seq);
-    detail::CopyIn(b.curr_cost, state_->curr_cost);
-    detail::CopyIn(b.best_cost, state_->best_cost);
-    *state_->packed_best.data() = b.packed_best;
-    temperature_ = b.temperature;
-    state_->best_is_curr.Fill(0);
-    detail::CopyIn(b.curr, state_->cand);
   }
 
   /// Downloads the winner — Figure 9's single D2H.  A winner whose best

@@ -62,10 +62,9 @@ GpuRunResult RunParallelSa(sim::Device& device, const Instance& instance,
                            const ParallelSaParams& params);
 
 /// Creates a resumable parallel-SA engine on \p device (not owned; one
-/// engine per device at a time).  Step units are generations; a checkpoint
-/// snapshots the ensemble buffers on the host without charging modeled
-/// transfer time.  Per-generation Philox streams are stateless in
-/// (seed, generation), so resumes replay bit-identically.
+/// engine per device at a time).  Step units are generations.
+/// Per-generation Philox streams are stateless in (seed, generation), so
+/// a run split into slices replays bit-identically.
 std::unique_ptr<meta::Engine> MakeParallelSaEngine(
     sim::Device& device, const Instance& instance,
     const ParallelSaParams& params);

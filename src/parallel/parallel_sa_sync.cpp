@@ -18,18 +18,6 @@ namespace cdd::par {
 
 namespace {
 
-/// State at a temperature-level boundary.  Every level ends with the
-/// broadcast that overwrites all current states, so curr/curr_cost (plus
-/// the host-tracked best and the AtomicMin accumulator) are the whole
-/// ensemble state; cand mirrors curr and the per-level buffers are
-/// scratch.  The temperature is a pure function of the level index — no
-/// accumulator.
-struct SyncBuffers {
-  std::vector<JobId> curr;
-  std::vector<Cost> curr_cost;
-  std::int64_t packed_best = 0;
-};
-
 double ValidateAndResolveT0(const Instance& instance,
                             const ParallelSaSyncParams& params) {
   if (params.pert > raw::kMaxPert) {
@@ -72,7 +60,7 @@ struct SaSyncDeviceState {
 };
 
 class ParallelSaSyncEngine final
-    : public detail::DeviceEngine<ParallelSaSyncEngine, SyncBuffers> {
+    : public detail::DeviceEngine<ParallelSaSyncEngine> {
  public:
   ParallelSaSyncEngine(sim::Device& device, const Instance& instance,
                        const ParallelSaSyncParams& params)
@@ -95,8 +83,8 @@ class ParallelSaSyncEngine final
       detail::WriteInitialSequences(init, n, budget_.seed);
       device_.RecordH2D(state_->curr.bytes());  // the rows' upload
       // cand == curr at every level boundary (raw::ChainRows); the host
-      // copies charge nothing, like a checkpoint restore.
-      detail::CopyIn(init, state_->cand);
+      // copy charges nothing (device memory is simulated).
+      std::ranges::copy(init, state_->cand.data());
     }
 
     const CandidatePoolView curr_pool = detail::DeviceView(
@@ -253,22 +241,9 @@ class ParallelSaSyncEngine final
   Cost BestCost() const override {
     if (!loop_.result.best.empty()) return loop_.result.best_cost;
     // No level has run yet: the ensemble's best initial state (a host
-    // read of device memory, like the checkpoint snapshots).
+    // read of simulated device memory, which charges nothing).
     const Cost* costs = state_->curr_cost.data();
     return *std::min_element(costs, costs + params_.config.ensemble());
-  }
-
-  void SaveBuffers(SyncBuffers& b) const {
-    detail::CopyOut(state_->curr, b.curr);
-    detail::CopyOut(state_->curr_cost, b.curr_cost);
-    b.packed_best = *state_->packed_best.data();
-  }
-
-  void LoadBuffers(const SyncBuffers& b) {
-    detail::CopyIn(b.curr, state_->curr);
-    detail::CopyIn(b.curr_cost, state_->curr_cost);
-    *state_->packed_best.data() = b.packed_best;
-    detail::CopyIn(b.curr, state_->cand);
   }
 
   /// The best broadcast state is tracked on the host, so a run with at

@@ -8,20 +8,6 @@
 
 namespace cdd::portfolio {
 
-namespace {
-
-struct RaceCheckpoint final : meta::EngineCheckpoint {
-  std::vector<std::unique_ptr<meta::EngineCheckpoint>> contenders;
-  std::vector<meta::StepStatus> states;
-  std::vector<bool> live;
-  std::uint64_t rounds = 0;
-  meta::StepStatus status = meta::StepStatus::kRunning;
-  RaceReport report;
-  bool recorded = false;
-};
-
-}  // namespace
-
 RaceEngine::RaceEngine(std::vector<RaceContender> contenders,
                        RaceParams params)
     : params_(params), contenders_(std::move(contenders)) {
@@ -143,37 +129,6 @@ Cost RaceEngine::BestCost() const {
     if (live_[i]) best = std::min(best, contenders_[i].engine->BestCost());
   }
   return best;
-}
-
-std::unique_ptr<meta::EngineCheckpoint> RaceEngine::Checkpoint() const {
-  auto cp = std::make_unique<RaceCheckpoint>();
-  cp->contenders.reserve(contenders_.size());
-  for (const RaceContender& contender : contenders_) {
-    cp->contenders.push_back(contender.engine->Checkpoint());
-  }
-  cp->states = states_;
-  cp->live = live_;
-  cp->rounds = rounds_;
-  cp->status = status_;
-  cp->report = report_;
-  cp->recorded = recorded_;
-  return cp;
-}
-
-void RaceEngine::Restore(const meta::EngineCheckpoint& checkpoint) {
-  const auto* cp = dynamic_cast<const RaceCheckpoint*>(&checkpoint);
-  if (cp == nullptr || cp->contenders.size() != contenders_.size()) {
-    throw std::invalid_argument("RaceEngine: foreign checkpoint");
-  }
-  for (std::size_t i = 0; i < contenders_.size(); ++i) {
-    contenders_[i].engine->Restore(*cp->contenders[i]);
-  }
-  states_ = cp->states;
-  live_ = cp->live;
-  rounds_ = cp->rounds;
-  status_ = cp->status;
-  report_ = cp->report;
-  recorded_ = cp->recorded;
 }
 
 meta::EngineOutput RaceEngine::Finish() {

@@ -14,9 +14,9 @@
 /// contenders + same slice => same kill schedule => same winner.
 ///
 /// The race is itself a meta::Engine (Step unit = one scheduling round),
-/// so it can be cached, preempted and checkpointed like any contender —
-/// including mid-race, where a checkpoint snapshots every live
-/// contender's state plus the kill bookkeeping.
+/// so it can be cached and preempted like any contender, mid-race
+/// included: a paused race keeps every live contender and the kill
+/// bookkeeping until its next round.
 
 #include <cstdint>
 #include <functional>
@@ -72,8 +72,6 @@ class RaceEngine final : public meta::Engine {
   meta::StepStatus Step(std::uint64_t units) override;
   std::uint64_t Remaining() const override;
   Cost BestCost() const override;
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override;
-  void Restore(const meta::EngineCheckpoint& checkpoint) override;
   meta::EngineOutput Finish() override;
 
   const RaceReport& report() const { return report_; }

@@ -38,12 +38,6 @@ class OwningDeviceEngine final : public meta::Engine {
   }
   std::uint64_t Remaining() const override { return inner_->Remaining(); }
   Cost BestCost() const override { return inner_->BestCost(); }
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
-    return inner_->Checkpoint();
-  }
-  void Restore(const meta::EngineCheckpoint& checkpoint) override {
-    inner_->Restore(checkpoint);
-  }
   meta::EngineOutput Finish() override { return inner_->Finish(); }
 
  private:

@@ -133,8 +133,8 @@ std::size_t PoolCapacityHint(std::string_view name);
 /// Creates a resumable engine (meta::Engine lifecycle) for one solve.
 /// The returned engine owns everything it needs — factories for the
 /// device engines bundle a private simulated device with the engine when
-/// `options.device` is null — so it can be stepped, checkpointed and
-/// preempted long after the factory call returns.
+/// `options.device` is null — so it can be stepped and preempted long
+/// after the factory call returns.
 using EngineFactory = std::function<std::unique_ptr<meta::Engine>(
     const Instance&, const EngineOptions&)>;
 

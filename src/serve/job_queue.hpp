@@ -98,7 +98,7 @@ class JobQueue {
 
   /// Pops the highest-priority item only if its priority is strictly
   /// above \p floor; nullopt otherwise.  The atomic check-and-claim of
-  /// the preemption loop: a worker paused at a checkpoint claims more
+  /// the preemption loop: a worker paused at a Step boundary claims more
   /// urgent work, or nothing.
   std::optional<T> TryPopAbove(int floor) {
     const std::scoped_lock lock(mutex_);

@@ -1,7 +1,9 @@
 #include "serve/net/wire.hpp"
 
 #include <iomanip>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "trace/json.hpp"
@@ -32,6 +34,27 @@ std::int64_t IntOr(const JsonValue& object, const std::string& key,
                    std::int64_t fallback) {
   const JsonValue* member = object.Find(key);
   return member == nullptr ? fallback : member->AsInt();
+}
+
+/// Optional unsigned option with a typed default.  A value that is not an
+/// integer in T's range — negative, or past its maximum — is a WireError
+/// naming the option, never a wrapped count.
+template <typename T>
+T UintOr(const JsonValue& options, const std::string& key, T fallback) {
+  const JsonValue* member = options.Find(key);
+  if (member == nullptr) return fallback;
+  std::uint64_t value = 0;
+  bool in_range = true;
+  try {
+    value = member->AsUint();
+  } catch (const JsonError&) {
+    in_range = false;
+  }
+  if (!in_range || value > std::numeric_limits<T>::max()) {
+    throw WireError("option '" + key + "' is not an integer in [0, " +
+                    std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return static_cast<T>(value);
 }
 
 }  // namespace
@@ -82,29 +105,21 @@ SolveRequest ParseRequest(std::string_view payload) {
     request.instance = trace::ParseInstanceJson(root.At("instance"));
     if (const JsonValue* options = root.Find("options")) {
       EngineOptions& opt = request.options;
-      opt.generations = static_cast<std::uint64_t>(
-          IntOr(*options, "generations",
-                static_cast<std::int64_t>(opt.generations)));
+      opt.generations = UintOr(*options, "generations", opt.generations);
       opt.seed = static_cast<std::uint64_t>(
           IntOr(*options, "seed", static_cast<std::int64_t>(opt.seed)));
-      opt.ensemble =
-          static_cast<std::uint32_t>(IntOr(*options, "ensemble",
-                                           opt.ensemble));
-      opt.block =
-          static_cast<std::uint32_t>(IntOr(*options, "block", opt.block));
-      opt.chains =
-          static_cast<std::uint32_t>(IntOr(*options, "chains", opt.chains));
-      opt.trajectory_stride = static_cast<std::uint32_t>(
-          IntOr(*options, "trajectory_stride", opt.trajectory_stride));
+      opt.ensemble = UintOr(*options, "ensemble", opt.ensemble);
+      opt.block = UintOr(*options, "block", opt.block);
+      opt.chains = UintOr(*options, "chains", opt.chains);
+      opt.trajectory_stride =
+          UintOr(*options, "trajectory_stride", opt.trajectory_stride);
       if (const JsonValue* vshape = options->Find("vshape_init")) {
         opt.vshape_init = vshape->AsBool();
       }
       if (const JsonValue* portfolio = options->Find("portfolio")) {
         opt.portfolio = portfolio->AsString();
       }
-      opt.race_slice = static_cast<std::uint64_t>(
-          IntOr(*options, "race_slice",
-                static_cast<std::int64_t>(opt.race_slice)));
+      opt.race_slice = UintOr(*options, "race_slice", opt.race_slice);
     }
     request.deadline =
         std::chrono::milliseconds(IntOr(root, "deadline_ms", 0));

@@ -61,10 +61,10 @@ struct SolveRequest {
   std::chrono::milliseconds deadline{0};
   /// Scheduling priority: higher dequeues first (FIFO within a level);
   /// with ServiceConfig::preempt_slice set, a higher-priority arrival also
-  /// preempts a running lower-priority solve at its next checkpoint
-  /// boundary.  Under overload (queue past the high watermark) the lowest
-  /// priority level is shed first.  Priority orders work but never changes
-  /// any result, so it is deliberately NOT part of the cache key.
+  /// preempts a running lower-priority solve at its next Step boundary.
+  /// Under overload (queue past the high watermark) the lowest priority
+  /// level is shed first.  Priority orders work but never changes any
+  /// result, so it is deliberately NOT part of the cache key.
   int priority = 0;
   /// Fair-share accounting tag.  Above the low watermark, a tenant whose
   /// queued requests already exceed its share (capacity / active tenants)

@@ -130,6 +130,10 @@ SolverService::SolverService(ServiceConfig config,
       std::min(config_.shed_low_watermark, config_.shed_high_watermark);
   if (!config_.manifest_path.empty()) {
     manifest_.open(config_.manifest_path, std::ios::app);
+    if (!manifest_.is_open()) {
+      throw std::invalid_argument("SolverService: cannot open manifest '" +
+                                  config_.manifest_path + "'");
+    }
   }
   slot_stops_.reserve(config_.workers);
   for (unsigned w = 0; w < config_.workers; ++w) {
@@ -462,7 +466,7 @@ void SolverService::Process(Job&& job, unsigned slot, unsigned depth) {
       CDD_TRACE_SPAN("serve.engine");
       // Without preemption the whole budget is one Step.  With it, the
       // engine runs preempt_slice native units at a time; between slices
-      // it sits at a checkpoint boundary, so a higher-priority arrival can
+      // it sits at a Step boundary, so a higher-priority arrival can
       // be solved *now* on this worker — the paused engine's state just
       // stays live on this stack frame — and the original solve resumes
       // bit-identically afterwards (the split-run guarantee of the
@@ -530,8 +534,10 @@ void SolverService::Process(Job&& job, unsigned slot, unsigned depth) {
           const std::string line = trace::WriteManifestLine(
               MakeManifestRecord(job.request.instance, job.request.engine,
                                  job.request.options, run.result));
+          // Flushed per record: the file is complete whenever a response
+          // is, not only once the service shuts down.
           const std::scoped_lock lock(manifest_mutex_);
-          manifest_ << line << "\n";
+          manifest_ << line << '\n' << std::flush;
         }
       }
     }

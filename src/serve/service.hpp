@@ -80,6 +80,8 @@ struct ServiceConfig {
   /// appends one JSONL run manifest here — the record tools/sched_replay
   /// re-executes and verifies bit-identically.  Truncated and failed runs
   /// are never recorded: a manifest always describes a reproducible run.
+  /// Each record is flushed as it is written; a path that cannot be
+  /// opened makes the constructor throw std::invalid_argument.
   std::string manifest_path{};
   /// Candidate-pool placement for request-scoped pools ("host" or
   /// "device").  Empty defers to CDD_POOL_BACKEND (then "host");

@@ -21,19 +21,10 @@
 
 namespace cdd::testing {
 
-/// Stateless engines have nothing to capture: an empty checkpoint.
-class StatelessEngine : public meta::Engine {
- public:
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
-    return std::make_unique<meta::EngineCheckpoint>();
-  }
-  void Restore(const meta::EngineCheckpoint&) override {}
-};
-
 /// Each Step unit burns ~1ms of wall time, so a solve is "long" in a way
 /// a test can reason about.  The started flag lets the test wait until
 /// the engine is actually on a worker.
-class PacedEngine final : public StatelessEngine {
+class PacedEngine final : public meta::Engine {
  public:
   PacedEngine(std::uint64_t budget, std::atomic<bool>* started)
       : budget_(budget), started_(started) {}
@@ -94,7 +85,7 @@ struct Gate {
 
 /// One Step that blocks on \p gate, then a trivial complete run: the
 /// identity sequence at cost 0 after one evaluation.
-class GateEngine final : public StatelessEngine {
+class GateEngine final : public meta::Engine {
  public:
   GateEngine(Gate* gate, std::size_t n) : gate_(gate), n_(n) {}
 
@@ -137,7 +128,7 @@ inline serve::EngineRegistry BlockingRegistry(Gate* gate) {
 /// One Step that polls \p stop (and, when given, \p release) every
 /// millisecond: it ends kStopped once the token fires, kDone once the
 /// release flag is set.  \p started, when given, counts Steps entered.
-class StopPollingEngine final : public StatelessEngine {
+class StopPollingEngine final : public meta::Engine {
  public:
   explicit StopPollingEngine(StopToken stop,
                              const std::atomic<bool>* release = nullptr,

@@ -1,7 +1,7 @@
 /// The variant tier's engine behavior (docs/WORKLOADS.md): "sa" and "ta"
 /// search (permutation, splits) candidates on parallel-machine and
-/// early-work instances, their lifecycle guarantees (split-run
-/// determinism, checkpoint/restore) extend to the splits state, reported
+/// early-work instances, their lifecycle guarantee (split-run
+/// determinism) extends to the splits state, reported
 /// costs match the raw evaluators, and every other engine rejects the
 /// variants with the support diagnostic.
 
@@ -132,26 +132,6 @@ TEST(MachinesEngine, SplitRunMatchesUninterrupted) {
       EXPECT_EQ(out.result.evaluations, whole.result.evaluations) << label;
       EXPECT_EQ(out.result.trajectory, whole.result.trajectory) << label;
     }
-  }
-}
-
-TEST(MachinesEngine, RestoreRewindsSplitsState) {
-  for (const std::string name : kVariantEngines) {
-    const Instance instance = MachineInstance(2, true);
-    auto reference = MakeEngine(name, instance);
-    const meta::EngineOutput whole = meta::RunToCompletion(*reference);
-
-    auto engine = MakeEngine(name, instance);
-    engine->Step(37);
-    const auto checkpoint = engine->Checkpoint();
-    engine->Step(101);  // speculative: moves current splits and sequence
-    engine->Restore(*checkpoint);
-    engine->Step(meta::kStepAll);
-    const meta::EngineOutput out = engine->Finish();
-    EXPECT_EQ(out.result.best_cost, whole.result.best_cost) << name;
-    EXPECT_EQ(out.result.best, whole.result.best) << name;
-    EXPECT_EQ(out.result.best_splits, whole.result.best_splits) << name;
-    EXPECT_EQ(out.result.evaluations, whole.result.evaluations) << name;
   }
 }
 

@@ -54,27 +54,17 @@ TEST(ParallelSa, BestCostMatchesReportedSequence) {
 TEST(ParallelSa, EveryStoppedRunReportsARowThatRecostsToItsBest) {
   // Personal-best rows are written out lazily (best_is_curr), so right
   // after an improvement the winner's row lives in curr.  Stopping after
-  // every generation count from 1 to 40 hits such winners; Finish() and a
-  // checkpoint restored into a fresh engine must both report a row that
-  // recosts to best_cost.
+  // every generation count from 1 to 40 hits such winners; Finish() must
+  // report a row that recosts to best_cost.
   const Instance instance = cdd::testing::RandomCdd(25, 0.6, 303);
   const meta::Objective objective = meta::Objective::ForInstance(instance);
   for (std::uint64_t g = 1; g <= 40; ++g) {
     sim::Device gpu;
     auto engine = MakeParallelSaEngine(gpu, instance, SmallParams(32, 16, 40));
     engine->Step(g);
-    const auto checkpoint = engine->Checkpoint();
     const meta::EngineOutput out = engine->Finish();
     ASSERT_NO_THROW(ValidateSequence(out.result.best, 25)) << "g=" << g;
     ASSERT_EQ(objective(out.result.best), out.result.best_cost) << "g=" << g;
-
-    sim::Device other;
-    auto restored =
-        MakeParallelSaEngine(other, instance, SmallParams(32, 16, 40));
-    restored->Restore(*checkpoint);
-    const meta::EngineOutput again = restored->Finish();
-    ASSERT_EQ(again.result.best, out.result.best) << "g=" << g;
-    ASSERT_EQ(again.result.best_cost, out.result.best_cost) << "g=" << g;
   }
 }
 

@@ -127,13 +127,17 @@ TEST(ServiceAdmission, TenantOverFairShareIsShed) {
   fifth.tenant = "greedy";
   std::future<SolveResponse> fifth_future =
       service.Submit(std::move(fifth));
-  ASSERT_EQ(fifth_future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(fifth_future.get().status, SolveStatus::kShedOverload);
+  // Only readiness is recorded while the worker is parked: an assertion
+  // that returned here would leave the destructor joining a parked
+  // worker, and a get() on an unready future would wait on the gate.
+  const bool fifth_ready = fifth_future.wait_for(std::chrono::seconds(0)) ==
+                           std::future_status::ready;
   EXPECT_EQ(service.metrics().counter("shed_tenant_overquota").value(), 1u);
 
   gate.Release();
   parked.get();
+  EXPECT_TRUE(fifth_ready) << "the over-share request was not shed";
+  EXPECT_EQ(fifth_future.get().status, SolveStatus::kShedOverload);
   for (auto& future : greedy) {
     EXPECT_EQ(future.get().status, SolveStatus::kOk);
   }
@@ -171,16 +175,19 @@ TEST(ServiceAdmission, DeadlineInfeasibleRejectedAtAdmission) {
   doomed.deadline = std::chrono::milliseconds(1);
   std::future<SolveResponse> doomed_future =
       service.Submit(std::move(doomed));
-  ASSERT_EQ(doomed_future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(doomed_future.get().status,
-            SolveStatus::kRejectedDeadlineInfeasible);
+  // Readiness only while parked (see TenantOverFairShareIsShed).
+  const bool doomed_ready =
+      doomed_future.wait_for(std::chrono::seconds(0)) ==
+      std::future_status::ready;
   EXPECT_EQ(
       service.metrics().counter("rejected_deadline_infeasible").value(),
       1u);
 
   gate.Release();
   parked.get();
+  EXPECT_TRUE(doomed_ready) << "not answered at admission";
+  EXPECT_EQ(doomed_future.get().status,
+            SolveStatus::kRejectedDeadlineInfeasible);
   EXPECT_EQ(filler.get().status, SolveStatus::kOk);
   service.Shutdown();
 }

@@ -147,11 +147,14 @@ TEST(ServiceCoalesce, ExpiredLeaderReElectsAWaiter) {
   waiter.options.generations = 200;
   std::future<SolveResponse> waiter_future =
       service.Submit(std::move(waiter));
-  ASSERT_TRUE(AwaitCounter(service, "coalesced_joins", 1));
+  // Recorded, not asserted, while the worker is parked: an assertion that
+  // returned here would leave the destructor joining a parked worker.
+  const bool joined = AwaitCounter(service, "coalesced_joins", 1);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   gate.Release();
   parked.get();
+  EXPECT_TRUE(joined) << "the duplicate did not join the queued leader";
 
   // The leader expired in the queue without solving...
   EXPECT_EQ(leader_future.get().status, SolveStatus::kDeadlineExpired);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,18 @@ TEST(Wire, RequestRoundTripsEveryField) {
   EXPECT_EQ(CacheKey(parsed), CacheKey(request));
 }
 
+/// \p payload with the integer value of option \p field replaced by
+/// \p value, or "" when the payload does not carry the option.
+std::string WithOption(std::string payload, const std::string& field,
+                       const std::string& value) {
+  const std::string key = "\"" + field + "\":";
+  const std::size_t begin = payload.find(key);
+  if (begin == std::string::npos) return "";
+  const std::size_t start = begin + key.size();
+  const std::size_t end = payload.find_first_of(",}", start);
+  return payload.replace(start, end - start, value);
+}
+
 TEST(Wire, RequestParsingIsStrict) {
   EXPECT_THROW(ParseRequest("{"), WireError);
   EXPECT_THROW(ParseRequest(R"({"op":"stats","id":1})"), WireError);
@@ -129,6 +142,57 @@ TEST(Wire, RequestParsingIsStrict) {
   ASSERT_NE(at, std::string::npos);
   payload.replace(at, needle.size(), "\"generations\":\"many\"");
   EXPECT_THROW(ParseRequest(payload), WireError);
+
+  // Each count is range-checked against its own field type: -1 and max+1
+  // are WireErrors naming the option instead of wrapping to a huge or a
+  // zero count, and the type maximum itself still parses.
+  request.options.race_slice = 1;  // written only when set
+  const std::string valid = WriteRequest(request);
+  using Get = std::uint64_t (*)(const EngineOptions&);
+  struct Field {
+    const char* name;
+    const char* max;
+    const char* past_max;
+    Get get;
+  };
+  const char* u32_max = "4294967295";
+  const char* u32_past = "4294967296";
+  const char* u64_max = "18446744073709551615";
+  const char* u64_past = "18446744073709551616";
+  const Field fields[] = {
+      {"generations", u64_max, u64_past,
+       [](const EngineOptions& o) -> std::uint64_t { return o.generations; }},
+      {"ensemble", u32_max, u32_past,
+       [](const EngineOptions& o) -> std::uint64_t { return o.ensemble; }},
+      {"block", u32_max, u32_past,
+       [](const EngineOptions& o) -> std::uint64_t { return o.block; }},
+      {"chains", u32_max, u32_past,
+       [](const EngineOptions& o) -> std::uint64_t { return o.chains; }},
+      {"trajectory_stride", u32_max, u32_past,
+       [](const EngineOptions& o) -> std::uint64_t {
+         return o.trajectory_stride;
+       }},
+      {"race_slice", u64_max, u64_past,
+       [](const EngineOptions& o) -> std::uint64_t { return o.race_slice; }},
+  };
+  for (const Field& field : fields) {
+    for (const char* bad : {"-1", field.past_max}) {
+      const std::string mutated = WithOption(valid, field.name, bad);
+      ASSERT_FALSE(mutated.empty()) << field.name;
+      try {
+        ParseRequest(mutated);
+        ADD_FAILURE() << field.name << "=" << bad << " parsed";
+      } catch (const WireError& error) {
+        EXPECT_NE(std::string(error.what()).find(field.name),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+    const SolveRequest parsed =
+        ParseRequest(WithOption(valid, field.name, field.max));
+    EXPECT_EQ(std::to_string(field.get(parsed.options)), field.max)
+        << field.name;
+  }
 }
 
 TEST(Wire, ResponseRoundTripsIncludingOverloadStatuses) {

@@ -1,4 +1,4 @@
-/// Checkpoint-boundary preemption in the SolverService: with a
+/// Step-boundary preemption in the SolverService: with a
 /// preempt_slice configured, a higher-priority arrival pauses the running
 /// lower-priority solve at its next Step boundary, runs to completion on
 /// the same worker, and the paused solve then resumes and still finishes.
@@ -28,7 +28,7 @@ using cdd::testing::PacedEngine;
 
 /// Free Step units: records every Step budget and every Finish call, so a
 /// test can see exactly how the service drove the engine.
-class CountingEngine final : public cdd::testing::StatelessEngine {
+class CountingEngine final : public meta::Engine {
  public:
   CountingEngine(std::uint64_t budget, std::vector<std::uint64_t>* steps,
                  int* finishes)

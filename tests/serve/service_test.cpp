@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -18,6 +20,7 @@
 #include "common/test_instances.hpp"
 #include "core/sequence.hpp"
 #include "orlib/biskup_feldmann.hpp"
+#include "trace/manifest.hpp"
 
 namespace cdd::serve {
 namespace {
@@ -70,6 +73,42 @@ TEST(SolverService, RetiredPoolBackendNamesTheTwoPlacements) {
     EXPECT_NE(what.find("'numa'"), std::string::npos) << what;
     EXPECT_NE(what.find("host"), std::string::npos) << what;
     EXPECT_NE(what.find("device"), std::string::npos) << what;
+  }
+}
+
+TEST(SolverService, ManifestRecordIsOnDiskWhenItsResponseIs) {
+  // A record is flushed as it is written, so a reader sees it as soon as
+  // the solve's future resolves — not only once the service shuts down.
+  const std::string path =
+      ::testing::TempDir() + "/service_manifest_flush_test.jsonl";
+  std::remove(path.c_str());
+  SolverService service(ServiceConfig{.workers = 1, .manifest_path = path});
+  const SolveResponse response = service.Submit(SmallRequest(1)).get();
+  ASSERT_EQ(response.status, SolveStatus::kOk);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << path;
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line)) << "no record while the service runs";
+  const trace::ManifestRecord record = trace::ParseManifestLine(line);
+  EXPECT_EQ(record.engine, "sa");
+  EXPECT_EQ(record.best_cost, response.result.best_cost);
+  EXPECT_EQ(record.evaluations, response.result.evaluations);
+  EXPECT_FALSE(std::getline(in, line)) << "one solve, one record";
+  std::remove(path.c_str());
+}
+
+TEST(SolverService, UnopenableManifestPathFailsConstruction) {
+  // A manifest that cannot be written is a configuration error, not a
+  // service that silently records nothing.
+  const std::string path =
+      ::testing::TempDir() + "/no_such_dir_for_manifest/m.jsonl";
+  try {
+    SolverService service(ServiceConfig{.manifest_path = path});
+    FAIL() << "constructor accepted manifest_path = " << path;
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
   }
 }
 

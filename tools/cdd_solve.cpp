@@ -185,7 +185,6 @@ int main(int argc, char** argv) {
       gpu.set_exec_backend(parsed);
     }
     serve::EngineOptions options;
-    if (!exec_backend.empty()) options.exec_backend = gpu.exec_backend();
     options.generations =
         static_cast<std::uint64_t>(args.GetInt("gens", 1000));
     options.seed = seed;
