@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <random>  // std::uniform_random_bit_generator
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -55,23 +56,30 @@ concept BulkGenerator =
       rng.Fill(out, count);
     };
 
-/// Fisher–Yates shuffle of the whole range (Cormen et al. [14]).  The
-/// draws come 64 at a time through Fill; they and the result are those of
-/// one UniformBelow() call per position.
-template <BulkGenerator Rng>
-inline void FisherYates(std::span<JobId> seq, Rng& rng) {
+/// Fisher–Yates shuffle of \p count slots (Cormen et al. [14]), applied
+/// through \p swap(a, b), which exchanges slots a and b.  The draws come
+/// 64 at a time through Fill; they and the swaps are those of one
+/// UniformBelow() call per slot.
+template <BulkGenerator Rng, class Swap>
+inline void FisherYatesSwaps(std::size_t count, Rng& rng, Swap&& swap) {
   constexpr std::size_t kChunk = 64;
   std::uint32_t draws[kChunk];
-  std::size_t i = seq.size();
+  std::size_t i = count;
   while (i > 1) {
     const std::size_t take = std::min(i - 1, kChunk);
     rng.Fill(draws, take);
     for (std::size_t k = 0; k < take; ++k, --i) {
-      const std::uint32_t j =
-          ScaleBelow(draws[k], static_cast<std::uint32_t>(i));
-      std::swap(seq[i - 1], seq[j]);
+      swap(i - 1, ScaleBelow(draws[k], static_cast<std::uint32_t>(i)));
     }
   }
+}
+
+/// Fisher–Yates shuffle of the whole range.
+template <BulkGenerator Rng>
+inline void FisherYates(std::span<JobId> seq, Rng& rng) {
+  FisherYatesSwaps(seq.size(), rng, [seq](std::size_t a, std::size_t b) {
+    std::swap(seq[a], seq[b]);
+  });
 }
 
 /// Returns a uniformly random permutation of {0, ..., n-1}.
@@ -86,15 +94,19 @@ inline Sequence RandomSequence(std::size_t n, Rng& rng) {
 /// positions uniformly at random and shuffle the jobs at those positions
 /// (Fisher–Yates on the selected sub-sequence); all other jobs stay put.
 ///
-/// \p scratch must provide at least \p pert elements of JobId storage and
-/// \p pert elements of position storage; the overload below allocates.
-/// With pert >= seq.size() this degenerates to a full shuffle.
+/// \p positions and \p values must each hold at least \p pert elements;
+/// the overload below allocates them.  With pert >= seq.size() this
+/// degenerates to a full shuffle.  Returns the number k of positions it
+/// shuffled (0 when it left \p seq alone); positions[0, k) then holds
+/// them and values[0, k) the jobs they held before, so writing values[i]
+/// back to seq[positions[i]] for every i < k undoes the move.
 template <BulkGenerator Rng>
-inline void PartialFisherYates(std::span<JobId> seq, std::uint32_t pert,
-                               Rng& rng, std::span<std::uint32_t> positions,
-                               std::span<JobId> values) {
+inline std::uint32_t PartialFisherYates(std::span<JobId> seq,
+                                        std::uint32_t pert, Rng& rng,
+                                        std::span<std::uint32_t> positions,
+                                        std::span<JobId> values) {
   const auto n = static_cast<std::uint32_t>(seq.size());
-  if (n < 2 || pert < 2) return;
+  if (n < 2 || pert < 2) return 0;
   if (pert > n) pert = n;
   // Floyd's algorithm would avoid the retry loop, but pert is tiny (4 in the
   // paper) so rejection sampling of distinct positions is cheap and keeps
@@ -112,8 +124,12 @@ inline void PartialFisherYates(std::span<JobId> seq, std::uint32_t pert,
     if (!duplicate) positions[chosen++] = p;
   }
   for (std::uint32_t k = 0; k < pert; ++k) values[k] = seq[positions[k]];
-  FisherYates(values.subspan(0, pert), rng);
-  for (std::uint32_t k = 0; k < pert; ++k) seq[positions[k]] = values[k];
+  // Shuffling the selected slots of seq in place draws and moves exactly
+  // as shuffling a copy of them would, and leaves the copy as it was.
+  FisherYatesSwaps(pert, rng, [seq, positions](std::size_t a, std::size_t b) {
+    std::swap(seq[positions[a]], seq[positions[b]]);
+  });
+  return pert;
 }
 
 /// Allocating convenience overload of PartialFisherYates().
@@ -127,15 +143,18 @@ inline void PartialFisherYates(std::span<JobId> seq, std::uint32_t pert,
 }
 
 /// Swaps two distinct random positions (the F1 "velocity" operator of the
-/// DPSO, Section VII).  No-op for n < 2.
+/// DPSO, Section VII) and returns them; swapping them again undoes the
+/// move.  No-op returning {0, 0} for n < 2.
 template <std::uniform_random_bit_generator Rng>
-inline void RandomSwap(std::span<JobId> seq, Rng& rng) {
+inline std::pair<std::uint32_t, std::uint32_t> RandomSwap(
+    std::span<JobId> seq, Rng& rng) {
   const auto n = static_cast<std::uint32_t>(seq.size());
-  if (n < 2) return;
+  if (n < 2) return {0, 0};
   const std::uint32_t i = UniformBelow(rng, n);
   std::uint32_t j = UniformBelow(rng, n - 1);
   if (j >= i) ++j;
   std::swap(seq[i], seq[j]);
+  return {i, j};
 }
 
 /// Number of positions at which two sequences differ (used by the

@@ -2,14 +2,18 @@
 /// \file chain.hpp
 /// \brief Single-chain engine shared by serial SA and Threshold Accepting.
 ///
-/// Both walk one Markov chain over (permutation, splits) candidates: copy
-/// the current state into the candidate row, propose a split shift (m > 1
-/// only) or a sequence move, evaluate, and adopt the candidate when the
-/// acceptance rule says so.  ChainEngine owns that chain; the derived
-/// engine (CRTP) supplies only
+/// Both walk one Markov chain over (permutation, splits) candidates.  The
+/// chain works in place: each iteration applies a split shift (m > 1
+/// only) or a sequence move to the current row, scores that one row with
+/// SequenceObjective::Evaluate, and keeps the move when the acceptance
+/// rule says so.  A rejected move is undone from what the move recorded:
+/// the shuffled positions and the jobs they held, the two swapped
+/// indices, or the one split boundary it moved — never by copying the
+/// row.  ChainEngine owns that chain; the derived engine (CRTP) supplies
+/// only
 ///
-///   * `Perturb(std::span<JobId> candidate, std::uint64_t i)` — the
-///     sequence neighbourhood, drawing from `rng_`;
+///   * `Perturb(std::uint64_t i)` — the sequence neighbourhood, applied
+///     with Shuffle() or Swap();
 ///   * `Accept(Cost candidate_energy, std::uint64_t i)` — the acceptance
 ///     rule against `state_.energy`;
 ///   * `TrajectorySample()` (see search_loop.hpp);
@@ -17,13 +21,12 @@
 /// plus its RNG stream id and initial temperature or threshold.  Internal
 /// to src/meta.
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "core/candidate_pool.hpp"
 #include "meta/objective.hpp"
 #include "meta/search_loop.hpp"
 #include "meta/splits.hpp"
@@ -42,7 +45,6 @@ struct ChainState {
 struct ChainSetup {
   std::uint64_t stream;  ///< Philox stream id under the budget's seed
   std::uint32_t pert;    ///< partial Fisher-Yates shuffle size
-  CandidatePool* pool;   ///< optional lent pool (needs one row)
   /// Initial temperature or threshold; <= 0 selects `level_scale` times
   /// the Salamon rule over `level_samples` random sequences.
   double level;
@@ -54,31 +56,27 @@ template <class Derived, class State = ChainState>
 class ChainEngine : public SerialEngine<Derived, State, kStopCheckStride> {
  public:
   auto BeginSlice() {
-    CandidatePool& pool = *lease_;
-    const std::span<JobId> candidate = pool.row(0);
-    return [this, &pool, candidate](std::uint64_t i) {
+    return [this](std::uint64_t i) {
       Derived& self = static_cast<Derived&>(*this);
       ChainState& chain = this->state_;
-      std::copy(chain.current.begin(), chain.current.end(),
-                candidate.begin());
-      bool sequence_move = true;
-      if (machines_ > 1) {
-        std::copy(chain.splits.begin(), chain.splits.end(),
-                  pool.splits_row(0).begin());
-        // Move-family selection draws happen only on the m > 1 path, so
-        // single-machine runs replay their historical RNG schedule.
-        if (this->rng_.NextUniform() <= kReassignProb) {
-          sequence_move = false;
-          SplitShift(pool.splits_row(0),
-                     static_cast<std::int32_t>(chain.current.size()),
-                     this->rng_);
-        }
+      // Move-family selection draws happen only on the m > 1 path, so
+      // single-machine runs replay their historical RNG schedule.
+      if (machines_ > 1 && this->rng_.NextUniform() <= kReassignProb) {
+        move_ = Move::kSplit;
+        split_undo_ =
+            SplitShift(std::span<std::int32_t>(chain.splits),
+                       static_cast<std::int32_t>(chain.current.size()),
+                       this->rng_);
+      } else {
+        self.Perturb(i);
       }
-      if (sequence_move) self.Perturb(candidate, i);
-      objective_.EvaluateBatch(pool);
-      const Cost energy = pool.costs()[0];
+      const Cost energy = objective_.Evaluate(chain.current, chain.splits);
       ++this->loop_.result.evaluations;
-      if (self.Accept(energy, i)) Adopt(candidate, pool, energy);
+      if (self.Accept(energy, i)) {
+        Keep(energy);
+      } else {
+        Undo();
+      }
     };
   }
 
@@ -89,8 +87,6 @@ class ChainEngine : public SerialEngine<Derived, State, kStopCheckStride> {
         objective_(objective),
         machines_(objective.machines()),
         pert_(setup.pert),
-        lease_(setup.pool, objective.size(), /*capacity=*/1,
-               static_cast<std::size_t>(objective.machines())),
         positions_(setup.pert),
         values_(setup.pert) {
     const ElapsedTimer timer(this->loop_.elapsed);
@@ -117,14 +113,21 @@ class ChainEngine : public SerialEngine<Derived, State, kStopCheckStride> {
             : setup.level_scale * InitialTemperature(objective_,
                                                      setup.level_samples,
                                                      budget.seed);
-    (*lease_).AppendUninitialized();
   }
 
-  /// The Pert-sized partial Fisher-Yates shuffle of \p candidate.
-  void Shuffle(std::span<JobId> candidate) {
-    PartialFisherYates(candidate, pert_, this->rng_,
-                       std::span<std::uint32_t>(positions_),
-                       std::span<JobId>(values_));
+  /// The Pert-sized partial Fisher-Yates shuffle of the current row.
+  void Shuffle() {
+    move_ = Move::kShuffle;
+    shuffled_ = PartialFisherYates(std::span<JobId>(this->state_.current),
+                                   pert_, this->rng_,
+                                   std::span<std::uint32_t>(positions_),
+                                   std::span<JobId>(values_));
+  }
+
+  /// A random swap of two positions of the current row.
+  void Swap() {
+    move_ = Move::kSwap;
+    swapped_ = RandomSwap(std::span<JobId>(this->state_.current), this->rng_);
   }
 
   /// Initial temperature or threshold, resolved at construction.
@@ -135,14 +138,10 @@ class ChainEngine : public SerialEngine<Derived, State, kStopCheckStride> {
   /// instead of a sequence move on multi-machine instances.
   static constexpr float kReassignProb = 0.25f;
 
-  void Adopt(std::span<const JobId> candidate, CandidatePool& pool,
-             Cost energy) {
+  enum class Move { kShuffle, kSwap, kSplit };
+
+  void Keep(Cost energy) {
     ChainState& chain = this->state_;
-    chain.current.assign(candidate.begin(), candidate.end());
-    if (machines_ > 1) {
-      const auto splits = pool.splits_row(0);
-      chain.splits.assign(splits.begin(), splits.end());
-    }
     chain.energy = energy;
     RunResult& result = this->loop_.result;
     if (chain.energy < result.best_cost) {
@@ -152,12 +151,36 @@ class ChainEngine : public SerialEngine<Derived, State, kStopCheckStride> {
     }
   }
 
+  void Undo() {
+    ChainState& chain = this->state_;
+    switch (move_) {
+      case Move::kShuffle:
+        for (std::uint32_t k = 0; k < shuffled_; ++k) {
+          chain.current[positions_[k]] = values_[k];
+        }
+        return;
+      case Move::kSwap:
+        if (swapped_.first != swapped_.second) {
+          std::swap(chain.current[swapped_.first],
+                    chain.current[swapped_.second]);
+        }
+        return;
+      case Move::kSplit:
+        chain.splits[split_undo_.boundary] = split_undo_.before;
+        return;
+    }
+  }
+
   SequenceObjective objective_;
   std::int32_t machines_ = 1;
   std::uint32_t pert_;
-  PoolLease lease_;
+  /// The last move and what undoing it needs.
+  Move move_ = Move::kShuffle;
+  std::uint32_t shuffled_ = 0;
   std::vector<std::uint32_t> positions_;
   std::vector<JobId> values_;
+  std::pair<std::uint32_t, std::uint32_t> swapped_;
+  SplitShiftUndo split_undo_;
 };
 
 }  // namespace cdd::meta

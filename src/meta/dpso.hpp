@@ -27,7 +27,10 @@ struct DpsoParams {
   double w = 0.8;   ///< probability of the swap "velocity" operator F1
   double c1 = 0.8;  ///< probability of the cognition crossover F2
   double c2 = 0.8;  ///< probability of the social crossover F3
-  /// Optional lent candidate pool (see SaParams::pool); needs `swarm` rows.
+  /// Optional lent candidate pool (the serve layer's zero-copy handoff).
+  /// Borrowed only when it matches the objective's n with `swarm` rows of
+  /// capacity; otherwise the engine allocates privately.  Contents are
+  /// Clear()ed and overwritten; results are bit-identical either way.
   CandidatePool* pool = nullptr;
 };
 

@@ -1,7 +1,7 @@
 #include "meta/evostrategy.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <vector>
 
 #include "core/candidate_pool.hpp"
 #include "meta/search_loop.hpp"
@@ -14,11 +14,20 @@ struct Individual {
   Cost cost = 0;
 };
 
-/// The search state is the whole population.  The returned best is
-/// derived from the population at Finish (as the original run did), so
-/// the loop's result carries no best snapshot.
-class EsEngine final
-    : public SerialEngine<EsEngine, std::vector<Individual>> {
+/// The whole population: mu + lambda individuals allocated once, and
+/// `order`, their indices with the mu survivors first in rank order.  The
+/// lambda slots behind them hold the individuals the last selection
+/// dropped, and the next generation writes its children there.
+struct EsState {
+  std::vector<Individual> population;
+  std::vector<std::uint32_t> order;
+
+  const Individual& front() const { return population[order.front()]; }
+};
+
+/// The returned best is derived from the population at Finish (as the
+/// original run did), so the loop's result carries no best snapshot.
+class EsEngine final : public SerialEngine<EsEngine, EsState> {
  public:
   EsEngine(const SequenceObjective& objective, const EsParams& params)
       : SerialEngine(params.budget, /*stream=*/0xe5ULL),
@@ -36,16 +45,21 @@ class EsEngine final
     // copy of its parent perturbed in place, and the whole brood is costed
     // with one EvaluateBatch call per generation.
     CandidatePool& pool = *lease_;
-    state_.reserve(params_.mu + params_.lambda);
-    for (std::uint32_t i = 0; i < params_.mu; ++i) {
-      Individual ind;
-      ind.genome = RandomSequence(n, rng_);
-      pool.Append(ind.genome);
-      state_.push_back(std::move(ind));
+    const std::uint32_t size = params_.mu + params_.lambda;
+    state_.population.resize(size);
+    state_.order.resize(size);
+    for (std::uint32_t i = 0; i < size; ++i) {
+      state_.order[i] = i;
+      if (i < params_.mu) {
+        state_.population[i].genome = RandomSequence(n, rng_);
+        pool.Append(state_.population[i].genome);
+      } else {
+        state_.population[i].genome.resize(n);
+      }
     }
     objective_.EvaluateBatch(pool);
     for (std::uint32_t i = 0; i < params_.mu; ++i) {
-      state_[i].cost = pool.costs()[i];
+      state_.population[i].cost = pool.costs()[i];
       ++loop_.result.evaluations;
     }
   }
@@ -57,10 +71,12 @@ class EsEngine final
   Cost TrajectorySample() const { return state_.front().cost; }
 
   Cost BestCost() const override {
-    // Before the first selection the population is unsorted, so scan it
+    // Before the first selection the parents are unsorted, so scan them
     // (mu is small); afterwards front() is the minimum anyway.
     Cost best = kInfiniteCost;
-    for (const Individual& ind : state_) best = std::min(best, ind.cost);
+    for (std::uint32_t i = 0; i < params_.mu; ++i) {
+      best = std::min(best, state_.population[state_.order[i]].cost);
+    }
     return best;
   }
 
@@ -74,33 +90,38 @@ class EsEngine final
  private:
   void Generation() {
     CandidatePool& pool = *lease_;
-    const std::size_t parents = state_.size();
+    std::vector<Individual>& population = state_.population;
+    std::vector<std::uint32_t>& order = state_.order;
+    const std::uint32_t mu = params_.mu;
     pool.Clear();
     for (std::uint32_t k = 0; k < params_.lambda; ++k) {
-      const std::uint32_t pick =
-          UniformBelow(rng_, static_cast<std::uint32_t>(parents));
+      const std::uint32_t pick = UniformBelow(rng_, mu);
       const std::span<JobId> child =
-          pool.row(pool.Append(state_[pick].genome));
+          pool.row(pool.Append(population[order[pick]].genome));
       PartialFisherYates(child, params_.pert, rng_,
                          std::span<std::uint32_t>(positions_),
                          std::span<JobId>(values_));
     }
     objective_.EvaluateBatch(pool);
     for (std::uint32_t k = 0; k < params_.lambda; ++k) {
-      const std::span<const JobId> genome = pool.row(k);
-      Individual child;
-      child.genome.assign(genome.begin(), genome.end());
+      const std::span<const JobId> row = pool.row(k);
+      Individual& child = population[order[mu + k]];
+      std::copy(row.begin(), row.end(), child.genome.begin());
       child.cost = pool.costs()[k];
       ++loop_.result.evaluations;
-      state_.push_back(std::move(child));
     }
-    // Plus-selection: keep the best mu individuals (stable for
-    // determinism).
-    std::stable_sort(state_.begin(), state_.end(),
-                     [](const Individual& a, const Individual& b) {
-                       return a.cost < b.cost;
-                     });
-    state_.resize(params_.mu);
+    // Plus-selection: keep the best mu individuals.  The insertion sort is
+    // stable (ties keep parents before children, children in brood order)
+    // and needs no buffer.
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      const std::uint32_t moving = order[i];
+      const Cost cost = population[moving].cost;
+      std::size_t j = i;
+      for (; j > 0 && cost < population[order[j - 1]].cost; --j) {
+        order[j] = order[j - 1];
+      }
+      order[j] = moving;
+    }
   }
 
   SequenceObjective objective_;

@@ -24,7 +24,7 @@ struct EsParams {
   std::uint32_t mu = 10;      ///< parents kept per generation
   std::uint32_t lambda = 40;  ///< offspring per generation
   std::uint32_t pert = 4;     ///< mutation strength (shuffled positions)
-  /// Optional lent candidate pool (see SaParams::pool); needs
+  /// Optional lent candidate pool (see DpsoParams::pool); needs
   /// max(mu, lambda) rows.
   CandidatePool* pool = nullptr;
 };

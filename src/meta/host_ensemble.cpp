@@ -29,9 +29,6 @@ class HostEnsembleEngine final : public Engine {
           InitialTemperature(objective_, chain.temp_samples,
                              chain.budget.seed);
     }
-    // Chains run concurrently, so they must not share one lent pool; each
-    // allocates its private single row (results are placement-invariant).
-    chain.pool = nullptr;
 
     engines_.reserve(params_.chains);
     for (std::uint32_t c = 0; c < params_.chains; ++c) {

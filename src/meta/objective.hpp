@@ -90,9 +90,10 @@ class SequenceObjective {
     }
   }
 
-  /// Optimal cost of one sequence (the cold path; generations should go
-  /// through EvaluateBatch).  Multi-machine objectives need the splits
-  /// overload below; calling this one with machines() > 1 throws.
+  /// Optimal cost of one sequence: the serial chains' per-move path (a
+  /// population engine should cost a generation with EvaluateBatch).
+  /// Multi-machine objectives need the splits overload below; calling
+  /// this one with machines() > 1 throws.
   Cost Evaluate(std::span<const JobId> seq) const {
     if (machines_ > 1) {
       throw std::invalid_argument(
@@ -110,9 +111,14 @@ class SequenceObjective {
         return raw::EvalEarlyWork(n, 1, d_, seq.data(), nullptr, proc_.data())
             .cost;
       case Kind::kUcddcp:
-        return raw::EvalUcddcpFused(n, d_, seq.data(), proc_.data(),
-                                    min_proc_.data(), alpha_.data(),
-                                    beta_.data(), gamma_.data())
+        return (ucddcp_one_pass_
+                    ? raw::EvalUcddcpOnePass(n, d_, seq.data(), proc_.data(),
+                                             min_proc_.data(), alpha_.data(),
+                                             beta_.data(), gamma_.data(),
+                                             ucddcp_sums_.alpha)
+                    : raw::EvalUcddcp(n, d_, seq.data(), proc_.data(),
+                                      min_proc_.data(), alpha_.data(),
+                                      beta_.data(), gamma_.data()))
             .cost;
       case Kind::kFallback:
         break;
@@ -229,6 +235,11 @@ class SequenceObjective {
         gamma_.push_back(j.compress);
       }
     }
+    if (controllable) {
+      ucddcp_sums_ = raw::SumUcddcp(static_cast<std::int32_t>(n_),
+                                    proc_.data(), alpha_.data());
+      ucddcp_one_pass_ = raw::UcddcpOnePassApplies(d_, ucddcp_sums_);
+    }
   }
 
   Kind kind_;
@@ -240,6 +251,9 @@ class SequenceObjective {
   std::vector<Cost> alpha_;
   std::vector<Cost> beta_;
   std::vector<Cost> gamma_;
+  /// UCDDCP instance constants, so Evaluate walks the row once.
+  raw::UcddcpSums ucddcp_sums_;
+  bool ucddcp_one_pass_ = false;
   std::shared_ptr<const BatchEvaluator> backend_;
 };
 

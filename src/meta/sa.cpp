@@ -18,7 +18,6 @@ class SaEngine final : public ChainEngine<SaEngine> {
       : ChainEngine(objective, params.budget,
                     {.stream = 0x5a5a5a5aULL,
                      .pert = params.pert,
-                     .pool = params.pool,
                      .level = params.initial_temperature,
                      .level_samples = params.temp_samples,
                      .level_scale = 1.0},
@@ -28,12 +27,12 @@ class SaEngine final : public ChainEngine<SaEngine> {
                   params.budget.iterations),
         period_(std::max(params.shuffle_period, 1u)) {}
 
-  void Perturb(std::span<JobId> candidate, std::uint64_t i) {
+  void Perturb(std::uint64_t i) {
     if (params_.neighborhood == NeighborhoodMode::kShuffleEveryIteration ||
         i % period_ == 0) {
-      Shuffle(candidate);
+      Shuffle();
     } else {
-      RandomSwap(candidate, rng_);
+      Swap();
     }
   }
 

@@ -48,11 +48,6 @@ struct SaParams {
   std::uint64_t temp_samples = 5000;
   /// Cooling schedule family (the paper's is exponential).
   CoolingKind cooling = CoolingKind::kExponential;
-  /// Optional lent candidate pool (the serve layer's zero-copy handoff).
-  /// Borrowed only when it matches the objective's n with enough capacity
-  /// (one row); otherwise the chain allocates privately.  Contents are
-  /// Clear()ed and overwritten; results are bit-identical either way.
-  CandidatePool* pool = nullptr;
 };
 
 /// Runs one serial SA chain.  \p initial seeds the chain (random when

@@ -25,26 +25,34 @@ inline void EvenSplits(std::span<std::int32_t> splits, std::size_t n) {
   }
 }
 
+/// The boundary a SplitShift drew and its value before the move:
+/// splits[boundary] = before undoes it.
+struct SplitShiftUndo {
+  std::uint32_t boundary = 0;
+  std::int32_t before = 0;
+};
+
 /// Machine-reassignment move: picks one split boundary and a direction and
 /// moves the boundary by one position, i.e. the job adjacent to the
 /// boundary changes machine.  Draws exactly two 32-bit RNG outputs.  Moves
 /// that would break the ascending invariant (boundary already at its
 /// neighbour) leave the splits unchanged — the candidate is then a no-op
 /// resubmission of the current state, which the acceptance rule handles
-/// like any other neighbour.
+/// like any other neighbour.  \p splits must not be empty.
 template <std::uniform_random_bit_generator Rng>
-inline void SplitShift(std::span<std::int32_t> splits, std::int32_t n,
-                       Rng& rng) {
+inline SplitShiftUndo SplitShift(std::span<std::int32_t> splits,
+                                 std::int32_t n, Rng& rng) {
   const auto boundaries = static_cast<std::uint32_t>(splits.size());
-  if (boundaries == 0) return;
   const std::uint32_t k = UniformBelow(rng, boundaries);
   const std::int32_t dir = (rng() & 1u) != 0 ? 1 : -1;
   const std::int32_t lo = k == 0 ? 0 : splits[k - 1];
   const std::int32_t hi = k + 1 < boundaries ? splits[k + 1] : n;
+  const SplitShiftUndo undo{k, splits[k]};
   const std::int32_t v = splits[k] + dir;
   if (v >= lo && v <= hi) {
     splits[k] = v;
   }
+  return undo;
 }
 
 }  // namespace cdd::meta

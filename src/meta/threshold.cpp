@@ -18,7 +18,6 @@ class TaEngine final : public ChainEngine<TaEngine, TaState> {
       : ChainEngine(objective, params.budget,
                     {.stream = 0x7aULL,
                      .pert = params.pert,
-                     .pool = params.pool,
                      .level = params.initial_threshold,
                      .level_samples = params.temp_samples,
                      .level_scale = 0.5},
@@ -27,9 +26,7 @@ class TaEngine final : public ChainEngine<TaEngine, TaState> {
     state_.threshold = initial_level_;
   }
 
-  void Perturb(std::span<JobId> candidate, std::uint64_t /*i*/) {
-    Shuffle(candidate);
-  }
+  void Perturb(std::uint64_t /*i*/) { Shuffle(); }
 
   /// Accept iff E_new - E <= threshold; the threshold then decays.
   bool Accept(Cost candidate_energy, std::uint64_t /*i*/) {

@@ -30,8 +30,6 @@ struct TaParams {
   double decay = 0.88;  ///< geometric threshold decay per iteration
   std::uint32_t pert = 4;
   std::uint64_t temp_samples = 2000;
-  /// Optional lent candidate pool (see SaParams::pool); needs one row.
-  CandidatePool* pool = nullptr;
 };
 
 /// Runs serial Threshold Accepting.

@@ -166,7 +166,6 @@ std::unique_ptr<meta::Engine> MakeEngineByName(std::string_view name,
   if (name == "sa") {
     meta::SaParams params;
     params.budget = Budget(options);
-    params.pool = options.pool;
     return meta::MakeSaEngine(
         meta::SequenceObjective::ForInstance(instance), params);
   }
@@ -180,7 +179,6 @@ std::unique_ptr<meta::Engine> MakeEngineByName(std::string_view name,
   if (name == "ta") {
     meta::TaParams params;
     params.budget = Budget(options);
-    params.pool = options.pool;
     return meta::MakeTaEngine(
         meta::SequenceObjective::ForInstance(instance), params);
   }
@@ -314,18 +312,16 @@ void ResolveEnvironment() {
 }
 
 std::size_t PoolCapacityHint(std::string_view name) {
-  // Single-chain engines perturb one candidate row in place.
-  if (name == "sa" || name == "ta") return 1;
   // Population engines stage a full generation per EvaluateBatch call.
   if (name == "dpso") return meta::DpsoParams{}.swarm;
   if (name == "es") {
     const meta::EsParams defaults;
     return std::max<std::size_t>(std::max(defaults.mu, defaults.lambda), 1);
   }
-  // "host" fans out per-thread chains (each with its own pool), "bnb" works
-  // on flat side arrays of its own, the device engines keep their
-  // generations in device buffers, and "race" interleaves contenders that
-  // cannot share one lent pool.
+  // "sa", "ta" and the chains of "host" score their one row in place,
+  // "bnb" works on flat side arrays of its own, the device engines keep
+  // their generations in device buffers, and "race" interleaves
+  // contenders that cannot share one lent pool.
   return 0;
 }
 

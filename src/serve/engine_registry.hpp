@@ -125,9 +125,9 @@ std::string EngineSupportDiagnostic(std::string_view name,
 void RequireEngineSupports(std::string_view name, const Instance& instance);
 
 /// Rows a request-scoped pool needs so the named engine can stage a full
-/// generation in it; 0 means the engine cannot borrow a shared pool
-/// ("host" fans out per-thread chains, device engines use device buffers)
-/// and the serve layer should not lend one.
+/// generation in it; 0 means the engine does not borrow a shared pool
+/// (the serial chains score their one row in place, device engines use
+/// device buffers) and the serve layer should not lend one.
 std::size_t PoolCapacityHint(std::string_view name);
 
 /// Creates a resumable engine (meta::Engine lifecycle) for one solve.

@@ -324,10 +324,13 @@ std::future<SolveResponse> SolverService::Submit(SolveRequest request,
 
   const int priority = job.request.priority;
   const std::string tenant = job.request.tenant;
-  switch (queue_.TryPush(std::move(job), priority)) {
+  // Counted before the push: a worker may dequeue (and uncount) the job
+  // before TryPush returns.  A refused push takes the count back.
+  TenantEnqueued(tenant);
+  const PushResult pushed = queue_.TryPush(std::move(job), priority);
+  if (pushed != PushResult::kOk) TenantDequeued(tenant);
+  switch (pushed) {
     case PushResult::kOk:
-      // TryPush moved the job; only the pre-saved tenant tag is needed.
-      TenantEnqueued(tenant);
       enqueued_->Increment();
       CDD_TRACE_INSTANT("serve.enqueued");
       return future;
@@ -414,20 +417,17 @@ void SolverService::Process(Job&& job, unsigned slot, unsigned depth) {
   // a placement on the far side of the modeled bus charges staging copies.
   std::optional<CandidatePool> request_pool;
   const std::size_t pool_rows = PoolCapacityHint(job.request.engine);
-  const auto pool_machines =
-      static_cast<std::size_t>(job.request.instance.machines());
   if (pool_rows > 0 && job.request.instance.size() > 0) {
     if (pool_allocator_->backend() == core::PoolBackend::kDevice) {
       // Same-shape reuse: an idle device-resident pool of exactly this
-      // shape (n fixes the stride, capacity fixes the block, the machine
-      // count fixes the splits sections) skips the device allocation
-      // entirely.  Exact capacity match keeps the free-list from pinning
-      // oversized blocks to small requests.
+      // shape (n fixes the stride, capacity fixes the block) skips the
+      // device allocation entirely.  Exact capacity match keeps the
+      // free-list from pinning oversized blocks to small requests.  Only
+      // single-machine engines borrow, so every pool has one machine.
       const std::scoped_lock lock(idle_pools_mutex_);
       for (auto it = idle_pools_.begin(); it != idle_pools_.end(); ++it) {
         if (it->n() == job.request.instance.size() &&
-            it->capacity() == pool_rows &&
-            it->machines() == pool_machines) {
+            it->capacity() == pool_rows) {
           it->Clear();
           request_pool.emplace(std::move(*it));
           idle_pools_.erase(it);
@@ -439,7 +439,7 @@ void SolverService::Process(Job&& job, unsigned slot, unsigned depth) {
     }
     if (!request_pool) {
       request_pool.emplace(job.request.instance.size(), pool_rows,
-                           *pool_allocator_, pool_machines);
+                           *pool_allocator_);
     }
     options.pool = &*request_pool;
     pool_handoffs_->Increment();
@@ -621,9 +621,11 @@ void SolverService::ResolveInflightFailure(std::uint64_t key) {
     job.on_done = std::move(waiter->on_done);
     const int priority = job.request.priority;
     const std::string tenant = job.request.tenant;
-    switch (queue_.TryPush(std::move(job), priority)) {
+    TenantEnqueued(tenant);  // before the push, as in Submit
+    const PushResult pushed = queue_.TryPush(std::move(job), priority);
+    if (pushed != PushResult::kOk) TenantDequeued(tenant);
+    switch (pushed) {
       case PushResult::kOk:
-        TenantEnqueued(tenant);
         coalesce_reelected_->Increment();
         enqueued_->Increment();
         CDD_TRACE_INSTANT("serve.coalesce_reelect");
