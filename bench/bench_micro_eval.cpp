@@ -6,8 +6,13 @@
 /// The BM_*Batch* pairs time one 768-row generation batch of the
 /// generator's instance (n = 50, 200, 500) through the scalar batch and
 /// through the dispatch entry point (SIMD unless CDD_EVAL_BACKEND=scalar).
+/// The BM_*OneRow* pairs time the serial chains' per-move score of one row
+/// at n = 50, 200, 500: SequenceObjective::Evaluate against EvaluateBatch
+/// on a one-row pool.
 
 #include <benchmark/benchmark.h>
+
+#include <span>
 
 #include "common/test_instances.hpp"
 #include "core/candidate_pool.hpp"
@@ -17,6 +22,7 @@
 #include "core/eval_ucddcp.hpp"
 #include "core/reference_eval.hpp"
 #include "lp/models.hpp"
+#include "meta/objective.hpp"
 #include "orlib/biskup_feldmann.hpp"
 
 namespace {
@@ -159,6 +165,45 @@ BENCHMARK(BM_CddBatch<false>)
     ->Arg(50)->Arg(200)->Arg(500);
 BENCHMARK(BM_CddBatch<true>)
     ->Name("BM_CddBatchDispatch")
+    ->Arg(50)->Arg(200)->Arg(500);
+
+/// One row through the objective, as the serial chains score it
+/// (kBatch = false: SequenceObjective::Evaluate) and as they scored it
+/// before (kBatch = true: EvaluateBatch on a one-row pool, which re-checks
+/// and re-packs the instance on every call).
+template <cdd::Problem kProblem, bool kBatch>
+void BM_OneRow(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const cdd::orlib::BiskupFeldmannGenerator generator;
+  const cdd::meta::SequenceObjective objective =
+      cdd::meta::SequenceObjective::ForInstance(
+          kProblem == cdd::Problem::kCdd ? generator.Cdd(n, 0, 0.4)
+                                         : generator.Ucddcp(n, 0));
+  cdd::CandidatePool pool(n, 1);
+  pool.Append(RandomSeq(n, n * 13));
+  const std::span<const cdd::JobId> row = pool.row(0);
+  for (auto _ : state) {
+    if (kBatch) {
+      objective.EvaluateBatch(pool);
+      benchmark::DoNotOptimize(pool.costs()[0]);
+    } else {
+      benchmark::DoNotOptimize(objective.Evaluate(row));
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OneRow<cdd::Problem::kCdd, false>)
+    ->Name("BM_CddOneRowEvaluate")
+    ->Arg(50)->Arg(200)->Arg(500);
+BENCHMARK(BM_OneRow<cdd::Problem::kCdd, true>)
+    ->Name("BM_CddOneRowBatch")
+    ->Arg(50)->Arg(200)->Arg(500);
+BENCHMARK(BM_OneRow<cdd::Problem::kUcddcp, false>)
+    ->Name("BM_UcddcpOneRowEvaluate")
+    ->Arg(50)->Arg(200)->Arg(500);
+BENCHMARK(BM_OneRow<cdd::Problem::kUcddcp, true>)
+    ->Name("BM_UcddcpOneRowBatch")
     ->Arg(50)->Arg(200)->Arg(500);
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "meta/evostrategy.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "core/candidate_pool.hpp"
@@ -45,17 +46,14 @@ class EsEngine final : public SerialEngine<EsEngine, EsState> {
     // copy of its parent perturbed in place, and the whole brood is costed
     // with one EvaluateBatch call per generation.
     CandidatePool& pool = *lease_;
-    const std::uint32_t size = params_.mu + params_.lambda;
-    state_.population.resize(size);
-    state_.order.resize(size);
-    for (std::uint32_t i = 0; i < size; ++i) {
-      state_.order[i] = i;
-      if (i < params_.mu) {
-        state_.population[i].genome = RandomSequence(n, rng_);
-        pool.Append(state_.population[i].genome);
-      } else {
-        state_.population[i].genome.resize(n);
-      }
+    state_.population.assign(params_.mu + params_.lambda,
+                             Individual{.genome = Sequence(n)});
+    state_.order.resize(state_.population.size());
+    std::iota(state_.order.begin(), state_.order.end(), 0u);
+    for (std::uint32_t i = 0; i < params_.mu; ++i) {
+      Sequence& genome = state_.population[i].genome;
+      genome = RandomSequence(n, rng_);
+      pool.Append(genome);
     }
     objective_.EvaluateBatch(pool);
     for (std::uint32_t i = 0; i < params_.mu; ++i) {

@@ -9,10 +9,12 @@
 /// SequenceObjective packages that as a concrete value type.  For kCdd and
 /// kUcddcp instances it owns the flattened SoA instance arrays and calls
 /// the raw evaluators directly — no type erasure, no per-candidate
-/// indirect dispatch.  Engines hand it a whole generation at a time:
-/// EvaluateBatch(pool) runs cdd::raw::EvalCddBatch / EvalUcddcpBatch over
-/// the pool's stride-aligned rows while the instance arrays stay
-/// cache-resident.  The restricted controllable problem (kCddcp) has no
+/// indirect dispatch.  Population engines hand it a whole generation at
+/// a time: EvaluateBatch(pool) runs cdd::raw::EvalCddBatch /
+/// EvalUcddcpBatch over the pool's stride-aligned rows while the instance
+/// arrays stay cache-resident.  The serial chains score their one row
+/// with Evaluate, which skips the batch drivers' per-call instance checks
+/// and packing.  The restricted controllable problem (kCddcp) has no
 /// O(n) evaluator; lp::MakeLpObjective supplies a BatchEvaluator fallback
 /// behind the same interface, so every engine is written once.
 
@@ -150,8 +152,7 @@ class SequenceObjective {
   Cost operator()(std::span<const JobId> seq) const { return Evaluate(seq); }
 
   /// Evaluates every live row of \p pool in one call: costs() and pinned()
-  /// are filled per row.  This is the only objective entry point on any
-  /// engine's generation hot path.
+  /// are filled per row.  The population engines' generation hot path.
   void EvaluateBatch(CandidatePool& pool) const {
     const CandidatePoolView v = pool.view();
     if (machines_ > 1 && v.machines != machines_) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/test_instances.hpp"
 #include "core/exact.hpp"
 
@@ -76,10 +78,18 @@ TEST(Reference, HeuristicForLargerInstancesIsAchievable) {
 TEST(Calibration, SecondsPerEvalIsPositiveAndScalesWithN) {
   const Instance small = cdd::testing::RandomCdd(10, 0.5, 903);
   const Instance large = cdd::testing::RandomCdd(400, 0.5, 904);
-  const double t_small = MeasureSecondsPerEval(
-      meta::Objective::ForInstance(small), 4000, 1);
-  const double t_large = MeasureSecondsPerEval(
-      meta::Objective::ForInstance(large), 4000, 1);
+  // The fastest of five calls per size: a single timing of a few
+  // milliseconds can land on a preempted slice.
+  const auto fastest = [](const Instance& instance) {
+    const meta::Objective objective = meta::Objective::ForInstance(instance);
+    double best = MeasureSecondsPerEval(objective, 4000, 1);
+    for (int rep = 1; rep < 5; ++rep) {
+      best = std::min(best, MeasureSecondsPerEval(objective, 4000, 1));
+    }
+    return best;
+  };
+  const double t_small = fastest(small);
+  const double t_large = fastest(large);
   EXPECT_GT(t_small, 0.0);
   EXPECT_GT(t_large, 2.0 * t_small);  // O(n) evaluator: 40x the size
 }
