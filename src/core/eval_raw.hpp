@@ -343,21 +343,6 @@ inline EvalResult EvalUcddcpOnePass(std::int32_t n, Time d, const JobId* seq,
   return {cost, d - compressed_before_d, r};
 }
 
-/// One-pass variant of EvalUcddcp (bit-identical results):
-/// the row evaluator behind the batched entry points and the simulator's
-/// fitness kernel.  Instances outside UcddcpOnePassApplies take EvalUcddcp.
-inline EvalResult EvalUcddcpFused(std::int32_t n, Time d, const JobId* seq,
-                                  const Time* proc, const Time* minproc,
-                                  const Cost* alpha, const Cost* beta,
-                                  const Cost* gamma) noexcept {
-  const UcddcpSums s = SumUcddcp(n, proc, alpha);
-  if (UcddcpOnePassApplies(d, s)) {
-    return EvalUcddcpOnePass(n, d, seq, proc, minproc, alpha, beta, gamma,
-                             s.alpha);
-  }
-  return EvalUcddcp(n, d, seq, proc, minproc, alpha, beta, gamma);
-}
-
 /// --- Parallel machines & early work ------------------------------------
 ///
 /// An m-machine candidate is a permutation row plus m-1 ascending split

@@ -17,8 +17,10 @@ double InitialTemperature(const SequenceObjective& objective,
   // cumulatively (identical Philox consumption to the one-by-one loop) and
   // costs the whole chunk with one EvaluateBatch.  Welford's online update
   // then consumes the costs in their original sample order, so the
-  // resulting temperature is bit-identical.
-  constexpr std::uint64_t kChunk = 256;
+  // resulting temperature is bit-identical.  32 rows keep the chunk pool
+  // (two row buffers: 256 KB at n = 1000) from being the largest block a
+  // chain solve allocates; at 256 rows it set a solve's peak heap.
+  constexpr std::uint64_t kChunk = 32;
   const auto machines = static_cast<std::size_t>(objective.machines());
   CandidatePool pool(objective.size(),
                      static_cast<std::size_t>(std::min(

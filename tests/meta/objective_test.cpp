@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/test_instances.hpp"
 #include "core/eval_cdd.hpp"
 #include "core/eval_ucddcp.hpp"
@@ -20,6 +22,37 @@ TEST(Objective, DispatchesToTheRightEvaluator) {
   const Instance ucddcp = cdd::testing::PaperExampleUcddcp();
   const Objective f_ucddcp = Objective::ForInstance(ucddcp);
   EXPECT_EQ(f_ucddcp(IdentitySequence(5)), 77);
+}
+
+TEST(Objective, UcddcpEvaluateMatchesTheTwoPassReference) {
+  // Evaluate decides once, at construction, whether the one-pass walk
+  // applies (d == sum P, or d > sum P with some alpha > 0); otherwise it
+  // takes the two-pass walk.  All three cases must cost a row as the
+  // reference does.
+  const Instance base = cdd::testing::RandomUcddcp(40, 1.0, 1103);
+  const Instance slack = cdd::testing::RandomUcddcp(40, 1.3, 1104);
+  std::vector<Time> proc;
+  std::vector<Time> min_proc;
+  std::vector<Cost> tardy;
+  std::vector<Cost> gamma;
+  for (const Job& job : slack.jobs()) {
+    proc.push_back(job.proc);
+    min_proc.push_back(job.min_proc);
+    tardy.push_back(job.tardy);
+    gamma.push_back(job.compress);
+  }
+  const Instance no_alpha(Problem::kUcddcp, slack.due_date(), proc,
+                          std::vector<Cost>(proc.size(), 0), tardy, min_proc,
+                          gamma);
+  for (const Instance* instance : {&base, &slack, &no_alpha}) {
+    const Objective objective = Objective::ForInstance(*instance);
+    const UcddcpEvaluator reference(*instance);
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      const Sequence seq = cdd::testing::RandomSeq(40, 1200 + seed);
+      EXPECT_EQ(objective.Evaluate(seq), reference.Evaluate(seq))
+          << "d=" << instance->due_date() << " seed=" << seed;
+    }
+  }
 }
 
 TEST(Objective, OutlivesTheInstanceItWasBuiltFrom) {
