@@ -13,8 +13,8 @@
 /// a time: EvaluateBatch(pool) runs cdd::raw::EvalCddBatch /
 /// EvalUcddcpBatch over the pool's stride-aligned rows while the instance
 /// arrays stay cache-resident.  The serial chains score their one row
-/// with Evaluate, which skips the batch drivers' per-call instance checks
-/// and packing.  The restricted controllable problem (kCddcp) has no
+/// with Evaluate, which skips the batch entry points' per-call instance
+/// checks and packing.  The restricted controllable problem (kCddcp) has no
 /// O(n) evaluator; lp::MakeLpObjective supplies a BatchEvaluator fallback
 /// behind the same interface, so every engine is written once.
 
